@@ -219,7 +219,11 @@ def load_checkpoint(path: str):
         doc = _load_json(path)
     except (OSError, ValueError) as err:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError(
+            f"checkpoint {path} must hold a JSON object, not a {type(doc).__name__}"
+        )
+    if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r} "
             f"(expected {CHECKPOINT_VERSION})"
@@ -254,6 +258,17 @@ def load_checkpoint(path: str):
 # ---------------------------------------------------------------------------
 
 
+def _finite_array(value, where: str) -> np.ndarray:
+    """`value` as a float64 array; NaN and Infinity, which json parses, are rejected."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where} must be finite, got NaN or Infinity")
+    return arr
+
+
 def _parse_posteriors(doc):
     if not isinstance(doc, dict) or "posteriors" not in doc:
         raise ConfigError("input document must contain a 'posteriors' list")
@@ -269,14 +284,24 @@ def _parse_posteriors(doc):
             _reject_unknown(entry, {"mean", "sigma"}, f"posteriors[{i}]")
             kinds.add("diag")
             try:
-                posteriors.append(DiagGaussian(entry["mean"], entry["sigma"]))
+                posteriors.append(
+                    DiagGaussian(
+                        _finite_array(entry["mean"], "mean"),
+                        _finite_array(entry["sigma"], "sigma"),
+                    )
+                )
             except ValueError as err:
                 raise ConfigError(f"posteriors[{i}]: {err}") from err
         elif "cov" in entry:
             _reject_unknown(entry, {"mean", "cov"}, f"posteriors[{i}]")
             kinds.add("full")
             try:
-                posteriors.append(FullGaussian(entry["mean"], SymMatrix(entry["cov"])))
+                posteriors.append(
+                    FullGaussian(
+                        _finite_array(entry["mean"], "mean"),
+                        SymMatrix(_finite_array(entry["cov"], "cov")),
+                    )
+                )
             except ValueError as err:
                 raise ConfigError(f"posteriors[{i}]: {err}") from err
         else:
@@ -321,6 +346,7 @@ def cmd_aggregate(args) -> int:
     if weights is None:
         family = bc.WeightedFamily.uniform(posteriors)
     else:
+        weights = _finite_array(weights, "weights")
         try:
             family = bc.WeightedFamily(tuple(posteriors), weights)
         except ValueError as err:

@@ -1,8 +1,10 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition and PSD square roots.
+"""Dense symmetric linear algebra: eigendecomposition and PSD square roots.
 
-Everything here is dependency-free (numpy for storage and BLAS-level products
-only) and deterministic, sized for the small covariance matrices that appear in
-latent spaces (dim up to a few dozen).
+Both rest on LAPACK's symmetric eigensolver through `numpy.linalg.eigh`, so
+numpy stays the only dependency. The matrices are the small covariances that
+appear in latent spaces (dim up to a few dozen). Non-finite input and solver
+failures surface as NumericError, indefinite input to `sqrtm_psd` as
+NotPsdError.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPsdError, NumericError
-
-# Cyclic-Jacobi iteration limits; see `sym_eig`.
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_TOL = 1e-12
 
 PSD_EIG_TOL = -1e-10
 
@@ -49,73 +47,22 @@ class SymMatrix:
         return SymMatrix(np.diag(np.asarray(values, dtype=np.float64)))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def sym_eig(a: SymMatrix, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a: SymMatrix):
+    """Eigendecomposition of a symmetric matrix by LAPACK (`numpy.linalg.eigh`).
 
     Returns (w, v) with eigenvalues `w` ascending and orthonormal eigenvectors
     in the columns of `v`, so that v @ diag(w) @ v.T reconstructs the input.
 
-    Raises NumericError if the off-diagonal mass has not dropped below
-    JACOBI_OFFDIAG_TOL * max(1, ||a||_F) after `max_sweeps` sweeps.
+    Raises NumericError if the input holds NaN or Inf, or if LAPACK fails to
+    converge.
     """
-    m = a.array.copy()
-    n = a.dim
-    v = np.eye(n)
-    tol = JACOBI_OFFDIAG_TOL * max(1.0, float(np.linalg.norm(m)))
-    if n == 1:
-        return m[0].copy(), v
-
-    converged = False
-    # Entries already below this cannot push the off-diagonal Frobenius norm
-    # above tol, so rotating on them (with near-infinite theta) is skipped.
-    skip = tol / (2.0 * n * n)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(m) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # Rotate rows/columns p and q of m, and columns p and q of v.
-                mp, mq = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * mp - s * mq
-                m[:, q] = s * mp + c * mq
-                mp, mq = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * mp - s * mq
-                m[q, :] = s * mp + c * mq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        converged = _offdiag_norm(m) <= tol
-
-    if not converged:
-        residual = _offdiag_norm(m)
-        raise NumericError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})",
-            residual=residual,
-            sweeps=max_sweeps,
-        )
-
-    w = np.diag(m).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    if not np.isfinite(a.array).all():
+        raise NumericError("eigendecomposition of a matrix with NaN or Inf entries")
+    try:
+        w, v = np.linalg.eigh(a.array)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"eigendecomposition failed: {err}") from err
+    return w, v
 
 
 def sqrtm_psd(a: SymMatrix) -> SymMatrix:

@@ -7,7 +7,9 @@ on a grid. They are the independent side of every dual-route check.
 
 import numpy as np
 
-from baryvae.gaussian import DiagGaussian, log_density_many
+from baryvae.barycenter import WeightedFamily
+from baryvae.errors import OracleError
+from baryvae.gaussian import DiagGaussian, FullGaussian, log_density_many
 from baryvae.linalg import SymMatrix
 
 
@@ -69,6 +71,40 @@ def random_spd(rng, dim, lo=0.3, hi=3.0):
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     w = rng.uniform(lo, hi, dim)
     return SymMatrix((q * w) @ q.T)
+
+
+def random_full_families(rng, count):
+    """`count` uniform-weight families of full Gaussians with random SPD covariances.
+
+    Each family draws its dim from 2..8 and its size from 2..5.
+    """
+    for _ in range(count):
+        dim, size = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        yield WeightedFamily.uniform(
+            [FullGaussian(rng.standard_normal(dim), random_spd(rng, dim)) for _ in range(size)]
+        )
+
+
+def _eigh_sqrt(a):
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+
+def plain_wb_fixed_point(covs, weights):
+    """Bures-Wasserstein barycenter covariance by the plain map S <- T(S).
+
+    T(S) = sum_m w_m (S^{1/2} S_m S^{1/2})^{1/2}, with every root taken from
+    numpy.linalg.eigh. Iterates from the arithmetic mean until
+    ||T(S) - S||_F <= 1e-12 * (1 + ||S||_F) and returns T(S).
+    """
+    s = sum(w * c for w, c in zip(weights, covs))
+    for _ in range(10_000):
+        root = _eigh_sqrt(s)
+        nxt = sum(w * _eigh_sqrt(root @ c @ root) for w, c in zip(weights, covs))
+        if np.linalg.norm(nxt - s) <= 1e-12 * (1.0 + np.linalg.norm(s)):
+            return nxt
+        s = (nxt + nxt.T) / 2.0
+    raise OracleError("plain barycenter map did not settle in 10000 iterations")
 
 
 def random_diag_gaussian(rng, dim, mean_scale=3.0, sigma_lo=0.3, sigma_hi=2.5):

@@ -50,6 +50,7 @@ from oracles import (
     linear_gaussian_vae,
     quad_kl_1d,
     random_diag_gaussian,
+    random_full_families,
     random_spd,
 )
 
@@ -175,11 +176,7 @@ def test_criterion_3_barycenter_stationarity():
 def test_criterion_4_fixed_point_residuals():
     rng = np.random.default_rng(104)
     worst_res = 0.0
-    for _ in range(100):
-        dim, size = int(rng.integers(2, 9)), int(rng.integers(2, 6))
-        fam = WeightedFamily.uniform(
-            [FullGaussian(rng.standard_normal(dim), random_spd(rng, dim)) for _ in range(size)]
-        )
+    for fam in random_full_families(rng, 100):
         out = wb_full(fam, tol=1e-9, max_iter=200)
         root = sqrtm_psd(out.cov).array
         mapped = sum(

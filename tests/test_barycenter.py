@@ -27,7 +27,14 @@ from baryvae.gaussian import (
 )
 from baryvae.linalg import SymMatrix, sqrtm_psd
 
-from oracles import grid_product_gaussian, quad_kl_1d, random_diag_gaussian, random_spd
+from oracles import (
+    grid_product_gaussian,
+    plain_wb_fixed_point,
+    quad_kl_1d,
+    random_diag_gaussian,
+    random_full_families,
+    random_spd,
+)
 
 
 def g1(mean, sigma):
@@ -242,12 +249,7 @@ class TestWbFull:
         assert out.cov.array[0, 0] == pytest.approx(expected.sigma[0] ** 2, abs=1e-8)
 
     def test_fixed_point_residual_contract(self):
-        rng = np.random.default_rng(36)
-        for _ in range(25):
-            d, m = int(rng.integers(2, 9)), int(rng.integers(2, 6))
-            fam = WeightedFamily.uniform(
-                [FullGaussian(rng.standard_normal(d), random_spd(rng, d)) for _ in range(m)]
-            )
+        for fam in random_full_families(np.random.default_rng(36), 25):
             out = wb_full(fam, tol=1e-9)
             root = sqrtm_psd(out.cov).array
             mapped = sum(
@@ -256,6 +258,43 @@ class TestWbFull:
             )
             residual = np.linalg.norm(out.cov.array - mapped)
             assert residual <= 1e-9 * (1.0 + np.linalg.norm(out.cov.array))
+
+    def test_matches_plain_map_oracle(self):
+        # Two routes to the same fixed point: the Alvarez-Esteban update in
+        # wb_full and the plain map S <- T(S) on LAPACK roots, each run to
+        # its own stopping point.
+        rng = np.random.default_rng(38)
+        shapes = [(int(rng.integers(1, 9)), int(rng.integers(2, 6))) for _ in range(20)]
+        shapes += [(16, 2), (16, 8), (32, 2), (32, 8)]
+        for d, m in shapes:
+            covs = [random_spd(rng, d).array for _ in range(m)]
+            w = rng.uniform(0.2, 1.0, m)
+            w /= w.sum()
+            fam = WeightedFamily(tuple(FullGaussian(np.zeros(d), c) for c in covs), w)
+            out = wb_full(fam).cov.array
+            expected = plain_wb_fixed_point(covs, w)
+            assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
+
+    def test_commuting_members_closed_form(self):
+        # Members Q diag(e_m) Q^T share eigenvectors, so the barycenter is
+        # Q diag((sum_m lam_m sqrt(e_m))^2) Q^T.
+        rng = np.random.default_rng(39)
+        for d, m in [(3, 2), (8, 5), (32, 8)]:
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            eigs = rng.uniform(0.3, 3.0, (m, d))
+            w = rng.uniform(0.2, 1.0, m)
+            w /= w.sum()
+            fam = WeightedFamily(
+                tuple(FullGaussian(np.zeros(d), (q * e) @ q.T) for e in eigs), w
+            )
+            out = wb_full(fam).cov.array
+            expected = (q * (w @ np.sqrt(eigs)) ** 2) @ q.T
+            assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
+
+    def test_converges_in_15_iterations_on_criterion_4_corpus(self):
+        # The plain map S <- T(S) takes up to 38 iterations on these families.
+        for fam in random_full_families(np.random.default_rng(104), 100):
+            wb_full(fam, max_iter=15)
 
     def test_nonconvergence_error(self):
         rng = np.random.default_rng(37)

@@ -141,6 +141,34 @@ class TestAggregateCommand:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["mean", "sigma", "cov", "document_weights", "flag_weights"]
+    )
+    def test_nonfinite_input_exits_2(self, tmp_path, capsys, field, bad):
+        kind = "cov" if field == "cov" else "sigma"
+        spread = [[1.0, 0.0], [0.0, 1.0]] if kind == "cov" else [1.0, 1.0]
+        posteriors = [{"mean": [0.0, 1.0], kind: spread}, {"mean": [1.0, 0.0], kind: spread}]
+        doc = {"posteriors": posteriors}
+        argv = []
+        if field == "mean":
+            posteriors[0]["mean"] = [bad, 1.0]
+        elif field == "sigma":
+            posteriors[0]["sigma"] = [1.0, bad]
+        elif field == "cov":
+            posteriors[1]["cov"] = [[1.0, bad], [bad, 1.0]]
+        elif field == "document_weights":
+            doc["weights"] = [bad, 0.5]
+        else:
+            argv = ["--weights", f"{bad},0.5"]
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        code = run("aggregate", "--input", inp, "--output", str(out), "--method", "wb", *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_metrics(self, tmp_path):
@@ -254,6 +282,13 @@ class TestEvalCommand:
         write_json(bad, doc)
         assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
         assert "format_version" in capsys.readouterr().err
+
+    def test_json_list_checkpoint_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        write_json(bad, [1, 2, 3])
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "JSON object" in err
 
     def test_unreadable_checkpoint_exits_4(self, tmp_path):
         bad = tmp_path / "bad.json"
