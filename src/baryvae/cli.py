@@ -175,10 +175,12 @@ def _load_json(path: str):
         return json.load(f)
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj, allow_nan: bool = True) -> None:
+    """Write `obj` as indented JSON; with allow_nan=False, NaN or Infinity
+    raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, allow_nan=allow_nan)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _fmt(value) -> str:
@@ -353,26 +355,34 @@ def cmd_aggregate(args) -> int:
             raise ConfigError(f"invalid weights: {err}") from err
 
     method = args.method
-    if kind == "full":
-        if method != "wb":
-            raise ConfigError(
-                f"method {method!r} supports diagonal posteriors only; "
-                "full-covariance inputs support 'wb'"
-            )
-        result = bc.wb_full(family)
-    elif method == "poe":
-        result = bc.poe(family, np.ones(family.size))
-    elif method == "moe":
-        result = bc.moe(family)
-    elif method == "wb":
-        result = bc.wb_diag(family)
-    elif method in ("mopoe", "mwb"):
-        prior = DiagGaussian(np.zeros(family.dim), np.ones(family.dim))
-        result = (bc.mopoe if method == "mopoe" else bc.mwb)(family, prior)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    # Overflow inside a kernel is not reported as a warning: a non-finite
+    # result is rejected below, and a finite one is usable.
+    with np.errstate(all="ignore"):
+        if kind == "full":
+            if method != "wb":
+                raise ConfigError(
+                    f"method {method!r} supports diagonal posteriors only; "
+                    "full-covariance inputs support 'wb'"
+                )
+            result = bc.wb_full(family)
+        elif method == "poe":
+            result = bc.poe(family, np.ones(family.size))
+        elif method == "moe":
+            result = bc.moe(family)
+        elif method == "wb":
+            result = bc.wb_diag(family)
+        elif method in ("mopoe", "mwb"):
+            prior = DiagGaussian(np.zeros(family.dim), np.ones(family.dim))
+            result = (bc.mopoe if method == "mopoe" else bc.mwb)(family, prior)
+        else:
+            raise ConfigError(f"unknown method {method!r}")
 
-    _write_json(args.output, _posterior_to_doc(result, method))
+    try:
+        _write_json(args.output, _posterior_to_doc(result, method), allow_nan=False)
+    except ValueError as err:
+        raise NumericError(
+            f"{method} aggregation overflowed: the result is not finite; nothing written"
+        ) from err
     return EXIT_OK
 
 

@@ -1,11 +1,17 @@
 """Reverse-mode autodiff over float64 numpy arrays, plus Adam and a checker.
 
 A Value wraps an array and records how it was produced; backward() walks the
-tape in reverse topological order accumulating gradients. The primitive set is
+tape in reverse topological order accumulating gradients. A gradient is
+allocated only when the first one arrives: that array is stored as it comes,
+and later ones are added out of place, so arrays shared between nodes are
+never written into. Raw arrays and floats handed to a primitive are constants:
+they receive no gradient, and backward() neither visits nor differentiates
+them, nor any result computed from constants alone. The primitive set is
 deliberately small (dense-network sized): matmul, broadcasting add/multiply,
-tanh, relu, softplus, exp, log, sum, mean, square, sigmoid, concatenation.
-Everything is deterministic; randomness is drawn outside the graph from
-counter-based Philox streams and injected as constants.
+tanh, relu, softplus, exp, log, reciprocal, sqrt, sum, mean, square, sigmoid,
+concatenation, and a fused weighted Bernoulli log-likelihood,
+bernoulli_loglik. Everything is deterministic; randomness is drawn outside the
+graph from counter-based Philox streams and injected as constants.
 """
 
 from __future__ import annotations
@@ -42,15 +48,57 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Value:
-    """A node in the computation graph: array data, gradient, provenance."""
+    """A node in the computation graph: array data, gradient, provenance.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    A constant holds data the loss is not differentiated by: it gets no
+    gradient buffer and backward() never visits it. Raw arrays and floats
+    handed to a primitive become constants, and so does the result of a
+    primitive whose operands are all constants.
+    """
 
-    def __init__(self, data, parents=(), backward=None):
+    __slots__ = ("data", "constant", "_grad", "_owns_grad", "_parents", "_backward")
+
+    def __init__(self, data, parents=(), backward=None, constant=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self.constant = constant
+        self._grad = None
+        self._owns_grad = False
         self._parents = parents
         self._backward = backward
+
+    @property
+    def grad(self):
+        """The accumulated gradient: None for a constant, zeros before any.
+
+        The array returned belongs to this node alone, so `node.grad += g`
+        in a custom primitive's backward cannot reach another node.
+        """
+        if self.constant:
+            return None
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        elif not self._owns_grad:
+            self._grad = np.array(self._grad)
+        self._owns_grad = True
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+        self._owns_grad = True
+
+    def _accumulate(self, g):
+        """Add g to the gradient without writing into any array.
+
+        The first gradient is stored as it comes, so it may be shared with
+        another node or be a read-only view; later ones add out of place.
+        """
+        if self._grad is None:
+            self._grad = g
+            self._owns_grad = False
+        else:
+            self._grad = self._grad + g
+            self._owns_grad = True
 
     @property
     def shape(self):
@@ -87,6 +135,8 @@ class Value:
         """Accumulate d(self)/d(node) into every node's .grad; self is scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
+        if self.constant:
+            return
         order = []
         visited = set()
         stack = [(self, False)]
@@ -100,64 +150,71 @@ class Value:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if not parent.constant and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is not None and node._grad is not None:
+                node._backward(node._grad)
+                # the parents may now hold views of this gradient
+                node._owns_grad = False
 
 
 def _as_value(x) -> Value:
-    return x if isinstance(x, Value) else Value(x)
+    return x if isinstance(x, Value) else Value(x, constant=True)
+
+
+def _node(data, parents, backward) -> Value:
+    """A primitive's result: a constant unless some operand is not."""
+    if all(p.constant for p in parents):
+        return Value(data, constant=True)
+    return Value(data, parents, backward)
 
 
 def add(a, b) -> Value:
     a, b = _as_value(a), _as_value(b)
-    out = Value(a.data + b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        if not a.constant:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if not b.constant:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Value:
     a, b = _as_value(a), _as_value(b)
-    out = Value(a.data * b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        if not a.constant:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if not b.constant:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b) -> Value:
     a, b = _as_value(a), _as_value(b)
-    out = Value(a.data @ b.data, parents=(a, b))
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if not a.constant:
+            a._accumulate(g @ b.data.T)
+        if not b.constant:
+            b._accumulate(a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def _unary(a, fn, dfn) -> Value:
     a = _as_value(a)
     y = fn(a.data)
-    out = Value(y, parents=(a,))
 
     def backward(g):
-        a.grad += g * dfn(a.data, y)
+        a._accumulate(g * dfn(a.data, y))
 
-    out._backward = backward
-    return out
+    return _node(y, (a,), backward)
 
 
 def tanh(a) -> Value:
@@ -168,17 +225,18 @@ def relu(a) -> Value:
     return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64))
 
 
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _softplus(x, e=None):
+    """log(1 + exp(x)) without overflow; `e` is exp(-|x|) when already known."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x, e=None):
+    """1 / (1 + exp(-x)) without overflow; `e` is exp(-|x|) when already known."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(a) -> Value:
@@ -203,50 +261,68 @@ def square(a) -> Value:
 
 def vsum(a) -> Value:
     a = _as_value(a)
-    out = Value(np.sum(a.data), parents=(a,))
 
     def backward(g):
-        a.grad += np.broadcast_to(g, a.data.shape)
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(np.sum(a.data), (a,), backward)
 
 
 def vmean(a) -> Value:
     a = _as_value(a)
-    out = Value(np.mean(a.data), parents=(a,))
 
     def backward(g):
-        a.grad += np.broadcast_to(g / a.data.size, a.data.shape)
+        a._accumulate(np.broadcast_to(g / a.data.size, a.data.shape))
 
-    out._backward = backward
-    return out
+    return _node(np.mean(a.data), (a,), backward)
 
 
 def concat(values, axis: int = 0) -> Value:
     values = [_as_value(v) for v in values]
-    out = Value(np.concatenate([v.data for v in values], axis=axis), parents=tuple(values))
     sizes = [v.data.shape[axis] for v in values]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
         for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            v.grad += g[tuple(sl)]
+            if not v.constant:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                v._accumulate(g[tuple(sl)])
 
-    out._backward = backward
-    return out
+    data = np.concatenate([v.data for v in values], axis=axis)
+    return _node(data, tuple(values), backward)
 
 
 def reciprocal(a) -> Value:
-    """1/x for positive x, composed from the exp/log primitives."""
-    return exp(mul(log(a), -1.0))
+    """1/x."""
+    return _unary(a, lambda x: 1.0 / x, lambda x, y: -(y * y))
 
 
 def sqrt(a) -> Value:
-    """sqrt(x) for positive x, composed from the exp/log primitives."""
-    return exp(mul(log(a), 0.5))
+    """sqrt(x) for positive x."""
+    return _unary(a, np.sqrt, lambda x, y: 0.5 / y)
+
+
+def bernoulli_loglik(x, logits, weights) -> Value:
+    """Weighted Bernoulli log-likelihood sum(weights * (x*logits - softplus(logits))).
+
+    `x` and `weights` are data, so the gradient flows into `logits` only.
+    One exp(-|logits|) pass serves both the softplus and its derivative, the
+    sigmoid. Value and gradient equal, bit for bit, those of
+    vsum(mul(add(mul(x, logits), mul(softplus(logits), -1.0)), weights)).
+    """
+    x, logits, weights = _as_value(x), _as_value(logits), _as_value(weights)
+    if not (x.constant and weights.constant):
+        raise ValueError("bernoulli_loglik differentiates through logits only")
+    z = logits.data
+    e = np.exp(-np.abs(z))
+
+    def backward(g):
+        gw = g * weights.data
+        logits._accumulate(_unbroadcast(gw * x.data - gw * _sigmoid(z, e), z.shape))
+
+    ll = x.data * z - _softplus(z, e)
+    return _node(np.sum(ll * weights.data), (logits,), backward)
 
 
 class ParamStore:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleError
-from .linalg import SymMatrix, sqrtm_psd, sym_eig
+# sym_eig is not called here but stays importable from this module.
+from .linalg import SymMatrix, sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
 
 SIGMA_FLOOR = 1e-6
 
@@ -69,7 +70,7 @@ class FullGaussian:
         cov = self.cov if isinstance(self.cov, SymMatrix) else SymMatrix(self.cov)
         if cov.dim != mean.shape[0]:
             raise ValueError(f"cov dim {cov.dim} != mean dim {mean.shape[0]}")
-        w, _ = sym_eig(cov)
+        w = sym_eigvals(cov)
         if w[0] < 1e-12:
             raise ValueError(f"covariance not SPD: smallest eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mean", mean)

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra: eigendecomposition and PSD square roots.
 
-Both rest on LAPACK's symmetric eigensolver through `numpy.linalg.eigh`, so
-numpy stays the only dependency. The matrices are the small covariances that
-appear in latent spaces (dim up to a few dozen). Non-finite input and solver
-failures surface as NumericError, indefinite input to `sqrtm_psd` as
-NotPsdError.
+Both rest on LAPACK's symmetric eigensolver through `numpy.linalg.eigh`, and
+`sym_eigvals` on `numpy.linalg.eigvalsh`, so numpy stays the only dependency.
+The matrices are the small covariances that appear in latent spaces (dim up to
+a few dozen). Non-finite input and solver failures surface as NumericError,
+indefinite input to `sqrtm_psd` as NotPsdError.
 """
 
 from __future__ import annotations
@@ -47,6 +47,16 @@ class SymMatrix:
         return SymMatrix(np.diag(np.asarray(values, dtype=np.float64)))
 
 
+def _lapack(solver, a: SymMatrix):
+    """`solver(a.array)` with non-finite input and LAPACK failure as NumericError."""
+    if not np.isfinite(a.array).all():
+        raise NumericError("eigendecomposition of a matrix with NaN or Inf entries")
+    try:
+        return solver(a.array)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"eigendecomposition failed: {err}") from err
+
+
 def sym_eig(a: SymMatrix):
     """Eigendecomposition of a symmetric matrix by LAPACK (`numpy.linalg.eigh`).
 
@@ -56,13 +66,15 @@ def sym_eig(a: SymMatrix):
     Raises NumericError if the input holds NaN or Inf, or if LAPACK fails to
     converge.
     """
-    if not np.isfinite(a.array).all():
-        raise NumericError("eigendecomposition of a matrix with NaN or Inf entries")
-    try:
-        w, v = np.linalg.eigh(a.array)
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"eigendecomposition failed: {err}") from err
-    return w, v
+    return _lapack(np.linalg.eigh, a)
+
+
+def sym_eigvals(a: SymMatrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending (`numpy.linalg.eigvalsh`).
+
+    Skips the eigenvectors; raises NumericError as `sym_eig` does.
+    """
+    return _lapack(np.linalg.eigvalsh, a)
 
 
 def sqrtm_psd(a: SymMatrix) -> SymMatrix:

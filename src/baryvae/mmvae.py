@@ -121,7 +121,7 @@ def _init_params(config: ModelConfig) -> dg.ParamStore:
 
 
 def _encode_graph(values, config: ModelConfig, m: int, x: np.ndarray):
-    h = dg.Value(x)
+    h = x
     for i in range(len(config.hidden)):
         h = dg.tanh(dg.add(dg.matmul(h, values[f"enc{m}.w{i}"]), values[f"enc{m}.b{i}"]))
     mu = dg.add(dg.matmul(h, values[f"enc{m}.mu_w"]), values[f"enc{m}.mu_b"])
@@ -169,14 +169,14 @@ def _graph_components(values, config: ModelConfig, mus, sigmas, batch_size: int)
     if method == "moe":
         return [(1.0 / m_count, mus[m], sigmas[m]) for m in range(m_count)]
     # mopoe / mwb: equal-weight mixture over the modality powerset; the empty
-    # subset contributes the prior.
+    # subset contributes the prior, whose raw arrays enter the graph as constants.
     comps = []
     weight = 1.0 / (1 << m_count)
     shape = (batch_size, config.latent_dim)
     for subset in bc.subsets(m_count):
         idx = subset.members()
         if not idx:
-            comps.append((weight, dg.Value(np.zeros(shape)), dg.Value(np.ones(shape))))
+            comps.append((weight, np.zeros(shape), np.ones(shape)))
         elif method == "mopoe":
             mu, sigma = _poe_graph([mus[i] for i in idx], [sigmas[i] for i in idx])
             comps.append((weight, mu, sigma))
@@ -244,10 +244,9 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
         out = _decode_graph(values, config, m, z_all)
         x_rep = np.tile(batch[m], (k, 1))
         if config.likelihood == "bernoulli":
-            ll = dg.add(dg.mul(dg.Value(x_rep), out), dg.mul(dg.softplus(out), -1.0))
-            recon_m = dg.vsum(dg.mul(ll, row_w))
+            recon_m = dg.bernoulli_loglik(x_rep, out, row_w)
         else:
-            sq = dg.square(dg.add(dg.Value(x_rep), dg.mul(out, -1.0)))
+            sq = dg.square(dg.add(x_rep, dg.mul(out, -1.0)))
             scale = -0.5 / GAUSSIAN_LIK_SIGMA**2
             const = -config.input_dims[m] * (
                 math.log(GAUSSIAN_LIK_SIGMA) + 0.5 * math.log(2.0 * math.pi)

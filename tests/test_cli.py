@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import baryvae
 from baryvae.cli import main
+
+SRC_DIR = os.path.dirname(os.path.dirname(baryvae.__file__))
 
 TOY_CONFIG = {
     "model": {
@@ -167,6 +173,51 @@ class TestAggregateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
+    def test_overflowing_poe_result_exits_3(self, tmp_path, capsys):
+        # the sigma floor makes each precision 1e12; precision * 1e300 overflows
+        doc = {
+            "posteriors": [
+                {"mean": [0.0], "sigma": [1e-300]},
+                {"mean": [1e300], "sigma": [1e-300]},
+            ]
+        }
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        code = run("aggregate", "--input", inp, "--output", str(out), "--method", "poe")
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "method,posteriors",
+        [
+            ("poe", [{"mean": [0.0], "sigma": [1e-300]}, {"mean": [1e300], "sigma": [1e-300]}]),
+            (
+                "wb",
+                [
+                    {"mean": [0.0, 0.0], "cov": [[1e200, 0.0], [0.0, 1e200]]},
+                    {"mean": [1.0, 0.0], "cov": [[2e200, 1e200], [1e200, 2e200]]},
+                ],
+            ),
+        ],
+    )
+    def test_overflow_leaves_one_stderr_line(self, tmp_path, method, posteriors):
+        inp = tmp_path / "input.json"
+        write_json(inp, {"posteriors": posteriors})
+        out = tmp_path / "o.json"
+        argv = ["aggregate", "--input", str(inp), "--output", str(out), "--method", method]
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryvae.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not out.exists()
 
 

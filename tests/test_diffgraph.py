@@ -7,6 +7,10 @@ import baryvae.diffgraph as dg
 from baryvae.errors import NumericError
 
 
+BERN_X = (np.random.default_rng(59).uniform(size=(4, 3)) < 0.5).astype(np.float64)
+BERN_W = np.array([[0.5], [1.0], [0.25], [2.0]])
+
+
 def make_store(**arrays):
     store = dg.ParamStore()
     for name, arr in arrays.items():
@@ -86,6 +90,12 @@ class TestPrimitives:
             ("concat_axis1", lambda v: dg.vsum(dg.square(dg.concat([v["a2"], v["c2"]], axis=1)))),
             ("reciprocal", lambda v: dg.vsum(dg.reciprocal(dg.add(dg.square(v["a2"]), 1.0)))),
             ("sqrt", lambda v: dg.vsum(dg.sqrt(dg.add(dg.square(v["a2"]), 1.0)))),
+            ("reciprocal_negative", lambda v: dg.vsum(dg.reciprocal(dg.add(v["a2"], -4.0)))),
+            ("sqrt_small", lambda v: dg.vsum(dg.sqrt(dg.add(dg.square(v["a2"]), 0.05)))),
+            (
+                "bernoulli_loglik",
+                lambda v: dg.bernoulli_loglik(BERN_X, dg.mul(v["a2"], 3.0), BERN_W),
+            ),
         ],
     )
     def test_grad_check(self, name, build):
@@ -98,6 +108,161 @@ class TestPrimitives:
             row=rng.standard_normal(3),
         )
         assert dg.grad_check(build, store, 1e-5) < 1e-6
+
+
+def masked_sigmoid(x):
+    """The logistic function by boolean masks, one exp per branch."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def composed_bernoulli(x, logits, weights):
+    return dg.vsum(
+        dg.mul(dg.add(dg.mul(dg.Value(x), logits), dg.mul(dg.softplus(logits), -1.0)), weights)
+    )
+
+
+class TestTapeDiet:
+    """Raw arrays are constants; fused and direct primitives keep the numbers."""
+
+    @pytest.mark.parametrize("op", [dg.matmul, dg.mul, dg.add])
+    @pytest.mark.parametrize("raw_first", [True, False])
+    def test_raw_operand_gets_no_gradient(self, op, raw_first):
+        rng = np.random.default_rng(55)
+        store = make_store(w=rng.standard_normal((3, 3)))
+        x = rng.standard_normal((3, 3))
+        outs = []
+
+        def build(wrap):
+            def loss(v):
+                operand = dg.Value(x) if wrap else x
+                pair = (operand, v["w"]) if raw_first else (v["w"], operand)
+                out = op(*pair)
+                outs.append(out)
+                return dg.vsum(dg.square(dg.tanh(out)))
+
+            return loss
+
+        _, raw_grads = dg.forward_backward(build(False), store)
+        raw_operand = outs[-1]._parents[0 if raw_first else 1]
+        assert raw_operand.constant
+        assert raw_operand._grad is None and raw_operand.grad is None
+        _, leaf_grads = dg.forward_backward(build(True), store)
+        leaf_operand = outs[-1]._parents[0 if raw_first else 1]
+        assert not leaf_operand.constant and leaf_operand._grad is not None
+        assert np.array_equal(raw_grads["w"], leaf_grads["w"])
+
+    def test_constant_operands_give_constant_result(self):
+        out = dg.add(dg.mul(np.ones(3), 2.0), dg.square(np.arange(3.0)))
+        assert out.constant and out._parents == ()
+        loss = dg.vsum(out)
+        assert loss.constant
+        loss.backward()
+        assert loss.grad is None
+
+    def test_gradient_buffers_are_lazy_and_private(self):
+        store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
+        values = store.as_values()
+        s = dg.add(values["x"], values["y"])
+        assert s._grad is None
+        dg.vsum(dg.square(s)).backward()
+        # add hands x and y the same array; reading .grad must not alias them
+        gx, gy = values["x"].grad, values["y"].grad
+        gx += 100.0
+        assert np.array_equal(values["y"].grad, [8.0, 12.0])
+        assert np.array_equal(gy, [8.0, 12.0])
+
+    def test_writing_an_intermediate_gradient_keeps_parents(self):
+        store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
+        values = store.as_values()
+        s = dg.add(values["x"], values["y"])
+        dg.vsum(dg.mul(s, s)).backward()
+        s.grad[:] = 0.0
+        assert np.array_equal(values["x"].grad, [8.0, 12.0])
+        assert np.array_equal(values["y"].grad, [8.0, 12.0])
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_later_accumulation_keeps_shared_gradients(self, shared_first):
+        # add hands x and y one array; x's second gradient must not reach y
+        store = make_store(x=[1.0, -1.0], y=[0.5, 2.0])
+        c, d = np.array([3.0, 5.0]), np.array([7.0, 11.0])
+
+        def build(v):
+            terms = [dg.vsum(dg.mul(dg.add(v["x"], v["y"]), c)), dg.vsum(dg.mul(v["x"], d))]
+            if not shared_first:
+                terms.reverse()
+            return dg.add(*terms)
+
+        _, grads = dg.forward_backward(build, store)
+        assert np.array_equal(grads["x"], c + d)
+        assert np.array_equal(grads["y"], c)
+
+    @pytest.mark.parametrize("custom_first", [True, False])
+    def test_custom_inplace_backward_keeps_shared_gradients(self, custom_first):
+        # d/dx [sum(c * (x + y)) + sum(2x)] = c + 2, d/dy = c
+        store = make_store(x=[1.0, -1.0], y=[0.5, 2.0])
+        c = np.array([3.0, 5.0])
+
+        def doubled(a):
+            out = dg.Value(2.0 * a.data, parents=(a,))
+
+            def backward(g):
+                a.grad += 2.0 * g
+
+            out._backward = backward
+            return out
+
+        def build(v):
+            terms = [dg.vsum(dg.mul(dg.add(v["x"], v["y"]), c)), dg.vsum(doubled(v["x"]))]
+            if custom_first:
+                terms.reverse()
+            return dg.add(*terms)
+
+        _, grads = dg.forward_backward(build, store)
+        assert np.array_equal(grads["x"], c + 2.0)
+        assert np.array_equal(grads["y"], c)
+
+    def test_bernoulli_loglik_matches_composed_chain_bitwise(self):
+        rng = np.random.default_rng(56)
+        x = (rng.uniform(size=(64, 20)) < 0.4).astype(np.float64)
+        weights = rng.uniform(0.1, 1.0, size=(64, 1))
+        store = make_store(logits=8.0 * rng.standard_normal((64, 20)))
+        fused_loss, fused = dg.forward_backward(
+            lambda v: dg.bernoulli_loglik(x, v["logits"], weights), store
+        )
+        chain_loss, chain = dg.forward_backward(
+            lambda v: composed_bernoulli(x, v["logits"], weights), store
+        )
+        assert fused_loss.hex() == chain_loss.hex()
+        assert fused["logits"].tobytes() == chain["logits"].tobytes()
+
+    def test_bernoulli_loglik_rejects_active_data(self):
+        store = make_store(x=[1.0, 0.0])
+        with pytest.raises(ValueError):
+            dg.forward_backward(lambda v: dg.bernoulli_loglik(v["x"], np.zeros(2), 1.0), store)
+
+    def test_sigmoid_matches_masked_formula_bitwise(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+        normals = np.random.default_rng(57).standard_normal(4096) * 10.0
+        for x in (np.array(special), normals, normals.reshape(64, 64)):
+            with np.errstate(over="ignore"):
+                expected = masked_sigmoid(x)
+            assert dg._sigmoid(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "prim,fn", [(dg.reciprocal, lambda x: 1.0 / x), (dg.sqrt, np.sqrt)]
+    )
+    def test_direct_primitives_are_one_node(self, prim, fn):
+        x = np.random.default_rng(58).uniform(0.1, 5.0, size=(4, 3))
+        store = make_store(a=x)
+        values = store.as_values()
+        out = prim(values["a"])
+        assert out._parents == (values["a"],)
+        assert np.array_equal(out.data, fn(x))
 
 
 class TestAdam:

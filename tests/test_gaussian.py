@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from baryvae.errors import OracleError
+from baryvae.errors import NumericError, OracleError
 from baryvae.gaussian import (
     SIGMA_FLOOR,
     DiagGaussian,
@@ -39,6 +39,11 @@ class TestTypes:
     def test_full_gaussian_requires_spd(self):
         with pytest.raises(ValueError):
             FullGaussian([0.0, 0.0], SymMatrix(np.diag([1.0, -1.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_full_gaussian_nonfinite_cov_raises_numeric_error(self, bad):
+        with pytest.raises(NumericError):
+            FullGaussian([0.0, 0.0], SymMatrix([[1.0, bad], [bad, 1.0]]))
 
     def test_mixture_weights_validated(self):
         comps = (g1(0, 1), g1(1, 1))

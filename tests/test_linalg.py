@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from baryvae.errors import NotPsdError, NumericError
-from baryvae.linalg import SymMatrix, sqrtm_psd, sym_eig
+from baryvae.linalg import SymMatrix, sqrtm_psd, sym_eig, sym_eigvals
 
 from oracles import random_spd
 
@@ -64,6 +64,26 @@ def test_eig_lapack_failure_raises_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericError, match="did not converge"):
         sym_eig(SymMatrix.identity(2))
+
+
+def test_eigvals_match_eig():
+    rng = np.random.default_rng(7)
+    for dim in (1, 3, 16):
+        a = random_spd(rng, dim)
+        assert np.allclose(sym_eigvals(a), sym_eig(a)[0], rtol=1e-12, atol=1e-12)
+
+
+def test_eigvals_failures_raise_numeric_error(monkeypatch):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            sym_eigvals(SymMatrix([[2.0, bad], [bad, 2.0]]))
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        sym_eigvals(SymMatrix.identity(2))
 
 
 def test_sqrtm_identity():
