@@ -6,8 +6,16 @@ KL (the mixture itself), the Bures-Wasserstein barycenter minimizes squared
 2-Wasserstein distance (analytic per coordinate for diagonal members, a
 fixed-point iteration for full covariances), and MoPoE / MWB take equal-weight
 mixtures of the per-subset PoE / Wasserstein barycenters over the modality
-powerset. `barycenter_objective` evaluates the underlying weighted objective
-so optimality and stationarity can be tested directly.
+powerset.
+
+For diagonal members the five differ only in a table, `mixing`: which experts
+make each component, with which coefficients, and whether the coefficients
+mix (precision, precision * mean) or (mean, sigma). The standard-normal prior
+is the table's last column. `combine` applies a table with one diffgraph
+primitive, so training graphs, batched evaluation arrays and the
+per-example kernels below share one implementation. `barycenter_objective`
+evaluates the underlying weighted objective so optimality and stationarity
+can be tested directly.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diffgraph as dg
 from .errors import NumericError
 from .gaussian import DiagGaussian, FullGaussian, GaussianMixture, kl_diag, w2sq_diag
 from .linalg import SymMatrix, sqrtm_psd
@@ -94,31 +103,86 @@ def subsets(m: int):
     return [SubsetIndex(mask, m) for mask in range(1 << m)]
 
 
+METHODS = ("poe", "moe", "wb", "mopoe", "mwb")
+# The methods whose table reads the family weights; the others ignore them.
+WEIGHTED_METHODS = ("moe", "wb")
+
+
+def mixing(method: str, weights):
+    """The method's table over M experts and the N(0, I) prior.
+
+    Returns (component weights K, rows K x (M+1), natural). Column j < M is
+    expert j and the last column is the prior. poe has one row of unit
+    exponents and wb one row of the family weights; moe has one expert per
+    row with the family weights as component weights; mopoe and mwb have one
+    row per subset in ascending bitmask order, the empty subset being the
+    prior, with uniform component weights. Natural rows mix precision and
+    precision * mean (poe, mopoe); the others mix mean and sigma.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    w = np.asarray(weights, dtype=np.float64)
+    m = w.shape[0]
+    natural = method in ("poe", "mopoe")
+    if method in ("poe", "wb", "moe"):
+        if m == 0:
+            raise ValueError(f"{method} needs a non-empty modality subset")
+        if method == "moe":
+            return w, np.eye(m, m + 1), natural
+        return np.ones(1), np.append(np.ones(m) if natural else w, 0.0)[None], natural
+    rows = np.zeros((1 << m, m + 1))
+    rows[0, m] = 1.0
+    for mask in range(1, 1 << m):
+        idx = [i for i in range(m) if mask >> i & 1]
+        rows[mask, idx] = 1.0 if natural else 1.0 / len(idx)
+    return np.full(1 << m, 1.0 / (1 << m)), rows, natural
+
+
+def combine(rows, natural: bool, mus, sigmas):
+    """The table's components from expert parameters, as diffgraph values.
+
+    mus and sigmas list M+1 equal-shape n x d entries, the prior last. Raw
+    arrays enter as constants, so the result's `.data` serves array code and
+    Values serve the training graph. Returns (mean, sigma), each (K n) x d
+    with the components stacked component-major.
+    """
+    if not natural:
+        return dg.mix(rows, mus), dg.mix(rows, sigmas)
+    precs = [dg.reciprocal(dg.square(s)) for s in sigmas]
+    var = dg.reciprocal(dg.mix(rows, precs))
+    weighted = dg.mix(rows, [dg.mul(p, mu) for p, mu in zip(precs, mus)])
+    return dg.mul(var, weighted), dg.sqrt(var)
+
+
+def _components(rows, natural: bool, family: WeightedFamily, prior=None):
+    """The table's components for one example, as DiagGaussians."""
+    if prior is None:
+        prior = DiagGaussian(np.zeros(family.dim), np.ones(family.dim))
+    members = (*family.members, prior)
+    mean, sigma = combine(
+        rows, natural, [g.mean[None] for g in members], [g.sigma[None] for g in members]
+    )
+    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean.data, sigma.data))
+
+
 def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
     """Product of experts: normalized product of members raised to `exponents`.
 
     The result is the precision-weighted Gaussian. With exponents equal to the
-    family weights this is the reverse-KL barycenter; unit exponents give the
-    plain product of experts.
+    family weights this is the reverse-KL barycenter; unit exponents (the
+    default, the `poe` table) give the plain product of experts.
     """
-    if exponents is None:
-        alphas = np.ones(family.size)
-    else:
+    _, rows, natural = mixing("poe", family.weights)
+    if exponents is not None:
         alphas = np.asarray(exponents, dtype=np.float64)
         if alphas.shape != (family.size,):
             raise ValueError("exponents length must match family size")
         if np.any(alphas < 0.0):
             raise ValueError("exponents must be nonnegative")
-    if not np.any(alphas > 0.0):
-        raise ValueError("at least one exponent must be positive")
-    precision = np.zeros(family.dim)
-    weighted_mean = np.zeros(family.dim)
-    for alpha, member in zip(alphas, family.members):
-        prec_m = alpha / (member.sigma**2)
-        precision += prec_m
-        weighted_mean += prec_m * member.mean
-    var = 1.0 / precision
-    return DiagGaussian(var * weighted_mean, np.sqrt(var))
+        if not np.any(alphas > 0.0):
+            raise ValueError("at least one exponent must be positive")
+        rows = np.append(alphas, 0.0)[None]
+    return _components(rows, natural, family)[0]
 
 
 def moe(family: WeightedFamily) -> GaussianMixture:
@@ -132,12 +196,8 @@ def wb_diag(family: WeightedFamily) -> DiagGaussian:
     Both the mean and the sigma of the barycenter are the weighted arithmetic
     means of the members' parameters.
     """
-    mean = np.zeros(family.dim)
-    sigma = np.zeros(family.dim)
-    for lam, member in zip(family.weights, family.members):
-        mean += lam * member.mean
-        sigma += lam * member.sigma
-    return DiagGaussian(mean, sigma)
+    _, rows, natural = mixing("wb", family.weights)
+    return _components(rows, natural, family)[0]
 
 
 def wb_full(
@@ -191,27 +251,46 @@ def wb_full(
     )
 
 
-def _powerset_mixture(family, prior, subset_solver) -> GaussianMixture:
-    """Equal-weight mixture over the powerset; the empty subset is the prior."""
-    comps = []
-    for subset in subsets(family.size):
-        idx = subset.members()
-        if not idx:
-            comps.append(prior)
-        else:
-            sub = WeightedFamily.uniform([family.members[i] for i in idx])
-            comps.append(subset_solver(sub))
-    return GaussianMixture(tuple(comps), np.full(len(comps), 1.0 / len(comps)))
+def _powerset(method: str, family: WeightedFamily, prior) -> GaussianMixture:
+    weights, rows, natural = mixing(method, family.weights)
+    return GaussianMixture(_components(rows, natural, family, prior), weights)
 
 
-def mopoe(family: WeightedFamily, prior: DiagGaussian) -> GaussianMixture:
+def mopoe(family: WeightedFamily, prior: DiagGaussian = None) -> GaussianMixture:
     """Mixture over the modality powerset of unit-exponent subset products."""
-    return _powerset_mixture(family, prior, lambda sub: poe(sub, np.ones(sub.size)))
+    return _powerset("mopoe", family, prior)
 
 
-def mwb(family: WeightedFamily, prior: DiagGaussian) -> GaussianMixture:
+def mwb(family: WeightedFamily, prior: DiagGaussian = None) -> GaussianMixture:
     """Mixture over the modality powerset of subset Wasserstein barycenters."""
-    return _powerset_mixture(family, prior, wb_diag)
+    return _powerset("mwb", family, prior)
+
+
+def aggregate(family: WeightedFamily, method: str, prior: DiagGaussian = None):
+    """The joint posterior of `family` under `method`, one of METHODS.
+
+    A DiagGaussian for poe and wb, a GaussianMixture for moe, mopoe and mwb,
+    and for a full-covariance family, which supports wb only, the
+    FullGaussian of `wb_full`. The powerset mixtures use `prior` for their
+    empty subset, N(0, I) by default. The kernels are called through this
+    module's globals, so a wrapper installed on the module sees every call.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if isinstance(family.members[0], FullGaussian):
+        if method != "wb":
+            raise ValueError(
+                f"method {method!r} supports diagonal posteriors only; "
+                "full-covariance inputs support 'wb'"
+            )
+        return wb_full(family)
+    if method == "poe":
+        return poe(family)
+    if method == "moe":
+        return moe(family)
+    if method == "wb":
+        return wb_diag(family)
+    return (mopoe if method == "mopoe" else mwb)(family, prior)
 
 
 DIVERGENCES = ("forward_kl", "reverse_kl", "w2sq")

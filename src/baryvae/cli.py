@@ -1,4 +1,4 @@
-"""Command-line frontend: aggregate posteriors, train, evaluate, benchmark.
+"""Command-line frontend: aggregate posteriors, train, evaluate.
 
 File formats:
   * configs and checkpoints are JSON with stable key order;
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,29 +36,40 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_FORMAT = 4
 
-_MODEL_KEYS = {
-    "num_modalities",
-    "input_dims",
-    "latent_dim",
-    "hidden",
-    "likelihood",
-    "aggregation",
-    "beta",
-    "learning_rate",
-    "batch_size",
-    "epochs",
-    "seed",
+# Field kinds of the config sections; `_section` checks each present field.
+_INT = "an integer"
+_NUMBER = "a finite number"
+_TEXT = "a string"
+_INTS = "a list of integers"
+_IDS = "a list of integers or null"
+
+_MODEL_FIELDS = {
+    "num_modalities": _INT,
+    "input_dims": _INTS,
+    "latent_dim": _INT,
+    "hidden": _INTS,
+    "likelihood": _TEXT,
+    "aggregation": _TEXT,
+    "beta": _NUMBER,
+    "learning_rate": _NUMBER,
+    "batch_size": _INT,
+    "epochs": _INT,
+    "seed": _INT,
 }
-_TOY_KEYS = {
-    "num_modalities",
-    "examples_per_class",
-    "classes",
-    "resolution",
-    "background_ids",
-    "noise_level",
-    "seed",
+_TOY_FIELDS = {
+    "num_modalities": _INT,
+    "examples_per_class": _INT,
+    "classes": _INT,
+    "resolution": _INT,
+    "background_ids": _IDS,
+    "noise_level": _NUMBER,
+    "seed": _INT,
 }
+_IDX_FIELDS = {"images": _TEXT, "labels": _TEXT}
+_SPLIT_FIELDS = {"train_fraction": _NUMBER, "seed": _INT}
 _SPLIT_DEFAULTS = {"train_fraction": 0.8, "seed": 0}
+_EVAL_COUNTS = ("importance_samples", "probe_samples", "coherence_samples", "loglik_examples")
+_EVAL_FIELDS = {**{key: _INT for key in _EVAL_COUNTS}, "seed": _INT}
 _EVAL_DEFAULTS = {
     "importance_samples": 512,
     "probe_samples": 500,
@@ -72,6 +83,29 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown field '{unknown[0]}' in {where}")
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind == _IDS:
+        return value is None or _is_kind(value, _INTS)
+    if kind == _INTS:
+        return isinstance(value, list) and all(_is_kind(v, _INT) for v in value)
+    if kind == _TEXT:
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if kind == _INT else math.isfinite(value)
+
+
+def _section(section, fields: dict, where: str) -> dict:
+    """A copy of `section`, checked to be an object of known fields of their kinds."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(section, fields, where)
+    for key, value in section.items():
+        if not _is_kind(value, fields[key]):
+            raise ConfigError(f"field '{key}' in {where} must be {fields[key]}, got {value!r}")
+    return dict(section)
 
 
 @dataclass
@@ -105,8 +139,7 @@ class RunConfig:
 
 def build_dataset(data_spec: dict) -> datamod.MultimodalDataset:
     if "toy" in data_spec:
-        toy = dict(data_spec["toy"])
-        _reject_unknown(toy, _TOY_KEYS, "data.toy section")
+        toy = _section(data_spec["toy"], _TOY_FIELDS, "data.toy section")
         for required in ("num_modalities", "examples_per_class"):
             if required not in toy:
                 raise ConfigError(f"missing required field 'data.toy.{required}'")
@@ -118,8 +151,7 @@ def build_dataset(data_spec: dict) -> datamod.MultimodalDataset:
             raise ConfigError(f"invalid data.toy section: {err}") from err
         return datamod.gen_toy(config)
     if "idx" in data_spec:
-        idx = dict(data_spec["idx"])
-        _reject_unknown(idx, {"images", "labels"}, "data.idx section")
+        idx = _section(data_spec["idx"], _IDX_FIELDS, "data.idx section")
         for required in ("images", "labels"):
             if required not in idx:
                 raise ConfigError(f"missing required field 'data.idx.{required}'")
@@ -140,8 +172,7 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
     _reject_unknown(data_spec, {"toy", "idx"}, "data section")
     dataset = build_dataset(data_spec)
 
-    model = dict(doc.get("model", {}))
-    _reject_unknown(model, _MODEL_KEYS, "model section")
+    model = _section(doc.get("model", {}), _MODEL_FIELDS, "model section")
     derived_m = dataset.num_modalities
     derived_dims = [desc.dim for desc in dataset.descriptors]
     if model.get("num_modalities", derived_m) != derived_m:
@@ -163,10 +194,14 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid model section: {err}") from err
 
-    split_spec = {**_SPLIT_DEFAULTS, **doc.get("split", {})}
-    _reject_unknown(split_spec, _SPLIT_DEFAULTS, "split section")
-    eval_spec = {**_EVAL_DEFAULTS, **doc.get("eval", {})}
-    _reject_unknown(eval_spec, _EVAL_DEFAULTS, "eval section")
+    split = _section(doc.get("split", {}), _SPLIT_FIELDS, "split section")
+    evals = _section(doc.get("eval", {}), _EVAL_FIELDS, "eval section")
+    split_spec, eval_spec = {**_SPLIT_DEFAULTS, **split}, {**_EVAL_DEFAULTS, **evals}
+    for key in _EVAL_COUNTS:
+        if eval_spec[key] < 1:
+            raise ConfigError(
+                f"field '{key}' in eval section must be >= 1, got {eval_spec[key]!r}"
+            )
     return RunConfig(model_cfg, data_spec, split_spec, eval_spec), dataset
 
 
@@ -312,7 +347,7 @@ def _parse_posteriors(doc):
         raise ConfigError("posteriors must be all diagonal or all full-covariance")
     weights = doc.get("weights")
     _reject_unknown(doc, {"posteriors", "weights"}, "input document")
-    return posteriors, kinds.pop(), weights
+    return posteriors, weights
 
 
 def _posterior_to_doc(result, method: str) -> dict:
@@ -342,9 +377,14 @@ def _posterior_to_doc(result, method: str) -> dict:
 
 def cmd_aggregate(args) -> int:
     doc = _load_json(args.input)
-    posteriors, kind, weights = _parse_posteriors(doc)
+    posteriors, weights = _parse_posteriors(doc)
     if args.weights is not None:
         weights = [float(w) for w in args.weights.split(",")]
+    if weights is not None and args.method not in bc.WEIGHTED_METHODS:
+        raise ConfigError(
+            f"method {args.method!r} does not use weights; "
+            f"only {' and '.join(bc.WEIGHTED_METHODS)} do"
+        )
     if weights is None:
         family = bc.WeightedFamily.uniform(posteriors)
     else:
@@ -358,24 +398,7 @@ def cmd_aggregate(args) -> int:
     # Overflow inside a kernel is not reported as a warning: a non-finite
     # result is rejected below, and a finite one is usable.
     with np.errstate(all="ignore"):
-        if kind == "full":
-            if method != "wb":
-                raise ConfigError(
-                    f"method {method!r} supports diagonal posteriors only; "
-                    "full-covariance inputs support 'wb'"
-                )
-            result = bc.wb_full(family)
-        elif method == "poe":
-            result = bc.poe(family, np.ones(family.size))
-        elif method == "moe":
-            result = bc.moe(family)
-        elif method == "wb":
-            result = bc.wb_diag(family)
-        elif method in ("mopoe", "mwb"):
-            prior = DiagGaussian(np.zeros(family.dim), np.ones(family.dim))
-            result = (bc.mopoe if method == "mopoe" else bc.mwb)(family, prior)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
+        result = bc.aggregate(family, method)
 
     try:
         _write_json(args.output, _posterior_to_doc(result, method), allow_nan=False)
@@ -487,52 +510,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(0)
-    rows = []
-
-    def time_call(fn, repeats: int) -> float:
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return (time.perf_counter() - start) / repeats
-
-    for dim in _parse_int_list(args.wb_dims):
-        for m in _parse_int_list(args.wb_members):
-            members = []
-            for _ in range(m):
-                q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-                w = rng.uniform(0.5, 2.0, dim)
-                members.append(
-                    FullGaussian(rng.standard_normal(dim), SymMatrix((q * w) @ q.T))
-                )
-            family = bc.WeightedFamily.uniform(members)
-            rows.append(["wb_full", dim, m, _fmt(time_call(lambda: bc.wb_full(family), 1))])
-
-    for dim in _parse_int_list(args.diag_dims):
-        m = max(_parse_int_list(args.wb_members))
-        members = [
-            DiagGaussian(rng.standard_normal(dim), rng.uniform(0.5, 2.0, dim))
-            for _ in range(m)
-        ]
-        family = bc.WeightedFamily.uniform(members)
-        for name, fn in [
-            ("poe", lambda: bc.poe(family)),
-            ("moe", lambda: bc.moe(family)),
-            ("wb_diag", lambda: bc.wb_diag(family)),
-        ]:
-            rows.append([name, dim, m, _fmt(time_call(fn, 20))])
-
-    print("op,dim,members,seconds_per_call")
-    for row in rows:
-        print(",".join(str(v) for v in row))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baryvae",
@@ -544,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--input", required=True, help="input posterior JSON")
     p_agg.add_argument("--output", required=True, help="output posterior JSON")
     p_agg.add_argument(
-        "--method", required=True, choices=["poe", "moe", "wb", "mopoe", "mwb"]
+        "--method", required=True, choices=bc.METHODS
     )
     p_agg.add_argument("--weights", default=None, help="comma-separated weights")
     p_agg.set_defaults(func=cmd_aggregate)
@@ -561,11 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help=f"output dir (default ${OUT_ENV_VAR})")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="time the aggregation operations")
-    p_bench.add_argument("--wb-dims", default="2,4,8,16,32")
-    p_bench.add_argument("--wb-members", default="2,4,8")
-    p_bench.add_argument("--diag-dims", default="64,512,4096")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

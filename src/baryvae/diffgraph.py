@@ -9,7 +9,8 @@ they receive no gradient, and backward() neither visits nor differentiates
 them, nor any result computed from constants alone. The primitive set is
 deliberately small (dense-network sized): matmul, broadcasting add/multiply,
 tanh, relu, softplus, exp, log, reciprocal, sqrt, sum, mean, square, sigmoid,
-concatenation, and a fused weighted Bernoulli log-likelihood,
+concatenation, mix (stacked fixed linear combinations, the barycentric
+kernel's one primitive) and a fused weighted Bernoulli log-likelihood,
 bernoulli_loglik. Everything is deterministic; randomness is drawn outside the
 graph from counter-based Philox streams and injected as constants.
 """
@@ -291,6 +292,41 @@ def concat(values, axis: int = 0) -> Value:
 
     data = np.concatenate([v.data for v in values], axis=axis)
     return _node(data, tuple(values), backward)
+
+
+def mix(rows, values) -> Value:
+    """Stacked linear combinations of equal-shape values by a fixed table.
+
+    Component k folds rows[k, j] * values[j] over the nonzero entries of row
+    k, in column order, so a one-hot row copies its value bit for bit. The K
+    components are stacked component-major along the first axis: n x d
+    values give a (K n) x d result. Backward gives values[j] the sum over k
+    of rows[k, j] times component k's gradient.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    values = [_as_value(v) for v in values]
+    if rows.ndim != 2 or rows.shape[1] != len(values):
+        raise ValueError(f"rows shape {rows.shape} does not match {len(values)} values")
+    shape = values[0].data.shape
+    if any(v.data.shape != shape for v in values):
+        raise ValueError("mix needs values of one shape")
+    out = np.empty((rows.shape[0], *shape))
+    for k, row in enumerate(rows):
+        cols = np.flatnonzero(row)
+        if cols.size == 0:
+            raise ValueError(f"row {k} has no nonzero entry")
+        acc = row[cols[0]] * values[cols[0]].data
+        for j in cols[1:]:
+            acc = acc + row[j] * values[j].data
+        out[k] = acc
+
+    def backward(g):
+        per_value = rows.T @ g.reshape(rows.shape[0], -1)
+        for v, grad in zip(values, per_value):
+            if not v.constant:
+                v._accumulate(grad.reshape(shape))
+
+    return _node(out.reshape(rows.shape[0] * shape[0], *shape[1:]), tuple(values), backward)
 
 
 def reciprocal(a) -> Value:

@@ -2,11 +2,15 @@
 
 One Gaussian encoder and one decoder per modality. The joint posterior is
 formed from the unimodal posteriors by the configured aggregation (poe, moe,
-wb, mopoe, mwb). Training maximizes a reconstruction term plus a
-beta-weighted KL term: single-Gaussian aggregations use the closed-form KL to
-the standard-normal prior, mixture aggregations use the convex upper bound
-(weighted component-wise KL) so the objective stays a valid bound, with one
-reparameterized sample per mixture component feeding all decoders.
+wb, mopoe, mwb), always through `barycenter.mixing` and `barycenter.combine`:
+the training graph, the batched arrays of `aggregate_arrays` and the
+per-example `aggregate` apply the same table. Training maximizes a
+reconstruction term plus a beta-weighted KL term: single-Gaussian
+aggregations use the closed-form KL to the standard-normal prior, mixture
+aggregations use the convex upper bound (weighted component-wise KL) so the
+objective stays a valid bound, with one reparameterized sample per mixture
+component feeding all decoders. The K components of a batch stay stacked as
+one (K B) x d array through the KL, the sampling and the decoders.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from . import diffgraph as dg
 from .errors import NumericError
 from .gaussian import SIGMA_FLOOR, DiagGaussian, GaussianMixture
 
-AGGREGATIONS = ("poe", "moe", "mopoe", "wb", "mwb")
 LIKELIHOODS = ("bernoulli", "gaussian")
 
 GAUSSIAN_LIK_SIGMA = 0.75
@@ -64,17 +67,19 @@ class ModelConfig:
             raise ValueError("learning_rate must be positive")
         if self.likelihood not in LIKELIHOODS:
             raise ValueError(f"likelihood must be one of {LIKELIHOODS}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        if self.aggregation not in bc.METHODS:
+            raise ValueError(f"aggregation must be one of {bc.METHODS}")
+
+
+def _uniform(m: int) -> np.ndarray:
+    """Equal family weights over m modalities; empty for m = 0."""
+    return np.ones(m) / m
 
 
 def num_mixture_components(config: ModelConfig) -> int:
     """How many joint-posterior components the configured aggregation yields."""
-    if config.aggregation in ("poe", "wb"):
-        return 1
-    if config.aggregation == "moe":
-        return config.num_modalities
-    return 1 << config.num_modalities
+    weights, _, _ = bc.mixing(config.aggregation, _uniform(config.num_modalities))
+    return len(weights)
 
 
 @dataclass
@@ -137,61 +142,6 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
     return dg.add(dg.matmul(h, values[f"dec{m}.out_w"]), values[f"dec{m}.out_b"])
 
 
-def _wsum_graph(items, weights):
-    acc = dg.mul(items[0], float(weights[0]))
-    for item, w in zip(items[1:], weights[1:]):
-        acc = dg.add(acc, dg.mul(item, float(w)))
-    return acc
-
-
-def _poe_graph(mus, sigmas):
-    precs = [dg.reciprocal(dg.square(s)) for s in sigmas]
-    total = precs[0]
-    for p in precs[1:]:
-        total = dg.add(total, p)
-    var = dg.reciprocal(total)
-    weighted = dg.mul(precs[0], mus[0])
-    for p, mu in zip(precs[1:], mus[1:]):
-        weighted = dg.add(weighted, dg.mul(p, mu))
-    return dg.mul(var, weighted), dg.sqrt(var)
-
-
-def _graph_components(values, config: ModelConfig, mus, sigmas, batch_size: int):
-    """Joint-posterior components [(weight, mu, sigma)] inside the graph."""
-    m_count = config.num_modalities
-    method = config.aggregation
-    if method == "poe":
-        mu, sigma = _poe_graph(mus, sigmas)
-        return [(1.0, mu, sigma)]
-    if method == "wb":
-        lam = [1.0 / m_count] * m_count
-        return [(1.0, _wsum_graph(mus, lam), _wsum_graph(sigmas, lam))]
-    if method == "moe":
-        return [(1.0 / m_count, mus[m], sigmas[m]) for m in range(m_count)]
-    # mopoe / mwb: equal-weight mixture over the modality powerset; the empty
-    # subset contributes the prior, whose raw arrays enter the graph as constants.
-    comps = []
-    weight = 1.0 / (1 << m_count)
-    shape = (batch_size, config.latent_dim)
-    for subset in bc.subsets(m_count):
-        idx = subset.members()
-        if not idx:
-            comps.append((weight, np.zeros(shape), np.ones(shape)))
-        elif method == "mopoe":
-            mu, sigma = _poe_graph([mus[i] for i in idx], [sigmas[i] for i in idx])
-            comps.append((weight, mu, sigma))
-        else:
-            lam = [1.0 / len(idx)] * len(idx)
-            comps.append(
-                (
-                    weight,
-                    _wsum_graph([mus[i] for i in idx], lam),
-                    _wsum_graph([sigmas[i] for i in idx], lam),
-                )
-            )
-    return comps
-
-
 def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     """Scalar training loss (negative bound) plus reported term values."""
     batch = [np.asarray(x, dtype=np.float64) for x in batch]
@@ -204,40 +154,38 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
                 f"{config.input_dims[m]}"
             )
     b = batch[0].shape[0]
-    k = num_mixture_components(config)
+    d = config.latent_dim
+    weights, rows, natural = bc.mixing(config.aggregation, _uniform(config.num_modalities))
+    k = len(weights)
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape == (b, config.latent_dim) and k == 1:
+    if noise.shape == (b, d) and k == 1:
         noise = noise[None]
-    if noise.shape != (k, b, config.latent_dim):
-        raise ValueError(
-            f"noise shape {noise.shape} != {(k, b, config.latent_dim)}"
-        )
+    if noise.shape != (k, b, d):
+        raise ValueError(f"noise shape {noise.shape} != {(k, b, d)}")
 
-    mus, sigmas = [], []
-    for m in range(config.num_modalities):
-        mu, sigma = _encode_graph(values, config, m, batch[m])
-        mus.append(mu)
-        sigmas.append(sigma)
-    comps = _graph_components(values, config, mus, sigmas, b)
+    encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
+    # the raw prior arrays fill the table's last column as constants
+    mu, sigma = bc.combine(
+        rows,
+        natural,
+        [mu for mu, _ in encoded] + [np.zeros((b, d))],
+        [sigma for _, sigma in encoded] + [np.ones((b, d))],
+    )
+    comp_w = np.repeat(weights, b)[:, None]
 
     # KL term: weighted closed-form KL of each component to the N(0, I) prior,
     # averaged over the batch.
-    kl = None
-    for (lam, mu, sigma) in comps:
-        per = dg.add(
-            dg.add(dg.square(mu), dg.square(sigma)),
-            dg.add(dg.mul(dg.log(sigma), -2.0), -1.0),
-        )
-        term = dg.mul(dg.vsum(per), 0.5 * lam / b)
-        kl = term if kl is None else dg.add(kl, term)
+    per = dg.add(
+        dg.add(dg.square(mu), dg.square(sigma)),
+        dg.add(dg.mul(dg.log(sigma), -2.0), -1.0),
+    )
+    kl = dg.mul(dg.vsum(dg.mul(per, comp_w)), 0.5 / b)
 
-    # Reconstruction: one reparameterized sample per component, all stacked
-    # into a single decoder pass per modality, weighted by component weight.
-    zs = [
-        dg.add(mu, dg.mul(sigma, noise[i])) for i, (_, mu, sigma) in enumerate(comps)
-    ]
-    z_all = zs[0] if len(zs) == 1 else dg.concat(zs, axis=0)
-    row_w = np.repeat([lam for (lam, _, _) in comps], b)[:, None] / b
+    # Reconstruction: one reparameterized sample per component, the K
+    # components stacked into a single decoder pass per modality, weighted by
+    # component weight.
+    z_all = dg.add(mu, dg.mul(sigma, noise.reshape(k * b, d)))
+    row_w = comp_w / b
 
     recon_terms = []
     for m in range(config.num_modalities):
@@ -356,29 +304,17 @@ def aggregate(posteriors, method: str, subset: bc.SubsetIndex, prior: DiagGaussi
 
     Returns a DiagGaussian for poe/wb and a GaussianMixture for moe, mopoe and
     mwb. The powerset methods take the powerset within the available subset;
-    their empty subset contributes the standard-normal prior.
+    their empty subset contributes the prior, N(0, I) by default.
     """
-    if method not in AGGREGATIONS:
-        raise ValueError(f"method must be one of {AGGREGATIONS}")
     idx = subset.members()
+    if idx:
+        family = bc.WeightedFamily.uniform([posteriors[i] for i in idx])
+        return bc.aggregate(family, method, prior)
+    weights, _, _ = bc.mixing(method, _uniform(0))
     if prior is None:
-        prior = DiagGaussian(
-            np.zeros(posteriors[0].dim), np.ones(posteriors[0].dim)
-        )
-    if method in ("poe", "wb", "moe") and not idx:
-        raise ValueError(f"{method} needs a non-empty modality subset")
-    if not idx:
-        return GaussianMixture((prior,), np.ones(1))
-    family = bc.WeightedFamily.uniform([posteriors[i] for i in idx])
-    if method == "poe":
-        return bc.poe(family, np.ones(family.size))
-    if method == "wb":
-        return bc.wb_diag(family)
-    if method == "moe":
-        return bc.moe(family)
-    if method == "mopoe":
-        return bc.mopoe(family, prior)
-    return bc.mwb(family, prior)
+        d = posteriors[0].dim
+        prior = DiagGaussian(np.zeros(d), np.ones(d))
+    return GaussianMixture((prior,), weights)
 
 
 def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
@@ -387,62 +323,18 @@ def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     Mirrors `aggregate` over whole batches; encoded is the output of
     encode_arrays (only the entries selected by `subset` are read).
     """
-    config = vae.config
-    method = config.aggregation
     idx = subset.members()
-    if method in ("poe", "wb", "moe") and not idx:
-        raise ValueError(f"{method} needs a non-empty modality subset")
-    ref = encoded[idx[0]][0] if idx else None
-    shape = ref.shape if idx else None
-
-    def poe_arrays(members):
-        prec = np.zeros(shape)
-        weighted = np.zeros(shape)
-        for i in members:
-            mu, sigma = encoded[i]
-            p = 1.0 / sigma**2
-            prec += p
-            weighted += p * mu
-        var = 1.0 / prec
-        return var * weighted, np.sqrt(var)
-
-    def wb_arrays(members):
-        lam = 1.0 / len(members)
-        mu = sum(encoded[i][0] for i in members) * lam
-        sigma = sum(encoded[i][1] for i in members) * lam
-        return mu, sigma
-
-    if method == "poe":
-        mu, sigma = poe_arrays(idx)
-        return np.ones(1), mu[None], sigma[None]
-    if method == "wb":
-        mu, sigma = wb_arrays(idx)
-        return np.ones(1), mu[None], sigma[None]
-    if method == "moe":
-        mus = np.stack([encoded[i][0] for i in idx])
-        sigmas = np.stack([encoded[i][1] for i in idx])
-        return np.full(len(idx), 1.0 / len(idx)), mus, sigmas
-
-    if not idx:
-        b = encoded[0][0].shape[0]
-        shape0 = (b, config.latent_dim)
-        return np.ones(1), np.zeros(shape0)[None], np.ones(shape0)[None]
-    mus, sigmas = [], []
-    for sub_mask in range(1 << len(idx)):
-        members = [idx[j] for j in range(len(idx)) if sub_mask >> j & 1]
-        if not members:
-            mus.append(np.zeros(shape))
-            sigmas.append(np.ones(shape))
-        elif method == "mopoe":
-            mu, sigma = poe_arrays(members)
-            mus.append(mu)
-            sigmas.append(sigma)
-        else:
-            mu, sigma = wb_arrays(members)
-            mus.append(mu)
-            sigmas.append(sigma)
-    k = len(mus)
-    return np.full(k, 1.0 / k), np.stack(mus), np.stack(sigmas)
+    weights, rows, natural = bc.mixing(vae.config.aggregation, _uniform(len(idx)))
+    b = encoded[idx[0] if idx else 0][0].shape[0]
+    shape = (b, vae.config.latent_dim)
+    mu, sigma = bc.combine(
+        rows,
+        natural,
+        [encoded[i][0] for i in idx] + [np.zeros(shape)],
+        [encoded[i][1] for i in idx] + [np.ones(shape)],
+    )
+    k = len(weights)
+    return weights, mu.data.reshape(k, *shape), sigma.data.reshape(k, *shape)
 
 
 def conditional_generate(

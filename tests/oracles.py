@@ -107,6 +107,54 @@ def plain_wb_fixed_point(covs, weights):
     raise OracleError("plain barycenter map did not settle in 10000 iterations")
 
 
+def oracle_components(method, mus, sigmas, weights):
+    """Joint-posterior components [(weight, mean, sigma)] by per-subset loops.
+
+    mus and sigmas list the M experts' equal-shape arrays. poe is the plain
+    product, wb the weights-weighted average of means and sigmas, moe the
+    experts with the weights, and mopoe / mwb the uniform mixture over the
+    powerset in ascending bitmask order, the empty subset giving N(0, I) and
+    each other subset the product / uniform average of its members.
+    """
+
+    def product(idx):
+        prec = np.zeros(mus[0].shape)
+        weighted = np.zeros(mus[0].shape)
+        for i in idx:
+            p = 1.0 / sigmas[i] ** 2
+            prec += p
+            weighted += p * mus[i]
+        var = 1.0 / prec
+        return var * weighted, np.sqrt(var)
+
+    def average(idx, lams):
+        mean = np.zeros(mus[0].shape)
+        sigma = np.zeros(mus[0].shape)
+        for i, lam in zip(idx, lams):
+            mean += lam * mus[i]
+            sigma += lam * sigmas[i]
+        return mean, sigma
+
+    m = len(mus)
+    if method == "poe":
+        return [(1.0, *product(range(m)))]
+    if method == "wb":
+        return [(1.0, *average(range(m), weights))]
+    if method == "moe":
+        return [(weights[i], mus[i], sigmas[i]) for i in range(m)]
+    out = []
+    for mask in range(1 << m):
+        idx = [i for i in range(m) if mask >> i & 1]
+        if not idx:
+            comp = (np.zeros(mus[0].shape), np.ones(mus[0].shape))
+        elif method == "mopoe":
+            comp = product(idx)
+        else:
+            comp = average(idx, [1.0 / len(idx)] * len(idx))
+        out.append((1.0 / (1 << m), *comp))
+    return out
+
+
 def random_diag_gaussian(rng, dim, mean_scale=3.0, sigma_lo=0.3, sigma_hi=2.5):
     return DiagGaussian(
         rng.uniform(-mean_scale, mean_scale, dim), rng.uniform(sigma_lo, sigma_hi, dim)

@@ -147,6 +147,31 @@ class TestAggregateCommand:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("source", ["flag", "document"])
+    @pytest.mark.parametrize("method", ["poe", "moe", "wb", "mopoe", "mwb"])
+    def test_weights_only_for_methods_that_use_them(self, tmp_path, capsys, method, source):
+        posteriors = [{"mean": [0.0], "sigma": [1.0]}, {"mean": [4.0], "sigma": [5.0]}]
+        doc, argv = {"posteriors": posteriors}, []
+        if source == "flag":
+            argv = ["--weights", "0.3,0.7"]
+        else:
+            doc["weights"] = [0.3, 0.7]
+        out = tmp_path / "o.json"
+        inp = self.posterior_file(tmp_path, doc)
+        code = run("aggregate", "--input", inp, "--output", str(out), "--method", method, *argv)
+        if method in ("moe", "wb"):
+            assert code == 0
+            result = json.loads(out.read_text())
+            if method == "moe":
+                assert result["weights"] == [0.3, 0.7]
+            else:
+                assert result["mean"] == pytest.approx([2.8]) and result["sigma"] == [3.8]
+            return
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "moe and wb" in err and method in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field", ["mean", "sigma", "cov", "document_weights", "flag_weights"]
@@ -259,6 +284,39 @@ class TestTrainCommand:
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "dropout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc.update(model=5), "model section must be an object"),
+            (
+                lambda doc: doc.update(split={"train_fraction": "x"}),
+                "field 'train_fraction' in split section must be a finite number, got 'x'",
+            ),
+            (
+                lambda doc: doc["data"]["toy"].update(examples_per_class="3"),
+                "field 'examples_per_class' in data.toy section must be an integer, got '3'",
+            ),
+            (
+                lambda doc: doc["model"].update(epochs=1.5),
+                "field 'epochs' in model section must be an integer, got 1.5",
+            ),
+            (
+                lambda doc: doc["eval"].update(importance_samples=0),
+                "field 'importance_samples' in eval section must be >= 1, got 0",
+            ),
+        ],
+        ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
+             "eval_zero_samples"],
+    )
+    def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        edit(doc)
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TOY_CONFIG))
         doc["model"]["likelihood"] = "gaussian"
@@ -345,15 +403,3 @@ class TestEvalCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
-
-
-class TestBenchCommand:
-    def test_small_grid_rows(self, capsys):
-        code = run(
-            "bench", "--wb-dims", "2,4", "--wb-members", "2,3", "--diag-dims", "32,64"
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "op,dim,members,seconds_per_call"
-        # 4 wb_full rows + 2 dims x 3 diag ops
-        assert len(lines) == 1 + 4 + 6

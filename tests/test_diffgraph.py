@@ -9,6 +9,9 @@ from baryvae.errors import NumericError
 
 BERN_X = (np.random.default_rng(59).uniform(size=(4, 3)) < 0.5).astype(np.float64)
 BERN_W = np.array([[0.5], [1.0], [0.25], [2.0]])
+# two components over two parameters and a constant column, with a zero entry
+MIX_ROWS = np.array([[0.3, 0.0, 1.0], [1.5, -0.7, 0.2]])
+MIX_CONST = np.random.default_rng(60).standard_normal((4, 3))
 
 
 def make_store(**arrays):
@@ -95,6 +98,10 @@ class TestPrimitives:
             (
                 "bernoulli_loglik",
                 lambda v: dg.bernoulli_loglik(BERN_X, dg.mul(v["a2"], 3.0), BERN_W),
+            ),
+            (
+                "mix",
+                lambda v: dg.vsum(dg.square(dg.mix(MIX_ROWS, [v["a2"], v["c2"], MIX_CONST]))),
             ),
         ],
     )
@@ -263,6 +270,42 @@ class TestTapeDiet:
         out = prim(values["a"])
         assert out._parents == (values["a"],)
         assert np.array_equal(out.data, fn(x))
+
+
+class TestMix:
+    def test_one_hot_row_copies_its_value_bitwise(self):
+        rng = np.random.default_rng(61)
+        values = [rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-300, 300) for _ in range(3)]
+        rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        out = dg.mix(rows, values).data.reshape(3, 5, 3)
+        for k, j in enumerate((1, 2, 0)):
+            assert np.array_equal(out[k], values[j])
+
+    def test_folds_nonzero_entries_in_column_order(self):
+        rng = np.random.default_rng(62)
+        values = [rng.standard_normal((2, 4)) for _ in range(4)]
+        rows = np.array([[0.25, 0.0, 0.5, 0.25], [0.0, 1.0 / 3.0, 0.0, 2.0 / 3.0]])
+        out = dg.mix(rows, values).data
+        first = 0.25 * values[0] + 0.5 * values[2] + 0.25 * values[3]
+        second = (1.0 / 3.0) * values[1] + (2.0 / 3.0) * values[3]
+        assert np.array_equal(out, np.concatenate([first, second]))
+
+    def test_backward_is_rows_transpose_times_gradient(self):
+        rng = np.random.default_rng(63)
+        leaves = [dg.Value(rng.standard_normal((2, 3))) for _ in range(2)]
+        weights = rng.standard_normal((4, 3))
+        dg.vsum(dg.mul(dg.mix(MIX_ROWS, [*leaves, MIX_CONST[:2]]), weights)).backward()
+        g = weights.reshape(2, 2, 3)
+        for j, leaf in enumerate(leaves):
+            assert np.allclose(leaf.grad, MIX_ROWS[0, j] * g[0] + MIX_ROWS[1, j] * g[1])
+
+    def test_rejects_empty_rows_and_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            dg.mix(np.zeros((1, 2)), [np.ones(3), np.ones(3)])
+        with pytest.raises(ValueError):
+            dg.mix(np.ones((1, 2)), [np.ones((2, 3)), np.ones((3, 2))])
+        with pytest.raises(ValueError):
+            dg.mix(np.ones((1, 3)), [np.ones((2, 3)), np.ones((2, 3))])
 
 
 class TestAdam:

@@ -376,7 +376,7 @@ class TestGradientFlowThroughAggregation:
         lam = [0.2, 0.3, 0.5]
         rng = np.random.default_rng(8)
         leaves = [dg.Value(rng.uniform(0.5, 2.0, (4, 3))) for _ in range(3)]
-        out = mm._wsum_graph(leaves, lam)
+        out = dg.mix([lam], leaves)
         dg.vsum(out).backward()
         for leaf, weight in zip(leaves, lam):
             assert np.all(leaf.grad == weight)
