@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,21 +116,8 @@ class RunConfig:
     eval_spec: dict
 
     def document(self) -> dict:
-        model = {
-            "num_modalities": self.model.num_modalities,
-            "input_dims": list(self.model.input_dims),
-            "latent_dim": self.model.latent_dim,
-            "hidden": list(self.model.hidden),
-            "likelihood": self.model.likelihood,
-            "aggregation": self.model.aggregation,
-            "beta": self.model.beta,
-            "learning_rate": self.model.learning_rate,
-            "batch_size": self.model.batch_size,
-            "epochs": self.model.epochs,
-            "seed": self.model.seed,
-        }
         return {
-            "model": model,
+            "model": asdict(self.model),
             "data": self.data_spec,
             "split": self.split_spec,
             "eval": self.eval_spec,
@@ -159,20 +146,39 @@ def build_dataset(data_spec: dict) -> datamod.MultimodalDataset:
     raise ConfigError("data section must contain either 'toy' or 'idx'")
 
 
-def parse_run_config(doc, seed_override: int = None) -> tuple:
-    """Validate the config document; returns (RunConfig, dataset)."""
+def _check_document(doc) -> tuple:
+    """Check a config document's shape; returns (model fields, split spec, eval spec).
+
+    Every section must be an object of known fields of their kinds, and the
+    eval counts must be >= 1. The data section is only checked to be an
+    object naming known sources: reading them is `build_dataset`'s job.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown(doc, {"model", "data", "split", "eval"}, "config")
     if "data" not in doc:
         raise ConfigError("missing required field 'data'")
-    data_spec = doc["data"]
-    if not isinstance(data_spec, dict):
+    if not isinstance(doc["data"], dict):
         raise ConfigError("data section must be an object")
-    _reject_unknown(data_spec, {"toy", "idx"}, "data section")
+    _reject_unknown(doc["data"], {"toy", "idx"}, "data section")
+    model = _section(doc.get("model", {}), _MODEL_FIELDS, "model section")
+    split = _section(doc.get("split", {}), _SPLIT_FIELDS, "split section")
+    evals = _section(doc.get("eval", {}), _EVAL_FIELDS, "eval section")
+    split_spec, eval_spec = {**_SPLIT_DEFAULTS, **split}, {**_EVAL_DEFAULTS, **evals}
+    for key in _EVAL_COUNTS:
+        if eval_spec[key] < 1:
+            raise ConfigError(
+                f"field '{key}' in eval section must be >= 1, got {eval_spec[key]!r}"
+            )
+    return model, split_spec, eval_spec
+
+
+def parse_run_config(doc, seed_override: int = None) -> tuple:
+    """Validate the config document; returns (RunConfig, dataset)."""
+    model, split_spec, eval_spec = _check_document(doc)
+    data_spec = doc["data"]
     dataset = build_dataset(data_spec)
 
-    model = _section(doc.get("model", {}), _MODEL_FIELDS, "model section")
     derived_m = dataset.num_modalities
     derived_dims = [desc.dim for desc in dataset.descriptors]
     if model.get("num_modalities", derived_m) != derived_m:
@@ -193,15 +199,6 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
         model_cfg = mmvae.ModelConfig(**model)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid model section: {err}") from err
-
-    split = _section(doc.get("split", {}), _SPLIT_FIELDS, "split section")
-    evals = _section(doc.get("eval", {}), _EVAL_FIELDS, "eval section")
-    split_spec, eval_spec = {**_SPLIT_DEFAULTS, **split}, {**_EVAL_DEFAULTS, **evals}
-    for key in _EVAL_COUNTS:
-        if eval_spec[key] < 1:
-            raise ConfigError(
-                f"field '{key}' in eval section must be >= 1, got {eval_spec[key]!r}"
-            )
     return RunConfig(model_cfg, data_spec, split_spec, eval_spec), dataset
 
 
@@ -266,8 +263,10 @@ def load_checkpoint(path: str):
             f"(expected {CHECKPOINT_VERSION})"
         )
     try:
-        config_doc = doc["config"]
-        model = dict(config_doc["model"])
+        model, split_spec, eval_spec = _check_document(doc.get("config"))
+    except ConfigError as err:
+        raise CheckpointFormatError(f"corrupt checkpoint {path}: config: {err}") from err
+    try:
         model["input_dims"] = tuple(model["input_dims"])
         model["hidden"] = tuple(model["hidden"])
         model_cfg = mmvae.ModelConfig(**model)
@@ -278,16 +277,13 @@ def load_checkpoint(path: str):
             if arr.shape != vae.store.params[name].shape:
                 raise ValueError(f"parameter {name} has wrong shape")
             vae.store.params[name] = arr
-        vae.store.step = int(doc["rng_state"]["adam_step"])
+        step = doc["rng_state"]["adam_step"]
+        if not _is_kind(step, _INT) or step < 0:
+            raise ValueError(f"rng_state.adam_step must be an integer >= 0, got {step!r}")
+        vae.store.step = step
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointFormatError(f"corrupt checkpoint {path}: {err}") from err
-    run_config = RunConfig(
-        model_cfg,
-        config_doc.get("data", {}),
-        {**_SPLIT_DEFAULTS, **config_doc.get("split", {})},
-        {**_EVAL_DEFAULTS, **config_doc.get("eval", {})},
-    )
-    return run_config, vae
+    return RunConfig(model_cfg, doc["config"]["data"], split_spec, eval_spec), vae
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ aggregations use the convex upper bound (weighted component-wise KL) so the
 objective stays a valid bound, with one reparameterized sample per mixture
 component feeding all decoders. The K components of a batch stay stacked as
 one (K B) x d array through the KL, the sampling and the decoders.
+
+The network is defined once, as diffgraph nodes (`_encode_graph`,
+`_decode_graph`). Training runs it on tape leaves; evaluation and generation
+run it on the store's raw arrays, which are constants, so no tape is built.
 """
 
 from __future__ import annotations
@@ -91,11 +95,6 @@ class MultimodalVae:
         if self.store is None:
             self.store = _init_params(self.config)
 
-    @property
-    def prior(self) -> DiagGaussian:
-        d = self.config.latent_dim
-        return DiagGaussian(np.zeros(d), np.ones(d))
-
 
 def _init_params(config: ModelConfig) -> dg.ParamStore:
     store = dg.ParamStore()
@@ -121,11 +120,23 @@ def _init_params(config: ModelConfig) -> dg.ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# Graph-side forward passes (training)
+# The network: one encoder and one decoder per modality
 # ---------------------------------------------------------------------------
 
 
-def _encode_graph(values, config: ModelConfig, m: int, x: np.ndarray):
+def _encode_graph(values, config: ModelConfig, m: int, x):
+    """Posterior (mu, sigma) nodes for modality m's B x input_dim batch x.
+
+    `values` maps parameter names to tape leaves when training and to the
+    store's raw arrays otherwise: raw arrays are constants, so no tape is
+    built and the nodes' .data are the plain forward pass.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != config.input_dims[m]:
+        raise ValueError(
+            f"modality {m} batch shape {x.shape} does not match input dim "
+            f"{config.input_dims[m]}"
+        )
     h = x
     for i in range(len(config.hidden)):
         h = dg.tanh(dg.add(dg.matmul(h, values[f"enc{m}.w{i}"]), values[f"enc{m}.b{i}"]))
@@ -136,6 +147,7 @@ def _encode_graph(values, config: ModelConfig, m: int, x: np.ndarray):
 
 
 def _decode_graph(values, config: ModelConfig, m: int, z):
+    """Raw decoder output node for latent rows z; `values` as in _encode_graph."""
     h = z
     for i in range(len(config.hidden)):
         h = dg.tanh(dg.add(dg.matmul(h, values[f"dec{m}.w{i}"]), values[f"dec{m}.b{i}"]))
@@ -147,12 +159,7 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     batch = [np.asarray(x, dtype=np.float64) for x in batch]
     if len(batch) != config.num_modalities:
         raise ValueError("batch must provide one array per modality")
-    for m, x in enumerate(batch):
-        if x.ndim != 2 or x.shape[1] != config.input_dims[m]:
-            raise ValueError(
-                f"modality {m} batch shape {x.shape} does not match input dim "
-                f"{config.input_dims[m]}"
-            )
+    encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
     b = batch[0].shape[0]
     d = config.latent_dim
     weights, rows, natural = bc.mixing(config.aggregation, _uniform(config.num_modalities))
@@ -163,7 +170,6 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     if noise.shape != (k, b, d):
         raise ValueError(f"noise shape {noise.shape} != {(k, b, d)}")
 
-    encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
     # the raw prior arrays fill the table's last column as constants
     mu, sigma = bc.combine(
         rows,
@@ -236,25 +242,13 @@ def elbo_builder(vae: MultimodalVae, batch, noise: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Array-side forward passes (evaluation and generation)
+# Evaluation and generation: the network on the store's constant arrays
 # ---------------------------------------------------------------------------
 
 
 def _encode_one(vae: MultimodalVae, m: int, x) -> tuple:
-    config, params = vae.config, vae.store.params
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.input_dims[m]:
-        raise ValueError(
-            f"modality {m} batch shape {x.shape} does not match input dim "
-            f"{config.input_dims[m]}"
-        )
-    h = x
-    for i in range(len(config.hidden)):
-        h = np.tanh(h @ params[f"enc{m}.w{i}"] + params[f"enc{m}.b{i}"])
-    mu = h @ params[f"enc{m}.mu_w"] + params[f"enc{m}.mu_b"]
-    pre = h @ params[f"enc{m}.sigma_w"] + params[f"enc{m}.sigma_b"]
-    sigma = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre))) + SIGMA_FLOOR
-    return mu, sigma
+    mu, sigma = _encode_graph(vae.store.params, vae.config, m, x)
+    return mu.data, sigma.data
 
 
 def encode_arrays(vae: MultimodalVae, batch):
@@ -273,17 +267,13 @@ def encode(vae: MultimodalVae, batch):
 
 def decode_array(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
     """Raw decoder output (logits for bernoulli, means for gaussian)."""
-    config, params = vae.config, vae.store.params
-    h = np.asarray(z, dtype=np.float64)
-    for i in range(len(config.hidden)):
-        h = np.tanh(h @ params[f"dec{m}.w{i}"] + params[f"dec{m}.b{i}"])
-    return h @ params[f"dec{m}.out_w"] + params[f"dec{m}.out_b"]
+    return _decode_graph(vae.store.params, vae.config, m, z).data
 
 
 def decode_mean(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
     out = decode_array(vae, m, z)
     if vae.config.likelihood == "bernoulli":
-        return np.where(out >= 0, 1.0 / (1.0 + np.exp(-out)), np.exp(out) / (1.0 + np.exp(out)))
+        return dg._sigmoid(out)
     return out
 
 
@@ -292,8 +282,7 @@ def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -
     out = decode_array(vae, m, np.atleast_2d(z))
     x = np.asarray(x, dtype=np.float64)
     if vae.config.likelihood == "bernoulli":
-        softplus = np.maximum(out, 0.0) + np.log1p(np.exp(-np.abs(out)))
-        return np.sum(x[None, :] * out - softplus, axis=1)
+        return np.sum(x[None, :] * out - dg._softplus(out), axis=1)
     const = -0.5 * math.log(2.0 * math.pi) - math.log(GAUSSIAN_LIK_SIGMA)
     sq = (x[None, :] - out) ** 2 / (2.0 * GAUSSIAN_LIK_SIGMA**2)
     return np.sum(const - sq, axis=1)

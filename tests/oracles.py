@@ -2,14 +2,18 @@
 
 These deliberately avoid the library's closed forms: KL by direct quadrature
 of p log(p/q), entropies by quadrature of -p log p, and products of densities
-on a grid. They are the independent side of every dual-route check.
+on a grid. They are the independent side of every dual-route check. The
+network's forward pass is restated here in plain numpy, independently of the
+diffgraph nodes the model runs.
 """
+
+import math
 
 import numpy as np
 
 from baryvae.barycenter import WeightedFamily
 from baryvae.errors import OracleError
-from baryvae.gaussian import DiagGaussian, FullGaussian, log_density_many
+from baryvae.gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, log_density_many
 from baryvae.linalg import SymMatrix
 
 
@@ -203,3 +207,41 @@ def linear_gaussian_vae(sigma_enc_scale=1.2, seed=13):
     vae.store.params["enc0.sigma_b"][:] = softplus_inv(sig - 1e-6)
     marginal_var = float((w.T @ w)[0, 0]) + s2
     return vae, float(b[0]), marginal_var
+
+
+def numpy_encode(params, config, m, x):
+    """Modality m's posterior (mu, sigma) by a plain numpy forward pass."""
+    h = np.asarray(x, dtype=np.float64)
+    for i in range(len(config.hidden)):
+        h = np.tanh(h @ params[f"enc{m}.w{i}"] + params[f"enc{m}.b{i}"])
+    mu = h @ params[f"enc{m}.mu_w"] + params[f"enc{m}.mu_b"]
+    pre = h @ params[f"enc{m}.sigma_w"] + params[f"enc{m}.sigma_b"]
+    sigma = np.maximum(pre, 0.0) + np.log1p(np.exp(-np.abs(pre))) + SIGMA_FLOOR
+    return mu, sigma
+
+
+def numpy_decode(params, config, m, z):
+    """Modality m's raw decoder output by a plain numpy forward pass."""
+    h = np.asarray(z, dtype=np.float64)
+    for i in range(len(config.hidden)):
+        h = np.tanh(h @ params[f"dec{m}.w{i}"] + params[f"dec{m}.b{i}"])
+    return h @ params[f"dec{m}.out_w"] + params[f"dec{m}.out_b"]
+
+
+def masked_sigmoid(x):
+    """1 / (1 + exp(-x)), each branch evaluated only where it cannot overflow."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def numpy_log_lik(out, x, likelihood, sigma):
+    """log p(x | decoder output row) for each row of `out`."""
+    if likelihood == "bernoulli":
+        softplus = np.maximum(out, 0.0) + np.log1p(np.exp(-np.abs(out)))
+        return np.sum(x[None, :] * out - softplus, axis=1)
+    const = -0.5 * math.log(2.0 * math.pi) - math.log(sigma)
+    return np.sum(const - (x[None, :] - out) ** 2 / (2.0 * sigma**2), axis=1)

@@ -392,6 +392,40 @@ class TestEvalCommand:
         assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
         assert "format_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("config", "split"), [1]),
+            (("config", "eval"), [1]),
+            (("config", "data"), 5),
+            (("config", "split", "train_fraction"), "x"),
+            (("config", "eval", "importance_samples"), "x"),
+            (("config", "model", "epochs"), 1.5),
+            (("rng_state", "adam_step"), 1.7),
+        ],
+        ids=[
+            "split_list",
+            "eval_list",
+            "data_number",
+            "train_fraction_text",
+            "importance_samples_text",
+            "epochs_fraction",
+            "adam_step_fraction",
+        ],
+    )
+    def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        write_json(bad, doc)
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path[-1] in err
+
     def test_json_list_checkpoint_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         write_json(bad, [1, 2, 3])

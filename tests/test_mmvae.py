@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from baryvae.errors import NumericError
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
 from baryvae.gaussian import GaussianMixture, DiagGaussian
 
-from oracles import linear_gaussian_vae, quad_kl_1d
+from oracles import (
+    linear_gaussian_vae,
+    masked_sigmoid,
+    numpy_decode,
+    numpy_encode,
+    numpy_log_lik,
+    quad_kl_1d,
+)
 
 
 def softplus_inv(y):
@@ -96,6 +104,44 @@ class TestEncode:
         vae = mm.MultimodalVae(config)
         with pytest.raises(ValueError):
             mm.encode(vae, [np.zeros((3, 5)), np.zeros((3, 9))])
+
+
+class TestArrayForward:
+    """The evaluation-side forward against a plain numpy restatement."""
+
+    @pytest.mark.parametrize("likelihood", mm.LIKELIHOODS)
+    @pytest.mark.parametrize("hidden", [(), (128, 128)])
+    def test_matches_numpy_oracle_bit_for_bit(self, hidden, likelihood):
+        config = small_config(hidden=hidden, likelihood=likelihood)
+        vae = mm.MultimodalVae(config)
+        rng = np.random.default_rng(4)
+        params = vae.store.params
+        for name in params:
+            params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
+        batch = random_batch(config, b=7)
+        z = 3.0 * rng.standard_normal((7, config.latent_dim))
+        for m, (mu, sigma) in enumerate(mm.encode_arrays(vae, batch)):
+            want_mu, want_sigma = numpy_encode(params, config, m, batch[m])
+            assert np.array_equal(mu, want_mu) and np.array_equal(sigma, want_sigma)
+            out = numpy_decode(params, config, m, z)
+            assert np.array_equal(mm.decode_array(vae, m, z), out)
+            mean = masked_sigmoid(out) if likelihood == "bernoulli" else out
+            assert np.array_equal(mm.decode_mean(vae, m, z), mean)
+            x = batch[m][0]
+            want = numpy_log_lik(out, x, likelihood, mm.GAUSSIAN_LIK_SIGMA)
+            assert np.array_equal(mm.modality_log_lik(vae, m, x, z), want)
+
+    def test_decode_mean_saturates_without_overflow(self):
+        config = small_config(hidden=())
+        vae = mm.MultimodalVae(config)
+        vae.store.params["dec1.out_w"][:] = 0.0
+        vae.store.params["dec1.out_b"][:] = [800.0, -800.0, 2.5, -1.25]
+        z = np.zeros((2, config.latent_dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mm.decode_mean(vae, 1, z)
+        assert np.array_equal(got, masked_sigmoid(mm.decode_array(vae, 1, z)))
+        assert got[0, 0] == 1.0 and got[0, 1] == 0.0
 
 
 class TestAggregate:
