@@ -276,6 +276,8 @@ def load_checkpoint(path: str):
             arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if arr.shape != vae.store.params[name].shape:
                 raise ValueError(f"parameter {name} has wrong shape")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name} must be finite, got NaN or Infinity")
             vae.store.params[name] = arr
         step = doc["rng_state"]["adam_step"]
         if not _is_kind(step, _INT) or step < 0:
@@ -435,25 +437,29 @@ def cmd_eval(args) -> int:
     run_config, vae = load_checkpoint(args.checkpoint)
     if args.config is not None:
         doc = _load_json(args.config)
-        override, _ = parse_run_config(doc)
+        override, dataset = parse_run_config(doc)
         run_config = RunConfig(
             run_config.model, override.data_spec, override.split_spec, override.eval_spec
         )
-    dataset = build_dataset(run_config.data_spec)
+    else:
+        dataset = build_dataset(run_config.data_spec)
     train_set, test_set = datamod.split(
         dataset, run_config.split_spec["train_fraction"], run_config.split_spec["seed"]
     )
     ev = run_config.eval_spec
-    report = evaluation.evaluate_model(
-        vae,
-        train_set,
-        test_set,
-        importance_samples=ev["importance_samples"],
-        probe_samples=ev["probe_samples"],
-        coherence_samples=ev["coherence_samples"],
-        loglik_examples=ev["loglik_examples"],
-        seed=ev["seed"],
-    )
+    # As in aggregate: overflow is not reported as a warning, and a
+    # non-finite log-likelihood raises NumericError inside evaluate_model.
+    with np.errstate(all="ignore"):
+        report = evaluation.evaluate_model(
+            vae,
+            train_set,
+            test_set,
+            importance_samples=ev["importance_samples"],
+            probe_samples=ev["probe_samples"],
+            coherence_samples=ev["coherence_samples"],
+            loglik_examples=ev["loglik_examples"],
+            seed=ev["seed"],
+        )
     out = _resolve_out_dir(args)
     m_count = vae.config.num_modalities
 

@@ -6,13 +6,15 @@ allocated only when the first one arrives: that array is stored as it comes,
 and later ones are added out of place, so arrays shared between nodes are
 never written into. Raw arrays and floats handed to a primitive are constants:
 they receive no gradient, and backward() neither visits nor differentiates
-them, nor any result computed from constants alone. The primitive set is
-deliberately small (dense-network sized): matmul, broadcasting add/multiply,
-tanh, relu, softplus, exp, log, reciprocal, sqrt, sum, mean, square, sigmoid,
-concatenation, mix (stacked fixed linear combinations, the barycentric
-kernel's one primitive) and a fused weighted Bernoulli log-likelihood,
-bernoulli_loglik. Everything is deterministic; randomness is drawn outside the
-graph from counter-based Philox streams and injected as constants.
+them, nor any result computed from constants alone. The primitive set is the
+model's: dense (one network layer, h @ w + b with an optional tanh),
+broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum, square,
+mix (stacked fixed linear combinations, the barycentric kernel's one
+primitive) and a fused weighted Bernoulli log-likelihood, bernoulli_loglik.
+matmul, tanh, exp and concat are unused by the model; they stay because
+perfbench's per-primitive trace patches them by name. Everything is
+deterministic; randomness is drawn outside the graph from counter-based
+Philox streams and injected as constants.
 """
 
 from __future__ import annotations
@@ -108,30 +110,6 @@ class Value:
     def __repr__(self):
         return f"Value(shape={self.data.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self):
         """Accumulate d(self)/d(node) into every node's .grad; self is scalar."""
         if self.data.size != 1:
@@ -208,6 +186,32 @@ def matmul(a, b) -> Value:
     return _node(a.data @ b.data, (a, b), backward)
 
 
+def dense(h, w, b, tanh=False) -> Value:
+    """One network layer: h @ w + b, passed through tanh when `tanh` is set.
+
+    One node and one array where the composed layer takes three. Value and
+    gradients equal, bit for bit, those of tanh(add(matmul(h, w), b)), or
+    add(matmul(h, w), b) without tanh.
+    """
+    h, w, b = _as_value(h), _as_value(w), _as_value(b)
+    y = h.data @ w.data
+    y += b.data
+    if tanh:
+        np.tanh(y, out=y)
+
+    def backward(g):
+        if tanh:
+            g = g * (1.0 - y * y)
+        if not b.constant:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        if not h.constant:
+            h._accumulate(g @ w.data.T)
+        if not w.constant:
+            w._accumulate(h.data.T @ g)
+
+    return _node(y, (h, w, b), backward)
+
+
 def _unary(a, fn, dfn) -> Value:
     a = _as_value(a)
     y = fn(a.data)
@@ -220,10 +224,6 @@ def _unary(a, fn, dfn) -> Value:
 
 def tanh(a) -> Value:
     return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
-
-
-def relu(a) -> Value:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64))
 
 
 def _softplus(x, e=None):
@@ -242,10 +242,6 @@ def _sigmoid(x, e=None):
 
 def softplus(a) -> Value:
     return _unary(a, _softplus, lambda x, y: _sigmoid(x))
-
-
-def sigmoid(a) -> Value:
-    return _unary(a, _sigmoid, lambda x, y: y * (1.0 - y))
 
 
 def exp(a) -> Value:
@@ -267,15 +263,6 @@ def vsum(a) -> Value:
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _node(np.sum(a.data), (a,), backward)
-
-
-def vmean(a) -> Value:
-    a = _as_value(a)
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g / a.data.size, a.data.shape))
-
-    return _node(np.mean(a.data), (a,), backward)
 
 
 def concat(values, axis: int = 0) -> Value:

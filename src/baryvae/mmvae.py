@@ -139,9 +139,9 @@ def _encode_graph(values, config: ModelConfig, m: int, x):
         )
     h = x
     for i in range(len(config.hidden)):
-        h = dg.tanh(dg.add(dg.matmul(h, values[f"enc{m}.w{i}"]), values[f"enc{m}.b{i}"]))
-    mu = dg.add(dg.matmul(h, values[f"enc{m}.mu_w"]), values[f"enc{m}.mu_b"])
-    pre = dg.add(dg.matmul(h, values[f"enc{m}.sigma_w"]), values[f"enc{m}.sigma_b"])
+        h = dg.dense(h, values[f"enc{m}.w{i}"], values[f"enc{m}.b{i}"], tanh=True)
+    mu = dg.dense(h, values[f"enc{m}.mu_w"], values[f"enc{m}.mu_b"])
+    pre = dg.dense(h, values[f"enc{m}.sigma_w"], values[f"enc{m}.sigma_b"])
     sigma = dg.add(dg.softplus(pre), SIGMA_FLOOR)
     return mu, sigma
 
@@ -150,8 +150,8 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
     """Raw decoder output node for latent rows z; `values` as in _encode_graph."""
     h = z
     for i in range(len(config.hidden)):
-        h = dg.tanh(dg.add(dg.matmul(h, values[f"dec{m}.w{i}"]), values[f"dec{m}.b{i}"]))
-    return dg.add(dg.matmul(h, values[f"dec{m}.out_w"]), values[f"dec{m}.out_b"])
+        h = dg.dense(h, values[f"dec{m}.w{i}"], values[f"dec{m}.b{i}"], tanh=True)
+    return dg.dense(h, values[f"dec{m}.out_w"], values[f"dec{m}.out_b"])
 
 
 def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):

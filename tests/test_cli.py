@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import baryvae
+from baryvae import cli
 from baryvae.cli import main
 
 SRC_DIR = os.path.dirname(os.path.dirname(baryvae.__file__))
@@ -425,6 +426,48 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert path[-1] in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_parameter_exits_4(self, trained, tmp_path, capsys, bad):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["params"]["dec1.b0"]["data"][0] = bad
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        assert run("eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dec1.b0" in err
+
+    def test_overflowing_parameters_leave_stderr_empty(self, trained, tmp_path):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        entry = doc["params"]["enc0.w0"]
+        entry["data"] = [1e308] * len(entry["data"])
+        path = tmp_path / "huge.json"
+        write_json(path, doc)
+        argv = ["eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryvae.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_config_override_builds_dataset_once(self, trained, tmp_path, monkeypatch):
+        built = []
+        original = cli.build_dataset
+
+        def counting(data_spec):
+            built.append(data_spec)
+            return original(data_spec)
+
+        monkeypatch.setattr(cli, "build_dataset", counting)
+        cfg = tmp_path / "eval_config.json"
+        write_json(cfg, TOY_CONFIG)
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--config", str(cfg)]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 0
+        assert len(built) == 1
 
     def test_json_list_checkpoint_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "list.json"

@@ -48,9 +48,9 @@ class TestForwardBackward:
         y = rng.standard_normal((5, 2))
 
         def build(v):
-            h = dg.tanh(dg.add(dg.matmul(dg.Value(x), v["w1"]), v["b1"]))
-            out = dg.add(dg.matmul(h, v["w2"]), v["b2"])
-            return dg.vmean(dg.square(dg.add(out, dg.mul(dg.Value(y), -1.0))))
+            h = dg.dense(x, v["w1"], v["b1"], tanh=True)
+            out = dg.dense(h, v["w2"], v["b2"])
+            return dg.mul(dg.vsum(dg.square(dg.add(out, -y))), 1.0 / y.size)
 
         assert dg.grad_check(build, store, 1e-5) < 1e-6
 
@@ -81,14 +81,13 @@ class TestPrimitives:
             ("broadcast_add", lambda v: dg.vsum(dg.add(v["a2"], v["row"]))),
             ("mul", lambda v: dg.vsum(dg.mul(v["a2"], v["c2"]))),
             ("tanh", lambda v: dg.vsum(dg.tanh(v["a2"]))),
-            ("relu", lambda v: dg.vsum(dg.relu(v["a2"]))),
+            ("dense", lambda v: dg.vsum(dg.square(dg.dense(v["b2"], v["a2"], v["row"])))),
+            ("dense_tanh", lambda v: dg.vsum(dg.dense(v["b2"], v["a2"], v["row"], tanh=True))),
             ("softplus", lambda v: dg.vsum(dg.softplus(v["a2"]))),
             ("exp", lambda v: dg.vsum(dg.exp(v["a2"]))),
             ("log", lambda v: dg.vsum(dg.log(dg.add(dg.square(v["a2"]), 0.5)))),
             ("sum", lambda v: dg.vsum(v["a2"])),
-            ("mean", lambda v: dg.vmean(v["a2"])),
             ("square", lambda v: dg.vsum(dg.square(v["a2"]))),
-            ("sigmoid", lambda v: dg.vsum(dg.sigmoid(v["a2"]))),
             ("concat", lambda v: dg.vsum(dg.concat([v["a2"], v["c2"]], axis=0))),
             ("concat_axis1", lambda v: dg.vsum(dg.square(dg.concat([v["a2"], v["c2"]], axis=1)))),
             ("reciprocal", lambda v: dg.vsum(dg.reciprocal(dg.add(dg.square(v["a2"]), 1.0)))),
@@ -107,9 +106,8 @@ class TestPrimitives:
     )
     def test_grad_check(self, name, build):
         rng = np.random.default_rng(52)
-        # offsets keep relu away from its kink
         store = make_store(
-            a2=rng.standard_normal((4, 3)) + 0.3,
+            a2=rng.standard_normal((4, 3)),
             b2=rng.standard_normal((3, 4)),
             c2=rng.standard_normal((4, 3)),
             row=rng.standard_normal(3),
@@ -246,6 +244,38 @@ class TestTapeDiet:
         )
         assert fused_loss.hex() == chain_loss.hex()
         assert fused["logits"].tobytes() == chain["logits"].tobytes()
+
+    @pytest.mark.parametrize("tanh", [True, False])
+    @pytest.mark.parametrize("raw_input", [True, False])
+    def test_dense_matches_composed_layer_bitwise(self, tanh, raw_input):
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((64, 20))
+        weights = rng.standard_normal((64, 16))
+        store = make_store(
+            h=x, w=0.5 * rng.standard_normal((20, 16)), b=rng.standard_normal(16)
+        )
+
+        def composed(h, w, b):
+            y = dg.add(dg.matmul(h, w), b)
+            return dg.tanh(y) if tanh else y
+
+        def fused(h, w, b):
+            out = dg.dense(h, w, b, tanh=tanh)
+            assert out._parents[1:] == (w, b)
+            return out
+
+        def loss(layer):
+            return lambda v: dg.vsum(
+                dg.mul(layer(x if raw_input else v["h"], v["w"], v["b"]), weights)
+            )
+
+        fused_loss, fused_grads = dg.forward_backward(loss(fused), store)
+        chain_loss, chain_grads = dg.forward_backward(loss(composed), store)
+        assert fused_loss.hex() == chain_loss.hex()
+        for name in ("h", "w", "b"):
+            assert fused_grads[name].tobytes() == chain_grads[name].tobytes()
+        if raw_input:
+            assert not fused_grads["h"].any()
 
     def test_bernoulli_loglik_rejects_active_data(self):
         store = make_store(x=[1.0, 0.0])
@@ -395,10 +425,10 @@ class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         def run():
             rng = dg.rng_stream(7, 1)
-            store = make_store(w=rng.standard_normal((4, 4)))
+            store = make_store(w=rng.standard_normal((4, 4)), b=rng.standard_normal(4))
             x = dg.rng_stream(7, 2).standard_normal((3, 4))
             loss, grads = dg.forward_backward(
-                lambda v: dg.vsum(dg.sigmoid(dg.matmul(dg.Value(x), v["w"]))), store
+                lambda v: dg.vsum(dg.softplus(dg.dense(x, v["w"], v["b"], tanh=True))), store
             )
             return loss, grads["w"]
 

@@ -14,3 +14,21 @@ def test_benchmark_selftest_passes():
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_train_run_passes():
+    """A traced run patches every primitive the benchmark names, so each must exist."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(ROOT, "perfbench", "run.py"),
+            "--workload", "train-wb",
+            "--seed", "0",
+            "--seconds", "0.5",
+            "--trace", "1",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
