@@ -323,7 +323,8 @@ def split(dataset: MultimodalDataset, train_fraction: float, seed: int):
     """Seeded stratified split into (train, test).
 
     Per-class counts in the train split equal round(fraction * class size), so
-    class proportions are preserved within one example.
+    class proportions are preserved within one example. Raises ValueError if
+    either side comes out empty.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
@@ -335,6 +336,9 @@ def split(dataset: MultimodalDataset, train_fraction: float, seed: int):
         shuffled = cls_idx[perm]
         train_idx.extend(shuffled[:n_train])
         test_idx.extend(shuffled[n_train:])
+    for side, idx in (("train", train_idx), ("test", test_idx)):
+        if not idx:
+            raise ValueError(f"train_fraction {train_fraction} leaves the {side} split empty")
     order = rng_stream(seed, _TAG_SPLIT_ORDER)
     train_idx = np.asarray(train_idx)[order.permutation(len(train_idx))]
     test_idx = np.asarray(test_idx)[order.permutation(len(test_idx))]

@@ -18,7 +18,7 @@ from . import mmvae
 from .barycenter import SubsetIndex, subsets
 from .diffgraph import rng_stream
 from .errors import NumericError
-from .gaussian import LOG_2PI
+from .gaussian import mixture_log_density
 
 PROBE_L2 = 1e-3
 PROBE_ITERS = 500
@@ -112,9 +112,9 @@ def latent_accuracy(probe: LinearProbe, latents: np.ndarray, labels: np.ndarray)
     return float(np.mean(probe.predict(latents) == labels))
 
 
-def latent_means(vae, batch, subset: SubsetIndex) -> np.ndarray:
-    """Aggregated-posterior mean per example (weighted over mixture parts)."""
-    encoded = mmvae.encode_arrays(vae, batch)
+def latent_means(vae, encoded, subset: SubsetIndex) -> np.ndarray:
+    """Aggregated-posterior mean per example (weighted over mixture parts) of
+    `encoded`, the output of mmvae.encode_arrays."""
     weights, mus, _ = mmvae.aggregate_arrays(vae, encoded, subset)
     return np.tensordot(weights, mus, axes=(0, 0))
 
@@ -162,30 +162,16 @@ def test_log_likelihood(vae, batch, subset: SubsetIndex, num_samples: int, seed:
     d = config.latent_dim
     encoded = mmvae.encode_arrays(vae, batch)
     weights, mus, sigmas = mmvae.aggregate_arrays(vae, encoded, subset)
-    cumw = np.cumsum(weights)
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
+    prior = np.ones(1), np.zeros((1, d)), np.ones((1, d))
     rng = rng_stream(seed, _TAG_LOGLIK, subset.mask)
     n = mus.shape[1]
     estimates = np.empty(n)
     for i in range(n):
-        comp = np.minimum(
-            np.searchsorted(cumw, rng.random(num_samples), side="right"),
-            len(weights) - 1,
-        )
+        comp = mmvae.pick_components(weights, rng.random(num_samples))
         eps = rng.standard_normal((num_samples, d))
         z = mus[comp, i] + sigmas[comp, i] * eps
-        # mixture proposal density at the drawn z
-        diffs = (z[None, :, :] - mus[:, i, None, :]) / sigmas[:, i, None, :]
-        comp_logpdf = (
-            -0.5 * np.sum(diffs**2, axis=2)
-            - np.sum(np.log(sigmas[:, i]), axis=1)[:, None]
-            - 0.5 * d * LOG_2PI
-        )
-        stacked = comp_logpdf + logw[:, None]
-        top = stacked.max(axis=0)
-        log_q = top + np.log(np.sum(np.exp(stacked - top), axis=0))
-        log_prior = -0.5 * np.sum(z**2, axis=1) - 0.5 * d * LOG_2PI
+        log_q = mixture_log_density(weights, mus[:, i], sigmas[:, i], z)
+        log_prior = mixture_log_density(*prior, z)
         log_lik = np.zeros(num_samples)
         for m in range(config.num_modalities):
             log_lik += mmvae.modality_log_lik(vae, m, batch[m][i], z)
@@ -242,17 +228,20 @@ def evaluate_model(
     probe_batch = [mod[probe_idx] for mod in train_set.modalities]
     probe_labels = train_set.labels[probe_idx]
 
+    probe_encoded = mmvae.encode_arrays(vae, probe_batch)
+    test_encoded = mmvae.encode_arrays(vae, test_set.modalities)
+
     n_ll = min(loglik_examples, test_set.num_examples)
     ll_batch = [mod[:n_ll] for mod in test_set.modalities]
 
     accuracy, counts, loglik, coh = {}, {}, {}, {}
     for subset in nonempty:
         probe = fit_linear_probe(
-            latent_means(vae, probe_batch, subset), probe_labels
+            latent_means(vae, probe_encoded, subset), probe_labels
         )
         counts[subset.mask] = probe.trained_on
         accuracy[subset.mask] = latent_accuracy(
-            probe, latent_means(vae, test_set.modalities, subset), test_set.labels
+            probe, latent_means(vae, test_encoded, subset), test_set.labels
         )
         loglik[subset.mask] = test_log_likelihood(
             vae, ll_batch, subset, importance_samples, seed

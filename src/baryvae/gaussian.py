@@ -164,51 +164,43 @@ def sample(g: DiagGaussian, noise: np.ndarray) -> np.ndarray:
     return g.mean + g.sigma * noise
 
 
+def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:
+    """Log density at rows of xs (n x d) of the mixture of K weights, K x d means and sigmas."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    diffs = (xs[None, :, :] - means[:, None, :]) / sigmas[:, None, :]
+    log_sigma = np.sum(np.log(sigmas), axis=1)[:, None]
+    d = means.shape[1]
+    stacked = -0.5 * np.sum(diffs**2, axis=2) - log_sigma - 0.5 * d * LOG_2PI + logw[:, None]
+    # log-sum-exp over components; an all -inf column maps to -inf.
+    top = np.max(stacked, axis=0)
+    safe_top = np.where(np.isfinite(top), top, 0.0)
+    out = safe_top + np.log(np.sum(np.exp(stacked - safe_top), axis=0))
+    return np.where(np.isfinite(top), out, -np.inf)
+
+
+def _stacked(g):
+    """(weights K, means K x d, sigmas K x d) of a DiagGaussian or mixture."""
+    if isinstance(g, DiagGaussian):
+        return np.ones(1), g.mean[None, :], g.sigma[None, :]
+    if isinstance(g, GaussianMixture):
+        comps = g.components
+        return g.weights, np.stack([c.mean for c in comps]), np.stack([c.sigma for c in comps])
+    raise TypeError(f"unsupported distribution type {type(g).__name__}")
+
+
 def log_density_many(g, xs: np.ndarray) -> np.ndarray:
     """Log density of `g` (DiagGaussian or GaussianMixture) at rows of xs."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if isinstance(g, DiagGaussian):
-        if xs.shape[1] != g.dim:
-            raise ValueError(f"point dim {xs.shape[1]} != {g.dim}")
-        z = (xs - g.mean) / g.sigma
-        return (
-            -0.5 * np.sum(z * z, axis=1)
-            - np.sum(np.log(g.sigma))
-            - 0.5 * g.dim * LOG_2PI
-        )
-    if isinstance(g, GaussianMixture):
-        if xs.shape[1] != g.dim:
-            raise ValueError(f"point dim {xs.shape[1]} != {g.dim}")
-        with np.errstate(divide="ignore"):
-            logw = np.log(g.weights)
-        comp = np.stack([log_density_many(c, xs) for c in g.components])
-        stacked = comp + logw[:, None]
-        # log-sum-exp over components; an all -inf column maps to -inf.
-        top = np.max(stacked, axis=0)
-        safe_top = np.where(np.isfinite(top), top, 0.0)
-        out = safe_top + np.log(np.sum(np.exp(stacked - safe_top), axis=0))
-        return np.where(np.isfinite(top), out, -np.inf)
-    raise TypeError(f"unsupported distribution type {type(g).__name__}")
+    weights, means, sigmas = _stacked(g)
+    if xs.shape[1] != means.shape[1]:
+        raise ValueError(f"point dim {xs.shape[1]} != {means.shape[1]}")
+    return mixture_log_density(weights, means, sigmas, xs)
 
 
 def log_density(g, x: np.ndarray) -> float:
     """Log density of a diagonal Gaussian or mixture at a single point."""
     return float(log_density_many(g, np.atleast_1d(x)[None, :])[0])
-
-
-def _components_1d(g):
-    """(means, sigmas, weights) arrays for a 1-D Gaussian or mixture."""
-    if isinstance(g, DiagGaussian):
-        comps, weights = (g,), np.ones(1)
-    elif isinstance(g, GaussianMixture):
-        comps, weights = g.components, g.weights
-    else:
-        raise TypeError(f"unsupported distribution type {type(g).__name__}")
-    if comps[0].dim != 1:
-        raise ValueError("quantile oracle handles 1-D distributions only")
-    means = np.array([c.mean[0] for c in comps])
-    sigmas = np.array([c.sigma[0] for c in comps])
-    return means, sigmas, weights
 
 
 def _quantile_u_grid() -> np.ndarray:
@@ -228,7 +220,9 @@ def _cdf_table(g, n_points: int = 40001):
         xs = np.linspace(float(lo), float(hi), n_points)
         pdf = np.asarray(g.pdf(xs), dtype=np.float64)
     else:
-        means, sigmas, _ = _components_1d(g)
+        _, means, sigmas = _stacked(g)
+        if means.shape[1] != 1:
+            raise ValueError("quantile oracle handles 1-D distributions only")
         lo = float(np.min(means - 10.0 * sigmas))
         hi = float(np.max(means + 10.0 * sigmas))
         xs = np.linspace(lo, hi, n_points)

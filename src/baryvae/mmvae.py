@@ -326,6 +326,15 @@ def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     return weights, mu.data.reshape(k, *shape), sigma.data.reshape(k, *shape)
 
 
+def pick_components(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mixture component index per uniform draw in u, by inverse transform.
+
+    Zero-weight components are never picked; a draw past a cumulative sum
+    that rounds below 1 goes to the last component.
+    """
+    return np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), len(weights) - 1)
+
+
 def conditional_generate(
     vae: MultimodalVae,
     inputs,
@@ -365,8 +374,7 @@ def conditional_generate(
         component_u = np.asarray(component_u, dtype=np.float64)
         if component_u.shape != (b,):
             raise ValueError(f"component_u shape {component_u.shape} != ({b},)")
-        choice = np.searchsorted(np.cumsum(weights), component_u, side="right")
-        choice = np.minimum(choice, len(weights) - 1)
+        choice = pick_components(weights, component_u)
         rows = np.arange(b)
         z = mus[choice, rows] + sigmas[choice, rows] * noise
     return decode_mean(vae, target, z)

@@ -165,6 +165,33 @@ def random_diag_gaussian(rng, dim, mean_scale=3.0, sigma_lo=0.3, sigma_hi=2.5):
     )
 
 
+def proposal_log_density(weights, means, sigmas, xs):
+    """Mixture log density as the importance sampler first spelled it out.
+
+    K weights, K x d means and sigmas, n x d points; one log-sum-exp over
+    the components, shifted by their maximum.
+    """
+    d = means.shape[1]
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    diffs = (xs[None, :, :] - means[:, None, :]) / sigmas[:, None, :]
+    comp_logpdf = (
+        -0.5 * np.sum(diffs**2, axis=2)
+        - np.sum(np.log(sigmas), axis=1)[:, None]
+        - 0.5 * d * math.log(2.0 * math.pi)
+    )
+    stacked = comp_logpdf + logw[:, None]
+    top = stacked.max(axis=0)
+    return top + np.log(np.sum(np.exp(stacked - top), axis=0))
+
+
+def diag_log_density(g, xs):
+    """Closed-form log density of a DiagGaussian at the rows of xs."""
+    z = (xs - g.mean) / g.sigma
+    log_2pi = math.log(2.0 * math.pi)
+    return -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(g.sigma)) - 0.5 * g.dim * log_2pi
+
+
 def softplus_inv(y):
     return np.log(np.expm1(y))
 

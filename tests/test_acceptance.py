@@ -325,13 +325,15 @@ def accuracy_by_subset_size(vae, train_set, test_set, probe_samples=500):
     idx = np.arange(min(probe_samples, train_set.num_examples))
     probe_batch = [m[idx] for m in train_set.modalities]
     probe_labels = train_set.labels[idx]
+    probe_encoded = mm.encode_arrays(vae, probe_batch)
+    test_encoded = mm.encode_arrays(vae, test_set.modalities)
     by_size = {}
     for subset in subsets(vae.config.num_modalities):
         if subset.is_empty:
             continue
-        probe = fit_linear_probe(latent_means(vae, probe_batch, subset), probe_labels)
+        probe = fit_linear_probe(latent_means(vae, probe_encoded, subset), probe_labels)
         acc = latent_accuracy(
-            probe, latent_means(vae, test_set.modalities, subset), test_set.labels
+            probe, latent_means(vae, test_encoded, subset), test_set.labels
         )
         by_size.setdefault(subset.size, []).append(acc)
     return {size: float(np.mean(values)) for size, values in sorted(by_size.items())}

@@ -318,6 +318,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fraction,side", [(0.1, "train"), (0.9, "test")])
+    def test_empty_split_exits_2(self, tmp_path, capsys, fraction, side):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["data"]["toy"]["examples_per_class"] = 2
+        doc["split"]["train_fraction"] = fraction
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"error: train_fraction {fraction} leaves the {side} split empty\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TOY_CONFIG))
         doc["model"]["likelihood"] = "gaussian"
@@ -384,6 +397,24 @@ class TestEvalCommand:
         acc_rows = (out / "accuracy.csv").read_text().strip().split("\n")
         assert len(acc_rows) == 4  # header + 3 subsets
         assert all(math.isfinite(v) for v in report["log_likelihood"].values())
+
+    @pytest.mark.parametrize("fraction,side", [(0.1, "train"), (0.9, "test")])
+    def test_empty_split_exits_2(self, trained, tmp_path, capsys, fraction, side):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["data"]["toy"]["examples_per_class"] = 2
+        doc["split"]["train_fraction"] = fraction
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        out = tmp_path / "eval"
+        code = run(
+            "eval", "--checkpoint", str(trained / "checkpoint.json"),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: train_fraction {fraction} leaves the {side} split empty\n"
+        )
+        assert not out.exists()
 
     def test_tampered_version_exits_4(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "checkpoint.json").read_text())

@@ -177,6 +177,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self.make_dataset(), 1.0, seed=0)
 
+    @pytest.mark.parametrize("fraction,side", [(0.1, "train"), (0.9, "test")])
+    def test_empty_side_rejected(self, fraction, side):
+        ds = gen_toy(ToyConfig(num_modalities=2, examples_per_class=2))
+        with pytest.raises(ValueError, match=f"train_fraction {fraction} leaves the {side}"):
+            split(ds, fraction, seed=0)
+
     def test_alignment_preserved(self):
         rng = np.random.default_rng(6)
         n = 100

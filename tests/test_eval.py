@@ -225,11 +225,34 @@ class TestEvalReport:
         expected_count = min(100, train_set.num_examples)
         assert all(n == expected_count for n in report.probe_train_counts.values())
 
+    def test_encodes_each_example_set_once(self, monkeypatch):
+        vae, train_set, test_set = tiny_vae_and_data(method="mwb")
+        original, rows = mm.encode_arrays, []
+
+        def counting(vae, batch):
+            rows.append(len(batch[0]))
+            return original(vae, batch)
+
+        monkeypatch.setattr(mm, "encode_arrays", counting)
+        evaluate_model(
+            vae,
+            train_set,
+            test_set,
+            importance_samples=4,
+            probe_samples=20,
+            coherence_samples=5,
+            loglik_examples=3,
+            seed=0,
+        )
+        # the probe batch, the test set, then one log-likelihood batch per subset
+        assert rows == [20, test_set.num_examples, 3, 3, 3]
+
     def test_latent_means_weighted_over_components(self):
         vae, train_set, _ = tiny_vae_and_data(method="mwb")
         batch = [m[:3] for m in train_set.modalities]
         subset = SubsetIndex(0b11, 2)
-        reps = latent_means(vae, batch, subset)
-        weights, mus, _ = mm.aggregate_arrays(vae, mm.encode_arrays(vae, batch), subset)
+        encoded = mm.encode_arrays(vae, batch)
+        reps = latent_means(vae, encoded, subset)
+        weights, mus, _ = mm.aggregate_arrays(vae, encoded, subset)
         expected = sum(w * mus[k] for k, w in enumerate(weights))
         assert np.allclose(reps, expected, atol=1e-12)

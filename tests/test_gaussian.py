@@ -13,6 +13,7 @@ from baryvae.gaussian import (
     kl_diag,
     log_density,
     log_density_many,
+    mixture_log_density,
     sample,
     w2sq_1d_quantile,
     w2sq_diag,
@@ -20,7 +21,14 @@ from baryvae.gaussian import (
 )
 from baryvae.linalg import SymMatrix
 
-from oracles import quad_entropy_1d, quad_kl_1d, random_diag_gaussian, random_spd
+from oracles import (
+    diag_log_density,
+    proposal_log_density,
+    quad_entropy_1d,
+    quad_kl_1d,
+    random_diag_gaussian,
+    random_spd,
+)
 
 
 def g1(mean, sigma):
@@ -207,6 +215,39 @@ class TestDensity:
         mix = GaussianMixture((g1(0, 1), g1(100, 1)), [0.5, 0.5])
         val = log_density(mix, [-60.0])
         assert math.isfinite(val)
+
+
+class TestMixtureLogDensity:
+    """Dual route: the shared log-sum-exp against the formulas it replaced."""
+
+    @staticmethod
+    def family(d, k, zero_weight, seed):
+        rng = np.random.default_rng(seed)
+        comps = tuple(random_diag_gaussian(rng, d) for _ in range(k))
+        weights = rng.dirichlet(np.ones(k))
+        if zero_weight:
+            weights[k // 2] = 0.0
+            weights /= weights.sum()
+        xs = rng.normal(0.0, 4.0, (64, d))
+        return GaussianMixture(comps, weights), xs
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize(
+        "k,zero_weight", [(1, False), (2, False), (5, False), (32, False), (2, True), (32, True)]
+    )
+    def test_bit_identical_to_reference_formulas(self, d, k, zero_weight):
+        mix, xs = self.family(d, k, zero_weight, seed=100 * d + k)
+        means = np.stack([c.mean for c in mix.components])
+        sigmas = np.stack([c.sigma for c in mix.components])
+        want = proposal_log_density(mix.weights, means, sigmas, xs)
+        assert np.array_equal(mixture_log_density(mix.weights, means, sigmas, xs), want)
+        assert np.array_equal(log_density_many(mix, xs), want)
+        for c in mix.components:
+            assert np.array_equal(log_density_many(c, xs), diag_log_density(c, xs))
+
+    def test_point_dim_checked(self):
+        with pytest.raises(ValueError):
+            log_density_many(g1(0, 1), np.zeros((3, 2)))
 
 
 class TestSample:

@@ -416,6 +416,16 @@ class TestConditionalGenerate:
             assert np.all(np.isfinite(out))
 
 
+class TestPickComponents:
+    def test_zero_weight_component_never_drawn(self):
+        assert mm.pick_components(np.array([0.5, 0.0, 0.5]), np.array([0.5])).tolist() == [2]
+
+    def test_draw_past_rounded_total_is_clamped(self):
+        weights = np.full(10, 0.1)
+        assert np.cumsum(weights)[-1] < 1.0
+        assert mm.pick_components(weights, np.array([1.0 - 2.0**-53])).tolist() == [9]
+
+
 class TestGradientFlowThroughAggregation:
     def test_wb_sigma_sensitivity_equals_weight(self):
         # d(sum of barycenter sigma)/d(member sigma) is exactly the weight
