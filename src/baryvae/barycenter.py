@@ -154,11 +154,9 @@ def combine(rows, natural: bool, mus, sigmas):
     return dg.mul(var, weighted), dg.sqrt(var)
 
 
-def _components(rows, natural: bool, family: WeightedFamily, prior=None):
+def _components(rows, natural: bool, family: WeightedFamily):
     """The table's components for one example, as DiagGaussians."""
-    if prior is None:
-        prior = DiagGaussian(np.zeros(family.dim), np.ones(family.dim))
-    members = (*family.members, prior)
+    members = (*family.members, DiagGaussian(np.zeros(family.dim), np.ones(family.dim)))
     mean, sigma = combine(
         rows, natural, [g.mean[None] for g in members], [g.sigma[None] for g in members]
     )
@@ -251,28 +249,28 @@ def wb_full(
     )
 
 
-def _powerset(method: str, family: WeightedFamily, prior) -> GaussianMixture:
+def _powerset(method: str, family: WeightedFamily) -> GaussianMixture:
     weights, rows, natural = mixing(method, family.weights)
-    return GaussianMixture(_components(rows, natural, family, prior), weights)
+    return GaussianMixture(_components(rows, natural, family), weights)
 
 
-def mopoe(family: WeightedFamily, prior: DiagGaussian = None) -> GaussianMixture:
+def mopoe(family: WeightedFamily) -> GaussianMixture:
     """Mixture over the modality powerset of unit-exponent subset products."""
-    return _powerset("mopoe", family, prior)
+    return _powerset("mopoe", family)
 
 
-def mwb(family: WeightedFamily, prior: DiagGaussian = None) -> GaussianMixture:
+def mwb(family: WeightedFamily) -> GaussianMixture:
     """Mixture over the modality powerset of subset Wasserstein barycenters."""
-    return _powerset("mwb", family, prior)
+    return _powerset("mwb", family)
 
 
-def aggregate(family: WeightedFamily, method: str, prior: DiagGaussian = None):
+def aggregate(family: WeightedFamily, method: str):
     """The joint posterior of `family` under `method`, one of METHODS.
 
     A DiagGaussian for poe and wb, a GaussianMixture for moe, mopoe and mwb,
     and for a full-covariance family, which supports wb only, the
-    FullGaussian of `wb_full`. The powerset mixtures use `prior` for their
-    empty subset, N(0, I) by default. The kernels are called through this
+    FullGaussian of `wb_full`. The powerset mixtures use the N(0, I) prior
+    for their empty subset. The kernels are called through this
     module's globals, so a wrapper installed on the module sees every call.
     """
     if method not in METHODS:
@@ -290,7 +288,7 @@ def aggregate(family: WeightedFamily, method: str, prior: DiagGaussian = None):
         return moe(family)
     if method == "wb":
         return wb_diag(family)
-    return (mopoe if method == "mopoe" else mwb)(family, prior)
+    return (mopoe if method == "mopoe" else mwb)(family)
 
 
 DIVERGENCES = ("forward_kl", "reverse_kl", "w2sq")

@@ -204,7 +204,10 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path: str, obj, allow_nan: bool = True) -> None:

@@ -59,17 +59,13 @@ class LinearProbe:
         return np.argmax(self.logits(features), axis=1)
 
 
-def fit_linear_probe(
-    latents: np.ndarray,
-    labels: np.ndarray,
-    l2: float = PROBE_L2,
-    iters: int = PROBE_ITERS,
-) -> LinearProbe:
+def fit_linear_probe(latents: np.ndarray, labels: np.ndarray) -> LinearProbe:
     """Fit the probe by full-batch gradient descent with a fixed step.
 
     Features are standardized internally and the learned map is folded back
     into raw coordinates, so the returned probe applies directly to new data.
-    Deterministic: zero initialization, fixed step PROBE_LR, `iters` updates.
+    Deterministic: zero initialization, fixed step PROBE_LR, PROBE_ITERS
+    updates with L2 penalty PROBE_L2.
     """
     x = np.asarray(latents, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -87,13 +83,13 @@ def fit_linear_probe(
 
     w = np.zeros((classes, d))
     b = np.zeros(classes)
-    for _ in range(iters):
+    for _ in range(PROBE_ITERS):
         logits = xs @ w.T + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = (p - onehot) / n
-        w -= PROBE_LR * (g.T @ xs + l2 * w)
+        w -= PROBE_LR * (g.T @ xs + PROBE_L2 * w)
         b -= PROBE_LR * g.sum(axis=0)
 
     w_raw = w / scale[None, :]
@@ -121,32 +117,32 @@ def latent_means(vae, encoded, subset: SubsetIndex) -> np.ndarray:
 
 def coherence(
     vae,
-    dataset,
+    encoded,
+    labels: np.ndarray,
     reference_classifiers,
     source: SubsetIndex,
     target: int,
     num_samples: int,
     seed: int,
 ) -> float:
-    """Fraction of generated target samples classified as the source's label."""
+    """Fraction of generated target samples classified as the source's label.
+
+    `encoded` is the output of mmvae.encode_arrays for the examples that
+    `labels` labels; generation runs on a seeded draw of its rows.
+    """
     if source.is_empty:
         raise ValueError("source subset must be non-empty")
     if target not in reference_classifiers:
         raise ValueError(f"no reference classifier for modality {target}")
     rng = rng_stream(seed, _TAG_COHERENCE, source.mask, target)
-    n = min(num_samples, dataset.num_examples)
-    idx = rng.choice(dataset.num_examples, size=n, replace=False)
-    inputs = [
-        dataset.modalities[m][idx] if (source.mask >> m & 1) else None
-        for m in range(dataset.num_modalities)
-    ]
+    n = min(num_samples, len(labels))
+    idx = rng.choice(len(labels), size=n, replace=False)
+    rows = [(mu[idx], sigma[idx]) for mu, sigma in encoded]
     eps = rng.standard_normal((n, vae.config.latent_dim))
     comp_u = rng.random(n)
-    generated = mmvae.conditional_generate(
-        vae, inputs, source, target, eps, component_u=comp_u
-    )
+    generated = mmvae.conditional_generate(vae, rows, source, target, eps, component_u=comp_u)
     predictions = reference_classifiers[target].predict(generated)
-    return float(np.mean(predictions == dataset.labels[idx]))
+    return float(np.mean(predictions == labels[idx]))
 
 
 def test_log_likelihood(vae, batch, subset: SubsetIndex, num_samples: int, seed: int) -> float:
@@ -250,7 +246,8 @@ def evaluate_model(
             if subset.mask >> target & 1:
                 continue
             coh[(subset.mask, target)] = coherence(
-                vae, test_set, reference, subset, target, coherence_samples, seed
+                vae, test_encoded, test_set.labels, reference, subset, target,
+                coherence_samples, seed,
             )
     return EvalReport(
         latent_accuracy=accuracy,

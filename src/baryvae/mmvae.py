@@ -246,14 +246,10 @@ def elbo_builder(vae: MultimodalVae, batch, noise: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _encode_one(vae: MultimodalVae, m: int, x) -> tuple:
-    mu, sigma = _encode_graph(vae.store.params, vae.config, m, x)
-    return mu.data, sigma.data
-
-
 def encode_arrays(vae: MultimodalVae, batch):
     """Per-modality posterior parameter arrays [(mu B x d, sigma B x d)]."""
-    return [_encode_one(vae, m, x) for m, x in enumerate(batch)]
+    nodes = [_encode_graph(vae.store.params, vae.config, m, x) for m, x in enumerate(batch)]
+    return [(mu.data, sigma.data) for mu, sigma in nodes]
 
 
 def encode(vae: MultimodalVae, batch):
@@ -288,22 +284,20 @@ def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -
     return np.sum(const - sq, axis=1)
 
 
-def aggregate(posteriors, method: str, subset: bc.SubsetIndex, prior: DiagGaussian = None):
+def aggregate(posteriors, method: str, subset: bc.SubsetIndex):
     """Aggregate one example's unimodal posteriors over an available subset.
 
     Returns a DiagGaussian for poe/wb and a GaussianMixture for moe, mopoe and
     mwb. The powerset methods take the powerset within the available subset;
-    their empty subset contributes the prior, N(0, I) by default.
+    their empty subset contributes the N(0, I) prior.
     """
     idx = subset.members()
     if idx:
         family = bc.WeightedFamily.uniform([posteriors[i] for i in idx])
-        return bc.aggregate(family, method, prior)
+        return bc.aggregate(family, method)
     weights, _, _ = bc.mixing(method, _uniform(0))
-    if prior is None:
-        d = posteriors[0].dim
-        prior = DiagGaussian(np.zeros(d), np.ones(d))
-    return GaussianMixture((prior,), weights)
+    d = posteriors[0].dim
+    return GaussianMixture((DiagGaussian(np.zeros(d), np.ones(d)),), weights)
 
 
 def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
@@ -337,7 +331,7 @@ def pick_components(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def conditional_generate(
     vae: MultimodalVae,
-    inputs,
+    encoded,
     available: bc.SubsetIndex,
     target: int,
     noise: np.ndarray,
@@ -345,9 +339,11 @@ def conditional_generate(
 ) -> np.ndarray:
     """Generate the target modality from the available ones.
 
-    Aggregates the available posteriors, draws z = mu + sigma * noise (for
-    mixtures the component of each example is picked from `component_u` by
-    inverse transform on the mixture weights), and decodes the target. The
+    `encoded` is the output of encode_arrays; only the entries selected by
+    `available` are read, so absent slots may be None. Aggregates the
+    available posteriors, draws z = mu + sigma * noise (for mixtures the
+    component of each example is picked from `component_u` by inverse
+    transform on the mixture weights), and decodes the target. The
     powerset methods sample only their data-conditioned components: the prior
     component exists to make the mixture a complete posterior, but drawing
     unconditional z would decouple the generation from the given inputs.
@@ -357,7 +353,6 @@ def conditional_generate(
         raise ValueError("available subset must be non-empty")
     if not 0 <= target < vae.config.num_modalities:
         raise ValueError(f"target modality {target} not in model")
-    encoded = _encode_available(vae, inputs, available)
     weights, mus, sigmas = aggregate_arrays(vae, encoded, available)
     if vae.config.aggregation in ("mopoe", "mwb") and len(weights) > 1:
         weights, mus, sigmas = weights[1:], mus[1:], sigmas[1:]
@@ -378,14 +373,6 @@ def conditional_generate(
         rows = np.arange(b)
         z = mus[choice, rows] + sigmas[choice, rows] * noise
     return decode_mean(vae, target, z)
-
-
-def _encode_available(vae: MultimodalVae, inputs, available: bc.SubsetIndex):
-    """Encode only the available modalities; absent slots are never touched."""
-    encoded = [None] * vae.config.num_modalities
-    for i in available.members():
-        encoded[i] = _encode_one(vae, i, inputs[i])
-    return encoded
 
 
 def train(config: ModelConfig, dataset):

@@ -366,8 +366,12 @@ def test_criterion_10_coherence(shipped_runs):
     samples = run["config"].eval_spec["coherence_samples"]
 
     def cross_values(model):
+        encoded = mm.encode_arrays(model, test_set.modalities)
         return [
-            coherence(model, test_set, reference, SubsetIndex(1 << s, m_count), t, samples, 0)
+            coherence(
+                model, encoded, test_set.labels, reference, SubsetIndex(1 << s, m_count),
+                t, samples, 0,
+            )
             for s in range(m_count)
             for t in range(m_count)
             if s != t

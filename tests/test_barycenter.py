@@ -318,7 +318,7 @@ class TestPowersetMixtures:
     def test_mopoe_single_modality(self):
         prior = g1(0, 1)
         q = g1(2, 0.5)
-        mix = mopoe(WeightedFamily.uniform([q]), prior)
+        mix = mopoe(WeightedFamily.uniform([q]))
         assert np.allclose(mix.weights, [0.5, 0.5])
         assert np.allclose(mix.components[0].mean, prior.mean)
         assert np.allclose(mix.components[1].mean, q.mean)
@@ -326,7 +326,7 @@ class TestPowersetMixtures:
     def test_mopoe_identical_experts(self):
         prior = g1(0, 1)
         q = g1(1.0, 0.8)
-        mix = mopoe(WeightedFamily.uniform([q, q]), prior)
+        mix = mopoe(WeightedFamily.uniform([q, q]))
         assert np.allclose(mix.weights, 0.25)
         assert np.allclose(mix.components[0].sigma, prior.sigma)
         assert np.allclose(mix.components[1].mean, q.mean)
@@ -336,18 +336,16 @@ class TestPowersetMixtures:
         assert np.allclose(mix.components[3].sigma, q.sigma / math.sqrt(2.0))
 
     def test_component_count(self):
-        prior = DiagGaussian(np.zeros(2), np.ones(2))
         fam = WeightedFamily.uniform(
             [random_diag_gaussian(np.random.default_rng(38), 2) for _ in range(3)]
         )
-        assert len(mopoe(fam, prior).components) == 8
-        assert len(mwb(fam, prior).components) == 8
-        assert mopoe(fam, prior).weights.sum() == 1.0
-        assert mwb(fam, prior).weights.sum() == 1.0
+        assert len(mopoe(fam).components) == 8
+        assert len(mwb(fam).components) == 8
+        assert mopoe(fam).weights.sum() == 1.0
+        assert mwb(fam).weights.sum() == 1.0
 
     def test_mwb_two_experts(self):
-        prior = g1(0, 1)
-        mix = mwb(WeightedFamily.uniform([g1(0, 1), g1(2, 3)]), prior)
+        mix = mwb(WeightedFamily.uniform([g1(0, 1), g1(2, 3)]))
         assert np.allclose(mix.weights, 0.25)
         comps = mix.components
         assert comps[1].mean[0] == 0.0 and comps[1].sigma[0] == 1.0
@@ -356,7 +354,7 @@ class TestPowersetMixtures:
 
     def test_mwb_identical_experts(self):
         q = g1(0.7, 1.4)
-        mix = mwb(WeightedFamily.uniform([q, q]), g1(0, 1))
+        mix = mwb(WeightedFamily.uniform([q, q]))
         for comp in mix.components[1:]:
             assert np.allclose(comp.mean, q.mean) and np.allclose(comp.sigma, q.sigma)
 

@@ -511,3 +511,29 @@ class TestEvalCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("aggregate", 2), ("train", 2), ("eval-checkpoint", 4), ("eval-config", 2)],
+)
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys, command, code):
+    deep = str(tmp_path / "deep.json")
+    with open(deep, "w", encoding="utf-8") as f:
+        f.write("[" * 100_000 + "]" * 100_000)
+    out = str(tmp_path / "out")
+    checkpoint = str(tmp_path / "run" / "checkpoint.json")
+    if command == "eval-config":
+        cfg = tmp_path / "config.json"
+        write_json(cfg, TOY_CONFIG)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+    argv = {
+        "aggregate": ["aggregate", "--input", deep, "--output", out, "--method", "wb"],
+        "train": ["train", "--config", deep, "--out", out],
+        "eval-checkpoint": ["eval", "--checkpoint", deep, "--out", out],
+        "eval-config": ["eval", "--checkpoint", checkpoint, "--config", deep, "--out", out],
+    }[command]
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err

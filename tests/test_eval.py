@@ -124,7 +124,8 @@ class TestCoherence:
         only_class_3 = test_set.take(np.flatnonzero(test_set.labels == 3))
         value = coherence(
             vae,
-            only_class_3,
+            mm.encode_arrays(vae, only_class_3.modalities),
+            only_class_3.labels,
             {1: ConstantClassifier(3)},
             SubsetIndex(0b01, 2),
             target=1,
@@ -139,17 +140,26 @@ class TestCoherence:
             m: fit_linear_probe(train_set.modalities[m], train_set.labels)
             for m in range(2)
         }
+        encoded = mm.encode_arrays(vae, test_set.modalities)
         value = coherence(
-            vae, test_set, ref, SubsetIndex(0b01, 2), target=1, num_samples=60, seed=0
+            vae,
+            encoded,
+            test_set.labels,
+            ref,
+            SubsetIndex(0b01, 2),
+            target=1,
+            num_samples=60,
+            seed=0,
         )
         assert abs(value - 0.1) <= 0.07
 
     def test_range_and_missing_classifier(self):
         vae, _, test_set = tiny_vae_and_data()
+        encoded, labels = mm.encode_arrays(vae, test_set.modalities), test_set.labels
         with pytest.raises(ValueError):
-            coherence(vae, test_set, {}, SubsetIndex(0b01, 2), 1, 10, 0)
+            coherence(vae, encoded, labels, {}, SubsetIndex(0b01, 2), 1, 10, 0)
         value = coherence(
-            vae, test_set, {1: ConstantClassifier(0)}, SubsetIndex(0b01, 2), 1, 10, 0
+            vae, encoded, labels, {1: ConstantClassifier(0)}, SubsetIndex(0b01, 2), 1, 10, 0
         )
         assert 0.0 <= value <= 1.0
 
@@ -228,12 +238,18 @@ class TestEvalReport:
     def test_encodes_each_example_set_once(self, monkeypatch):
         vae, train_set, test_set = tiny_vae_and_data(method="mwb")
         original, rows = mm.encode_arrays, []
+        original_graph, graph_calls = mm._encode_graph, []
 
         def counting(vae, batch):
             rows.append(len(batch[0]))
             return original(vae, batch)
 
+        def counting_graph(values, config, m, x):
+            graph_calls.append(m)
+            return original_graph(values, config, m, x)
+
         monkeypatch.setattr(mm, "encode_arrays", counting)
+        monkeypatch.setattr(mm, "_encode_graph", counting_graph)
         evaluate_model(
             vae,
             train_set,
@@ -246,6 +262,9 @@ class TestEvalReport:
         )
         # the probe batch, the test set, then one log-likelihood batch per subset
         assert rows == [20, test_set.num_examples, 3, 3, 3]
+        # the encoder runs only through encode_arrays, once per modality per
+        # batch: coherence generates from the test set's encoding
+        assert len(graph_calls) == 2 * (2 + 2**2 - 1)
 
     def test_latent_means_weighted_over_components(self):
         vae, train_set, _ = tiny_vae_and_data(method="mwb")

@@ -105,6 +105,24 @@ class TestEncode:
         with pytest.raises(ValueError):
             mm.encode(vae, [np.zeros((3, 5)), np.zeros((3, 9))])
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 48, 150])
+    @pytest.mark.parametrize("pick", ["first", "random"])
+    def test_encoding_rows_equals_slicing_the_encoding(self, n, pick):
+        # Evaluation encodes each example set once and generates from rows
+        # sliced out of that encoding, so encoding the rows alone must give
+        # the same bits. One row is left out: numpy runs a one-row matmul
+        # through BLAS gemv instead of gemm, which may differ in the last bit.
+        config = small_config(input_dims=(64, 48), latent_dim=16, hidden=(128, 128))
+        vae = mm.MultimodalVae(config)
+        batch = random_batch(config, b=240, seed=5)
+        whole = mm.encode_arrays(vae, batch)
+        rng = np.random.default_rng(n)
+        idx = np.arange(n) if pick == "first" else rng.choice(240, size=n, replace=False)
+        rows = mm.encode_arrays(vae, [x[idx] for x in batch])
+        for (mu, sigma), (mu_rows, sigma_rows) in zip(whole, rows):
+            assert np.array_equal(mu[idx], mu_rows)
+            assert np.array_equal(sigma[idx], sigma_rows)
+
 
 class TestArrayForward:
     """The evaluation-side forward against a plain numpy restatement."""
@@ -343,7 +361,7 @@ class TestConditionalGenerate:
         _, mus, _ = mm.aggregate_arrays(vae, encoded, full)
         expected = mm.decode_mean(vae, 1, mus[0])
         out = mm.conditional_generate(
-            vae, batch, full, 1, np.zeros((3, config.latent_dim))
+            vae, encoded, full, 1, np.zeros((3, config.latent_dim))
         )
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -352,7 +370,11 @@ class TestConditionalGenerate:
         vae = mm.MultimodalVae(config)
         x = np.random.default_rng(0).random((2, 5))
         out = mm.conditional_generate(
-            vae, [x], SubsetIndex(0b1, 1), 0, np.zeros((2, config.latent_dim))
+            vae,
+            mm.encode_arrays(vae, [x]),
+            SubsetIndex(0b1, 1),
+            0,
+            np.zeros((2, config.latent_dim)),
         )
         assert out.shape == (2, 5)
         assert np.all((out >= 0.0) & (out <= 1.0))
@@ -360,10 +382,10 @@ class TestConditionalGenerate:
     def test_mixture_requires_component_noise(self):
         config = small_config("mwb")
         vae = mm.MultimodalVae(config)
-        batch = random_batch(config, b=2)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=2))
         with pytest.raises(ValueError):
             mm.conditional_generate(
-                vae, batch, SubsetIndex(0b11, 2), 0, np.zeros((2, config.latent_dim))
+                vae, encoded, SubsetIndex(0b11, 2), 0, np.zeros((2, config.latent_dim))
             )
 
     def test_mixture_generation_skips_prior_component(self):
@@ -371,43 +393,40 @@ class TestConditionalGenerate:
         vae = mm.MultimodalVae(config)
         batch = random_batch(config, b=2)
         subset = SubsetIndex(0b01, 2)
+        encoded = [mm.encode_arrays(vae, batch)[0], None]
         # u = 0 selects the first sampled component; with the prior excluded
         # that is the single-modality posterior itself
         out = mm.conditional_generate(
             vae,
-            [batch[0], None],
+            encoded,
             subset,
             1,
             np.zeros((2, config.latent_dim)),
             component_u=np.zeros(2),
         )
-        encoded = mm._encode_available(vae, [batch[0], None], subset)
         mu = encoded[0][0]
         assert np.allclose(out, mm.decode_mean(vae, 1, mu), atol=1e-12)
 
     def test_bad_target_rejected(self):
         config = small_config("wb")
         vae = mm.MultimodalVae(config)
-        batch = random_batch(config, b=2)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=2))
         with pytest.raises(ValueError):
             mm.conditional_generate(
-                vae, batch, SubsetIndex(0b11, 2), 5, np.zeros((2, config.latent_dim))
+                vae, encoded, SubsetIndex(0b11, 2), 5, np.zeros((2, config.latent_dim))
             )
 
     def test_missing_modalities_never_touched(self):
         config = small_config("mwb", m=3)
         vae = mm.MultimodalVae(config)
-        rng = np.random.default_rng(1)
+        full = mm.encode_arrays(vae, random_batch(config, b=2, seed=1))
         for subset in subsets(3):
             if subset.is_empty:
                 continue
-            inputs = [
-                rng.random((2, config.input_dims[i])) if (subset.mask >> i & 1) else None
-                for i in range(3)
-            ]
+            encoded = [e if (subset.mask >> i & 1) else None for i, e in enumerate(full)]
             out = mm.conditional_generate(
                 vae,
-                inputs,
+                encoded,
                 subset,
                 0,
                 np.zeros((2, config.latent_dim)),
