@@ -53,10 +53,8 @@ from .linalg import SymMatrix, sqrtm_psd, sym_eig
 from .mmvae import (
     ModelConfig,
     MultimodalVae,
-    aggregate,
     conditional_generate,
     elbo,
-    encode,
     train,
 )
 
@@ -84,12 +82,10 @@ __all__ = [
     "Value",
     "WeightedFamily",
     "adam_step",
-    "aggregate",
     "barycenter_objective",
     "coherence",
     "conditional_generate",
     "elbo",
-    "encode",
     "entropy_diag",
     "evaluate_model",
     "fit_linear_probe",

@@ -446,6 +446,12 @@ def cmd_eval(args) -> int:
         )
     else:
         dataset = build_dataset(run_config.data_spec)
+    dims = [desc.dim for desc in dataset.descriptors]
+    if dims != list(vae.config.input_dims):
+        raise ConfigError(
+            f"dataset input dims {dims} do not match the checkpoint's model "
+            f"{list(vae.config.input_dims)}"
+        )
     train_set, test_set = datamod.split(
         dataset, run_config.split_spec["train_fraction"], run_config.split_spec["seed"]
     )

@@ -2,9 +2,9 @@
 
 One Gaussian encoder and one decoder per modality. The joint posterior is
 formed from the unimodal posteriors by the configured aggregation (poe, moe,
-wb, mopoe, mwb), always through `barycenter.mixing` and `barycenter.combine`:
-the training graph, the batched arrays of `aggregate_arrays` and the
-per-example `aggregate` apply the same table. Training maximizes a
+wb, mopoe, mwb) in one place, `_joint_graph`, which applies the table of
+`barycenter.mixing` through `barycenter.combine` to tape nodes in the
+training graph and to arrays in `aggregate_arrays`. Training maximizes a
 reconstruction term plus a beta-weighted KL term: single-Gaussian
 aggregations use the closed-form KL to the standard-normal prior, mixture
 aggregations use the convex upper bound (weighted component-wise KL) so the
@@ -27,7 +27,7 @@ import numpy as np
 from . import barycenter as bc
 from . import diffgraph as dg
 from .errors import NumericError
-from .gaussian import SIGMA_FLOOR, DiagGaussian, GaussianMixture
+from .gaussian import SIGMA_FLOOR
 
 LIKELIHOODS = ("bernoulli", "gaussian")
 
@@ -61,6 +61,8 @@ class ModelConfig:
             raise ValueError("input_dims length must equal num_modalities")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError("hidden sizes must be >= 1")
         if self.beta < 0.0:
             raise ValueError("beta must be >= 0")
         if self.batch_size < 1:
@@ -154,6 +156,26 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
     return dg.dense(h, values[f"dec{m}.out_w"], values[f"dec{m}.out_b"])
 
 
+def _joint_graph(config: ModelConfig, encoded, idx, b: int):
+    """The joint posterior of the modalities in idx: (weights K, mean, sigma).
+
+    `encoded` holds one (mu, sigma) pair per modality, tape nodes when
+    training and arrays otherwise; only the entries idx selects are read.
+    The N(0, I) prior fills the table's last column as constant arrays.
+    mean and sigma are (K b) x d nodes, the components stacked
+    component-major.
+    """
+    weights, rows, natural = bc.mixing(config.aggregation, _uniform(len(idx)))
+    shape = (b, config.latent_dim)
+    mean, sigma = bc.combine(
+        rows,
+        natural,
+        [encoded[i][0] for i in idx] + [np.zeros(shape)],
+        [encoded[i][1] for i in idx] + [np.ones(shape)],
+    )
+    return weights, mean, sigma
+
+
 def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     """Scalar training loss (negative bound) plus reported term values."""
     batch = [np.asarray(x, dtype=np.float64) for x in batch]
@@ -162,21 +184,13 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
     b = batch[0].shape[0]
     d = config.latent_dim
-    weights, rows, natural = bc.mixing(config.aggregation, _uniform(config.num_modalities))
+    weights, mu, sigma = _joint_graph(config, encoded, range(config.num_modalities), b)
     k = len(weights)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape == (b, d) and k == 1:
         noise = noise[None]
     if noise.shape != (k, b, d):
         raise ValueError(f"noise shape {noise.shape} != {(k, b, d)}")
-
-    # the raw prior arrays fill the table's last column as constants
-    mu, sigma = bc.combine(
-        rows,
-        natural,
-        [mu for mu, _ in encoded] + [np.zeros((b, d))],
-        [sigma for _, sigma in encoded] + [np.ones((b, d))],
-    )
     comp_w = np.repeat(weights, b)[:, None]
 
     # KL term: weighted closed-form KL of each component to the N(0, I) prior,
@@ -252,15 +266,6 @@ def encode_arrays(vae: MultimodalVae, batch):
     return [(mu.data, sigma.data) for mu, sigma in nodes]
 
 
-def encode(vae: MultimodalVae, batch):
-    """Unimodal posteriors, one DiagGaussian per modality per example."""
-    arrays = encode_arrays(vae, batch)
-    return [
-        [DiagGaussian(mu[i], sigma[i]) for i in range(mu.shape[0])]
-        for mu, sigma in arrays
-    ]
-
-
 def decode_array(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
     """Raw decoder output (logits for bernoulli, means for gaussian)."""
     return _decode_graph(vae.store.params, vae.config, m, z).data
@@ -284,40 +289,17 @@ def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -
     return np.sum(const - sq, axis=1)
 
 
-def aggregate(posteriors, method: str, subset: bc.SubsetIndex):
-    """Aggregate one example's unimodal posteriors over an available subset.
-
-    Returns a DiagGaussian for poe/wb and a GaussianMixture for moe, mopoe and
-    mwb. The powerset methods take the powerset within the available subset;
-    their empty subset contributes the N(0, I) prior.
-    """
-    idx = subset.members()
-    if idx:
-        family = bc.WeightedFamily.uniform([posteriors[i] for i in idx])
-        return bc.aggregate(family, method)
-    weights, _, _ = bc.mixing(method, _uniform(0))
-    d = posteriors[0].dim
-    return GaussianMixture((DiagGaussian(np.zeros(d), np.ones(d)),), weights)
-
-
 def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     """Batched aggregation: (weights K, mu K x B x d, sigma K x B x d).
 
-    Mirrors `aggregate` over whole batches; encoded is the output of
-    encode_arrays (only the entries selected by `subset` are read).
+    encoded is the output of encode_arrays; only the entries selected by
+    `subset` are read.
     """
     idx = subset.members()
-    weights, rows, natural = bc.mixing(vae.config.aggregation, _uniform(len(idx)))
     b = encoded[idx[0] if idx else 0][0].shape[0]
-    shape = (b, vae.config.latent_dim)
-    mu, sigma = bc.combine(
-        rows,
-        natural,
-        [encoded[i][0] for i in idx] + [np.zeros(shape)],
-        [encoded[i][1] for i in idx] + [np.ones(shape)],
-    )
-    k = len(weights)
-    return weights, mu.data.reshape(k, *shape), sigma.data.reshape(k, *shape)
+    weights, mu, sigma = _joint_graph(vae.config, encoded, idx, b)
+    shape = (len(weights), b, vae.config.latent_dim)
+    return weights, mu.data.reshape(shape), sigma.data.reshape(shape)
 
 
 def pick_components(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -354,7 +336,7 @@ def conditional_generate(
     if not 0 <= target < vae.config.num_modalities:
         raise ValueError(f"target modality {target} not in model")
     weights, mus, sigmas = aggregate_arrays(vae, encoded, available)
-    if vae.config.aggregation in ("mopoe", "mwb") and len(weights) > 1:
+    if vae.config.aggregation in ("mopoe", "mwb"):
         weights, mus, sigmas = weights[1:], mus[1:], sigmas[1:]
         weights = weights / weights.sum()
     b = mus.shape[1]

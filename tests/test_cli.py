@@ -305,9 +305,17 @@ class TestTrainCommand:
                 lambda doc: doc["eval"].update(importance_samples=0),
                 "field 'importance_samples' in eval section must be >= 1, got 0",
             ),
+            (
+                lambda doc: doc["model"].update(hidden=[0]),
+                "invalid model section: hidden sizes must be >= 1",
+            ),
+            (
+                lambda doc: doc["model"].update(hidden=[16, -1]),
+                "invalid model section: hidden sizes must be >= 1",
+            ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
-             "eval_zero_samples"],
+             "eval_zero_samples", "hidden_zero", "hidden_negative"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -416,6 +424,27 @@ class TestEvalCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "toy",
+        [{"num_modalities": 1}, {"num_modalities": 3}, {"resolution": 6}],
+        ids=["fewer_modalities", "more_modalities", "other_resolution"],
+    )
+    def test_data_not_fitting_the_model_exits_2(self, trained, tmp_path, capsys, toy):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["data"]["toy"].update(toy)
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        out = tmp_path / "eval"
+        code = run(
+            "eval", "--checkpoint", str(trained / "checkpoint.json"),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "[64, 64]" in err and "do not match" in err
+        assert not out.exists()
+
     def test_tampered_version_exits_4(self, trained, tmp_path, capsys):
         doc = json.loads((trained / "checkpoint.json").read_text())
         doc["format_version"] = 99
@@ -433,6 +462,7 @@ class TestEvalCommand:
             (("config", "split", "train_fraction"), "x"),
             (("config", "eval", "importance_samples"), "x"),
             (("config", "model", "epochs"), 1.5),
+            (("config", "model", "hidden"), [0]),
             (("rng_state", "adam_step"), 1.7),
         ],
         ids=[
@@ -442,6 +472,7 @@ class TestEvalCommand:
             "train_fraction_text",
             "importance_samples_text",
             "epochs_fraction",
+            "hidden_zero",
             "adam_step_fraction",
         ],
     )

@@ -6,7 +6,7 @@ import pytest
 
 import baryvae.diffgraph as dg
 import baryvae.mmvae as mm
-from baryvae.barycenter import SubsetIndex, subsets
+from baryvae.barycenter import SubsetIndex, WeightedFamily, aggregate, subsets
 from baryvae.data import ToyConfig, gen_toy
 from baryvae.errors import NumericError
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
@@ -64,6 +64,10 @@ class TestConfig:
             small_config(aggregation="gan")
         with pytest.raises(ValueError):
             small_config(likelihood="poisson")
+        with pytest.raises(ValueError, match="hidden"):
+            small_config(hidden=(0,))
+        with pytest.raises(ValueError, match="hidden"):
+            small_config(hidden=(6, -1))
 
     def test_component_counts(self):
         assert mm.num_mixture_components(small_config("wb")) == 1
@@ -77,11 +81,10 @@ class TestEncode:
     def test_zero_input_finite_with_floored_sigma(self):
         config = small_config()
         vae = mm.MultimodalVae(config)
-        posts = mm.encode(vae, [np.zeros((3, 5)), np.zeros((3, 4))])
-        for modality in posts:
-            for g in modality:
-                assert np.all(np.isfinite(g.mean))
-                assert np.all(g.sigma >= 1e-6)
+        encoded = mm.encode_arrays(vae, [np.zeros((3, 5)), np.zeros((3, 4))])
+        for mu, sigma in encoded:
+            assert np.all(np.isfinite(mu))
+            assert np.all(sigma >= 1e-6)
 
     def test_deterministic(self):
         config = small_config()
@@ -95,15 +98,16 @@ class TestEncode:
     def test_batch_shape_contract(self):
         config = small_config()
         vae = mm.MultimodalVae(config)
-        posts = mm.encode(vae, random_batch(config, b=7))
-        assert len(posts) == config.num_modalities
-        assert all(len(p) == 7 for p in posts)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=7))
+        assert len(encoded) == config.num_modalities
+        shape = (7, config.latent_dim)
+        assert all(mu.shape == shape and sigma.shape == shape for mu, sigma in encoded)
 
     def test_dim_mismatch(self):
         config = small_config()
         vae = mm.MultimodalVae(config)
         with pytest.raises(ValueError):
-            mm.encode(vae, [np.zeros((3, 5)), np.zeros((3, 9))])
+            mm.encode_arrays(vae, [np.zeros((3, 5)), np.zeros((3, 9))])
 
     @pytest.mark.parametrize("n", [2, 3, 17, 48, 150])
     @pytest.mark.parametrize("pick", ["first", "random"])
@@ -163,36 +167,41 @@ class TestArrayForward:
 
 
 class TestAggregate:
-    def posteriors(self):
-        return [
-            DiagGaussian([0.0], [1.0]),
-            DiagGaussian([2.0], [1.0]),
-        ]
+    def family(self, count=2):
+        posteriors = [DiagGaussian([0.0], [1.0]), DiagGaussian([2.0], [1.0])]
+        return WeightedFamily.uniform(posteriors[:count])
 
     def test_wb_single_modality_identity(self):
-        out = mm.aggregate(self.posteriors(), "wb", SubsetIndex(0b01, 2))
+        out = aggregate(self.family(1), "wb")
         assert out.mean[0] == 0.0 and out.sigma[0] == 1.0
 
     def test_poe_product(self):
-        out = mm.aggregate(self.posteriors(), "poe", SubsetIndex(0b11, 2))
+        out = aggregate(self.family(), "poe")
         assert out.mean[0] == pytest.approx(1.0)
         assert out.sigma[0] == pytest.approx(math.sqrt(0.5))
 
     def test_mwb_component_count(self):
-        out = mm.aggregate(self.posteriors(), "mwb", SubsetIndex(0b11, 2))
+        out = aggregate(self.family(), "mwb")
         assert isinstance(out, GaussianMixture)
         assert len(out.components) == 4
+
+    def empty_subset(self, method):
+        config = small_config(method)
+        vae = mm.MultimodalVae(config)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=3))
+        return mm.aggregate_arrays(vae, encoded, SubsetIndex(0, 2))
 
     def test_empty_subset_rejected_for_single_methods(self):
         for method in ("poe", "wb", "moe"):
             with pytest.raises(ValueError):
-                mm.aggregate(self.posteriors(), method, SubsetIndex(0, 2))
+                self.empty_subset(method)
 
     def test_empty_subset_powerset_returns_prior(self):
-        out = mm.aggregate(self.posteriors(), "mwb", SubsetIndex(0, 2))
-        assert len(out.components) == 1
-        assert np.allclose(out.components[0].mean, 0.0)
-        assert np.allclose(out.components[0].sigma, 1.0)
+        weights, mus, sigmas = self.empty_subset("mwb")
+        assert np.array_equal(weights, [1.0])
+        assert mus.shape == (1, 3, 3)
+        assert np.allclose(mus, 0.0)
+        assert np.allclose(sigmas, 1.0)
 
     @pytest.mark.parametrize("method", ["poe", "moe", "wb", "mopoe", "mwb"])
     def test_array_path_matches_per_example_path(self, method):
@@ -200,13 +209,15 @@ class TestAggregate:
         vae = mm.MultimodalVae(config)
         batch = random_batch(config, b=5)
         encoded = mm.encode_arrays(vae, batch)
-        posts = mm.encode(vae, batch)
         for subset in subsets(3):
             if subset.is_empty:
                 continue
             weights, mus, sigmas = mm.aggregate_arrays(vae, encoded, subset)
             for i in (0, 3):
-                expected = mm.aggregate([p[i] for p in posts], method, subset)
+                family = WeightedFamily.uniform(
+                    [DiagGaussian(encoded[m][0][i], encoded[m][1][i]) for m in subset.members()]
+                )
+                expected = aggregate(family, method)
                 comps = (
                     expected.components
                     if isinstance(expected, GaussianMixture)
