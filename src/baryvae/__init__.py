@@ -8,7 +8,6 @@ standard evaluation protocols (latent probe, coherence, log-likelihood).
 
 from .barycenter import (
     SubsetIndex,
-    WeightedFamily,
     barycenter_objective,
     moe,
     mopoe,
@@ -40,7 +39,7 @@ from .evaluation import (
 from .gaussian import (
     DiagGaussian,
     FullGaussian,
-    GaussianMixture,
+    WeightedFamily,
     entropy_diag,
     kl_diag,
     log_density,
@@ -66,7 +65,6 @@ __all__ = [
     "DiagGaussian",
     "EvalReport",
     "FullGaussian",
-    "GaussianMixture",
     "IdxFormatError",
     "LinearProbe",
     "ModelConfig",

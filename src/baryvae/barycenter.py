@@ -1,12 +1,13 @@
 """Aggregation of Gaussian families into joint posteriors.
 
-Every aggregator here solves a weighted barycenter problem over the family:
-PoE minimizes reverse KL (precision-weighted product), MoE minimizes forward
-KL (the mixture itself), the Bures-Wasserstein barycenter minimizes squared
-2-Wasserstein distance (analytic per coordinate for diagonal members, a
-fixed-point iteration for full covariances), and MoPoE / MWB take equal-weight
-mixtures of the per-subset PoE / Wasserstein barycenters over the modality
-powerset.
+Every aggregator here solves a weighted barycenter problem over a
+`gaussian.WeightedFamily`: PoE minimizes reverse KL (precision-weighted
+product), MoE minimizes forward KL (the family itself), the Bures-Wasserstein
+barycenter minimizes squared 2-Wasserstein distance (analytic per coordinate
+for diagonal members, a fixed-point iteration for full covariances), and
+MoPoE / MWB take equal-weight mixtures of the per-subset PoE / Wasserstein
+barycenters over the modality powerset. A mixture result is a WeightedFamily
+too, read as the mixture of its members.
 
 For diagonal members the five differ only in a table, `mixing`: which experts
 make each component, with which coefficients, and whether the coefficients
@@ -20,55 +21,17 @@ can be tested directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffgraph as dg
 from .errors import NumericError
-from .gaussian import DiagGaussian, FullGaussian, GaussianMixture, kl_diag, w2sq_diag
+from .gaussian import DiagGaussian, FullGaussian, WeightedFamily, kl_diag, w2sq_diag
 from .linalg import SymMatrix, sqrtm_psd
 
 WB_FULL_TOL = 1e-9
 WB_FULL_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class WeightedFamily:
-    """A nonempty family of equal-dimension Gaussians with simplex weights."""
-
-    members: tuple = field()
-    weights: np.ndarray = field()
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("family must be nonempty")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise ValueError(f"member dims differ: {sorted(dims)}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(members),):
-            raise ValueError("weights length must match member count")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "weights", w)
-
-    @staticmethod
-    def uniform(members) -> "WeightedFamily":
-        members = tuple(members)
-        return WeightedFamily(members, np.full(len(members), 1.0 / len(members)))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
 
 
 @dataclass(frozen=True)
@@ -183,9 +146,9 @@ def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
     return _components(rows, natural, family)[0]
 
 
-def moe(family: WeightedFamily) -> GaussianMixture:
-    """Mixture of experts: the family itself as a mixture with its weights."""
-    return GaussianMixture(family.members, family.weights)
+def moe(family: WeightedFamily) -> WeightedFamily:
+    """Mixture of experts: the forward-KL barycenter is the family itself."""
+    return family
 
 
 def wb_diag(family: WeightedFamily) -> DiagGaussian:
@@ -249,17 +212,17 @@ def wb_full(
     )
 
 
-def _powerset(method: str, family: WeightedFamily) -> GaussianMixture:
+def _powerset(method: str, family: WeightedFamily) -> WeightedFamily:
     weights, rows, natural = mixing(method, family.weights)
-    return GaussianMixture(_components(rows, natural, family), weights)
+    return WeightedFamily(_components(rows, natural, family), weights)
 
 
-def mopoe(family: WeightedFamily) -> GaussianMixture:
+def mopoe(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of unit-exponent subset products."""
     return _powerset("mopoe", family)
 
 
-def mwb(family: WeightedFamily) -> GaussianMixture:
+def mwb(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of subset Wasserstein barycenters."""
     return _powerset("mwb", family)
 
@@ -267,7 +230,7 @@ def mwb(family: WeightedFamily) -> GaussianMixture:
 def aggregate(family: WeightedFamily, method: str):
     """The joint posterior of `family` under `method`, one of METHODS.
 
-    A DiagGaussian for poe and wb, a GaussianMixture for moe, mopoe and mwb,
+    A DiagGaussian for poe and wb, a WeightedFamily for moe, mopoe and mwb,
     and for a full-covariance family, which supports wb only, the
     FullGaussian of `wb_full`. The powerset mixtures use the N(0, I) prior
     for their empty subset. The kernels are called through this

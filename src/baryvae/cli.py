@@ -25,7 +25,7 @@ from . import barycenter as bc
 from . import data as datamod
 from . import evaluation, mmvae
 from .errors import CheckpointFormatError, ConfigError, IdxFormatError, NumericError
-from .gaussian import DiagGaussian, FullGaussian, GaussianMixture
+from .gaussian import DiagGaussian, FullGaussian, WeightedFamily
 from .linalg import SymMatrix
 
 CHECKPOINT_VERSION = 1
@@ -179,8 +179,7 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
     data_spec = doc["data"]
     dataset = build_dataset(data_spec)
 
-    derived_m = dataset.num_modalities
-    derived_dims = [desc.dim for desc in dataset.descriptors]
+    derived_m, derived_dims = dataset.num_modalities, dataset.dims
     if model.get("num_modalities", derived_m) != derived_m:
         raise ConfigError(
             f"model.num_modalities {model['num_modalities']} does not match dataset ({derived_m})"
@@ -364,13 +363,13 @@ def _posterior_to_doc(result, method: str) -> dict:
             "mean": result.mean.tolist(),
             "cov": result.cov.array.tolist(),
         }
-    if isinstance(result, GaussianMixture):
+    if isinstance(result, WeightedFamily):
         return {
             "method": method,
             "weights": result.weights.tolist(),
             "components": [
                 {"mean": c.mean.tolist(), "sigma": c.sigma.tolist()}
-                for c in result.components
+                for c in result.members
             ],
         }
     raise TypeError(f"unexpected aggregation result {type(result).__name__}")
@@ -441,15 +440,22 @@ def cmd_eval(args) -> int:
     if args.config is not None:
         doc = _load_json(args.config)
         override, dataset = parse_run_config(doc)
+        # The model is the checkpoint's: an override may restate its fields, not change them.
+        for key in doc.get("model", {}):
+            given, saved = getattr(override.model, key), getattr(run_config.model, key)
+            if given != saved:
+                raise ConfigError(
+                    f"field '{key}' in model section is {json.dumps(given)}, "
+                    f"but the checkpoint's model has {json.dumps(saved)}"
+                )
         run_config = RunConfig(
             run_config.model, override.data_spec, override.split_spec, override.eval_spec
         )
     else:
         dataset = build_dataset(run_config.data_spec)
-    dims = [desc.dim for desc in dataset.descriptors]
-    if dims != list(vae.config.input_dims):
+    if dataset.dims != list(vae.config.input_dims):
         raise ConfigError(
-            f"dataset input dims {dims} do not match the checkpoint's model "
+            f"dataset input dims {dataset.dims} do not match the checkpoint's model "
             f"{list(vae.config.input_dims)}"
         )
     train_set, test_set = datamod.split(

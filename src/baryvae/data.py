@@ -130,30 +130,24 @@ _GLYPHS = [
 ]
 
 
-@dataclass(frozen=True)
-class ModalityDescriptor:
-    name: str
-    dim: int
-
-
 @dataclass
 class MultimodalDataset:
-    """Aligned per-modality data arrays with one shared class label per example."""
+    """Aligned per-modality 2-D arrays (examples x width) with one shared label per example."""
 
     modalities: list = field()
     labels: np.ndarray = field()
-    descriptors: list = field()
 
     def __post_init__(self):
         self.modalities = [np.asarray(m, dtype=np.float64) for m in self.modalities]
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if any(m.ndim != 2 for m in self.modalities):
+            shapes = [m.shape for m in self.modalities]
+            raise ValueError(f"every modality must be a 2-D array, got shapes {shapes}")
         counts = {m.shape[0] for m in self.modalities}
         if len(counts) != 1:
             raise ValueError(f"modalities have differing example counts: {sorted(counts)}")
         if self.labels.shape != (self.modalities[0].shape[0],):
             raise ValueError("labels length must match example count")
-        if len(self.descriptors) != len(self.modalities):
-            raise ValueError("one descriptor per modality required")
 
     @property
     def num_examples(self) -> int:
@@ -163,13 +157,13 @@ class MultimodalDataset:
     def num_modalities(self) -> int:
         return len(self.modalities)
 
+    @property
+    def dims(self) -> list:
+        return [m.shape[1] for m in self.modalities]
+
     def take(self, indices) -> "MultimodalDataset":
         indices = np.asarray(indices)
-        return MultimodalDataset(
-            [m[indices] for m in self.modalities],
-            self.labels[indices],
-            list(self.descriptors),
-        )
+        return MultimodalDataset([m[indices] for m in self.modalities], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -258,10 +252,7 @@ def gen_toy(config: ToyConfig) -> MultimodalDataset:
             rows = slice(cls * config.examples_per_class, (cls + 1) * config.examples_per_class)
             data[rows] = np.clip(base[None, :] + noise, 0.0, 1.0)
         modalities.append(data)
-    descriptors = [
-        ModalityDescriptor(f"mod{m}", dim) for m in range(config.num_modalities)
-    ]
-    return MultimodalDataset(modalities, labels, descriptors)
+    return MultimodalDataset(modalities, labels)
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -314,9 +305,7 @@ def load_idx(images_path: str, labels_path: str) -> MultimodalDataset:
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, count=n_labels, offset=8)
 
     data = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
-    return MultimodalDataset(
-        [data], labels.astype(np.int64), [ModalityDescriptor("idx", rows * cols)]
-    )
+    return MultimodalDataset([data], labels.astype(np.int64))
 
 
 def split(dataset: MultimodalDataset, train_fraction: float, seed: int):

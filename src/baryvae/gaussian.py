@@ -2,9 +2,11 @@
 
 Diagonal Gaussians are the workhorse (mean + per-coordinate standard
 deviation); full-covariance Gaussians exist for the fixed-point barycenter
-path, and mixtures for mixture-style aggregation. Divergences: closed-form
-KL (both argument orders), closed-form squared 2-Wasserstein, and a
-brute-force 1-D quantile oracle for distributions that only expose a density.
+path. A `WeightedFamily` is the one type for a weighted set of Gaussians:
+the input of every aggregator and, read as a density, the mixture that
+moe, mopoe and mwb return. Divergences: closed-form KL (both argument
+orders), closed-form squared 2-Wasserstein, and a brute-force 1-D quantile
+oracle for distributions that only expose a density.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ QUANTILE_BISECT_TOL = 1e-10
 class DiagGaussian:
     """Gaussian with diagonal covariance, stored as (mean, sigma).
 
-    `sigma` holds standard deviations and is floored at SIGMA_FLOOR on
-    construction to keep precisions finite.
+    `sigma` holds standard deviations, which must be nonnegative, and is
+    floored at SIGMA_FLOOR on construction to keep precisions finite.
     """
 
     mean: np.ndarray = field()
@@ -50,6 +52,10 @@ class DiagGaussian:
             raise ValueError(
                 f"mean/sigma must be equal-length vectors, got {mean.shape} vs {sigma.shape}"
             )
+        if mean.shape[0] == 0:
+            raise ValueError("mean/sigma must have dimension >= 1")
+        if np.any(sigma < 0.0):
+            raise ValueError(f"sigma must be nonnegative, got {float(sigma.min())!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", np.maximum(sigma, SIGMA_FLOOR))
 
@@ -82,32 +88,46 @@ class FullGaussian:
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
-    """Weighted mixture of equal-dimension diagonal Gaussians."""
+class WeightedFamily:
+    """A nonempty family of equal-dimension Gaussians with simplex weights.
 
-    components: tuple = field()
+    It is every aggregator's input and, read as a density, the mixture of
+    its members: the result of moe, mopoe and mwb.
+    """
+
+    members: tuple = field()
     weights: np.ndarray = field()
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        dims = {c.dim for c in comps}
+        members = tuple(self.members)
+        if not members:
+            raise ValueError("family must be nonempty")
+        dims = {m.dim for m in members}
         if len(dims) != 1:
-            raise ValueError(f"component dims differ: {sorted(dims)}")
+            raise ValueError(f"member dims differ: {sorted(dims)}")
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(comps),):
-            raise ValueError("weights length must match component count")
+        if w.shape != (len(members),):
+            raise ValueError("weights length must match member count")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        # written so that a NaN sum fails too
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", w)
+
+    @staticmethod
+    def uniform(members) -> "WeightedFamily":
+        members = tuple(members)
+        return WeightedFamily(members, np.full(len(members), 1.0 / len(members)))
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.members[0].dim
 
 
 def _check_dims(p, q):
@@ -180,17 +200,17 @@ def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:
 
 
 def _stacked(g):
-    """(weights K, means K x d, sigmas K x d) of a DiagGaussian or mixture."""
+    """(weights K, means K x d, sigmas K x d) of a DiagGaussian or WeightedFamily."""
     if isinstance(g, DiagGaussian):
         return np.ones(1), g.mean[None, :], g.sigma[None, :]
-    if isinstance(g, GaussianMixture):
-        comps = g.components
+    if isinstance(g, WeightedFamily):
+        comps = g.members
         return g.weights, np.stack([c.mean for c in comps]), np.stack([c.sigma for c in comps])
     raise TypeError(f"unsupported distribution type {type(g).__name__}")
 
 
 def log_density_many(g, xs: np.ndarray) -> np.ndarray:
-    """Log density of `g` (DiagGaussian or GaussianMixture) at rows of xs."""
+    """Log density of `g` (DiagGaussian or WeightedFamily) at rows of xs."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     weights, means, sigmas = _stacked(g)
     if xs.shape[1] != means.shape[1]:

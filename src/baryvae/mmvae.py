@@ -61,6 +61,8 @@ class ModelConfig:
             raise ValueError("input_dims length must equal num_modalities")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if any(d < 1 for d in self.input_dims):
+            raise ValueError("input_dims must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must be >= 1")
         if self.beta < 0.0:
@@ -363,13 +365,8 @@ def train(config: ModelConfig, dataset):
     Deterministic for a fixed seed: shuffling and reparameterization noise are
     drawn from counter-based streams keyed by (seed, epoch, step).
     """
-    if dataset.num_modalities != config.num_modalities:
-        raise ValueError("dataset modality count does not match config")
-    for m, desc in enumerate(dataset.descriptors):
-        if desc.dim != config.input_dims[m]:
-            raise ValueError(
-                f"modality {m} dim {desc.dim} does not match config {config.input_dims[m]}"
-            )
+    if dataset.dims != list(config.input_dims):
+        raise ValueError(f"dataset dims {dataset.dims} do not match {list(config.input_dims)}")
     vae = MultimodalVae(config)
     n = dataset.num_examples
     k = num_mixture_components(config)

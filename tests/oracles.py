@@ -21,7 +21,7 @@ def quad_grid(dists, pad_sigmas=12.0, step=1e-3):
     """A 1-D quadrature grid covering every distribution's effective support."""
     los, his, scales = [], [], []
     for g in dists:
-        comps = g.components if hasattr(g, "components") else (g,)
+        comps = g.members if hasattr(g, "members") else (g,)
         for c in comps:
             los.append(float(c.mean[0] - pad_sigmas * c.sigma[0]))
             his.append(float(c.mean[0] + pad_sigmas * c.sigma[0]))

@@ -21,7 +21,6 @@ from baryvae.errors import NumericError
 from baryvae.gaussian import (
     DiagGaussian,
     FullGaussian,
-    GaussianMixture,
     kl_diag,
     log_density,
     w2sq_1d_quantile,
@@ -138,11 +137,15 @@ class TestPoe:
 
 
 class TestMoe:
+    def test_returns_the_family_itself(self):
+        fam = WeightedFamily((g1(0.0, 1.0), g1(2.0, 0.5)), [0.3, 0.7])
+        assert moe(fam) is fam
+
     def test_single_member(self):
         q = g1(0.3, 1.1)
         mix = moe(WeightedFamily.uniform([q]))
-        assert len(mix.components) == 1
-        assert np.allclose(mix.components[0].mean, q.mean)
+        assert len(mix.members) == 1
+        assert np.allclose(mix.members[0].mean, q.mean)
 
     def test_identical_members_density(self):
         q = g1(0.0, 1.0)
@@ -320,34 +323,34 @@ class TestPowersetMixtures:
         q = g1(2, 0.5)
         mix = mopoe(WeightedFamily.uniform([q]))
         assert np.allclose(mix.weights, [0.5, 0.5])
-        assert np.allclose(mix.components[0].mean, prior.mean)
-        assert np.allclose(mix.components[1].mean, q.mean)
+        assert np.allclose(mix.members[0].mean, prior.mean)
+        assert np.allclose(mix.members[1].mean, q.mean)
 
     def test_mopoe_identical_experts(self):
         prior = g1(0, 1)
         q = g1(1.0, 0.8)
         mix = mopoe(WeightedFamily.uniform([q, q]))
         assert np.allclose(mix.weights, 0.25)
-        assert np.allclose(mix.components[0].sigma, prior.sigma)
-        assert np.allclose(mix.components[1].mean, q.mean)
-        assert np.allclose(mix.components[2].mean, q.mean)
+        assert np.allclose(mix.members[0].sigma, prior.sigma)
+        assert np.allclose(mix.members[1].mean, q.mean)
+        assert np.allclose(mix.members[2].mean, q.mean)
         # the full-set product of the two identical experts sharpens by sqrt(2)
-        assert np.allclose(mix.components[3].mean, q.mean)
-        assert np.allclose(mix.components[3].sigma, q.sigma / math.sqrt(2.0))
+        assert np.allclose(mix.members[3].mean, q.mean)
+        assert np.allclose(mix.members[3].sigma, q.sigma / math.sqrt(2.0))
 
     def test_component_count(self):
         fam = WeightedFamily.uniform(
             [random_diag_gaussian(np.random.default_rng(38), 2) for _ in range(3)]
         )
-        assert len(mopoe(fam).components) == 8
-        assert len(mwb(fam).components) == 8
+        assert len(mopoe(fam).members) == 8
+        assert len(mwb(fam).members) == 8
         assert mopoe(fam).weights.sum() == 1.0
         assert mwb(fam).weights.sum() == 1.0
 
     def test_mwb_two_experts(self):
         mix = mwb(WeightedFamily.uniform([g1(0, 1), g1(2, 3)]))
         assert np.allclose(mix.weights, 0.25)
-        comps = mix.components
+        comps = mix.members
         assert comps[1].mean[0] == 0.0 and comps[1].sigma[0] == 1.0
         assert comps[2].mean[0] == 2.0 and comps[2].sigma[0] == 3.0
         assert comps[3].mean[0] == 1.0 and comps[3].sigma[0] == 2.0
@@ -355,7 +358,7 @@ class TestPowersetMixtures:
     def test_mwb_identical_experts(self):
         q = g1(0.7, 1.4)
         mix = mwb(WeightedFamily.uniform([q, q]))
-        for comp in mix.components[1:]:
+        for comp in mix.members[1:]:
             assert np.allclose(comp.mean, q.mean) and np.allclose(comp.sigma, q.sigma)
 
 
@@ -402,13 +405,11 @@ class TestJensenBound:
             size = int(rng.integers(2, 5))
             fam = random_family(rng, dim=1, size=size)
             cand = random_diag_gaussian(rng, 1)
-            mix = GaussianMixture(fam.members, fam.weights)
-
-            lhs_kl = quad_kl_1d(mix, cand)
+            lhs_kl = quad_kl_1d(fam, cand)
             rhs_kl = barycenter_objective(fam, cand, "forward_kl")
             assert lhs_kl <= rhs_kl + 1e-6
 
-            lhs_w2 = w2sq_1d_quantile(mix, cand)
+            lhs_w2 = w2sq_1d_quantile(fam, cand)
             rhs_w2 = barycenter_objective(fam, cand, "w2sq")
             assert lhs_w2 <= rhs_w2 + 1e-6
 

@@ -136,6 +136,20 @@ class TestAggregateCommand:
         err = capsys.readouterr().err
         assert "posteriors[0]" in err
 
+    @pytest.mark.parametrize(
+        "posterior,message",
+        [({"mean": [1.0], "sigma": [-2.0]}, "nonnegative"), ({"mean": [], "sigma": []}, "dimension")],
+        ids=["negative_sigma", "empty"],
+    )
+    def test_invalid_diagonal_posterior_exits_2(self, tmp_path, capsys, posterior, message):
+        inp = self.posterior_file(tmp_path, {"posteriors": [posterior]})
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: posteriors[0]: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         inp = self.posterior_file(
             tmp_path,
@@ -361,16 +375,21 @@ class TestTrainCommand:
 
 
 class TestIdxDataPath:
-    def test_train_on_idx_files(self, tmp_path):
+    @staticmethod
+    def write_pair(tmp_path, n, side):
         import struct
 
         rng = np.random.default_rng(0)
-        images = rng.integers(0, 256, size=(40, 4, 4)).astype(np.uint8)
-        labels = (np.arange(40) % 10).astype(np.uint8)
+        images = rng.integers(0, 256, size=(n, side, side)).astype(np.uint8)
+        labels = (np.arange(n) % 10).astype(np.uint8)
         img_path = tmp_path / "imgs.idx"
         lbl_path = tmp_path / "lbls.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x803, 40, 4, 4) + images.tobytes())
-        lbl_path.write_bytes(struct.pack(">II", 0x801, 40) + labels.tobytes())
+        img_path.write_bytes(struct.pack(">IIII", 0x803, n, side, side) + images.tobytes())
+        lbl_path.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+        return img_path, lbl_path
+
+    def test_train_on_idx_files(self, tmp_path):
+        img_path, lbl_path = self.write_pair(tmp_path, 40, 4)
         cfg = tmp_path / "config.json"
         write_json(
             cfg,
@@ -384,6 +403,21 @@ class TestIdxDataPath:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,loss,recon_mod0,kl"
         assert len(lines) == 2
+
+    def test_zero_pixel_images_exit_2(self, tmp_path, capsys):
+        img_path, lbl_path = self.write_pair(tmp_path, 20, 0)
+        cfg = tmp_path / "config.json"
+        write_json(
+            cfg,
+            {
+                "model": {"latent_dim": 3, "hidden": [8], "epochs": 1, "batch_size": 8},
+                "data": {"idx": {"images": str(img_path), "labels": str(lbl_path)}},
+            },
+        )
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: invalid model section: input_dims must be >= 1\n"
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -463,6 +497,7 @@ class TestEvalCommand:
             (("config", "eval", "importance_samples"), "x"),
             (("config", "model", "epochs"), 1.5),
             (("config", "model", "hidden"), [0]),
+            (("config", "model", "input_dims"), [64, 0]),
             (("rng_state", "adam_step"), 1.7),
         ],
         ids=[
@@ -473,6 +508,7 @@ class TestEvalCommand:
             "importance_samples_text",
             "epochs_fraction",
             "hidden_zero",
+            "input_dims_zero",
             "adam_step_fraction",
         ],
     )
@@ -530,6 +566,30 @@ class TestEvalCommand:
         argv = ["eval", "--checkpoint", str(trained / "checkpoint.json"), "--config", str(cfg)]
         assert run(*argv, "--out", str(tmp_path / "o")) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "field,value,saved",
+        [("aggregation", "mwb", '"wb"'), ("latent_dim", 9, "4"), ("hidden", [3, 3], "[16]"),
+         ("seed", 5, "0")],
+    )
+    def test_override_changing_the_model_exits_2(
+        self, trained, tmp_path, capsys, field, value, saved
+    ):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"][field] = value
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        out = tmp_path / "eval"
+        code = run(
+            "eval", "--checkpoint", str(trained / "checkpoint.json"),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: field '{field}' in model section is {json.dumps(value)}, "
+            f"but the checkpoint's model has {saved}\n"
+        )
+        assert not out.exists()
 
     def test_json_list_checkpoint_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "list.json"

@@ -7,7 +7,6 @@ from baryvae.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     MultimodalDataset,
-    ModalityDescriptor,
     ToyConfig,
     background,
     gen_toy,
@@ -145,13 +144,23 @@ class TestLoadIdx:
             load_idx(img, lbl)
 
 
+class TestDataset:
+    def test_dims_are_array_widths(self):
+        ds = MultimodalDataset([np.zeros((5, 4)), np.ones((5, 3))], np.arange(5))
+        assert ds.dims == [4, 3]
+        assert ds.take([0, 2]).dims == [4, 3]
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2, 2)], ids=["one_d", "three_d"])
+    def test_modality_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            MultimodalDataset([np.zeros((5, 4)), np.zeros(shape)], np.arange(5))
+
+
 class TestSplit:
     def make_dataset(self, n=1000):
         rng = np.random.default_rng(4)
         labels = np.arange(n) % 10
-        return MultimodalDataset(
-            [rng.random((n, 4))], labels, [ModalityDescriptor("m", 4)]
-        )
+        return MultimodalDataset([rng.random((n, 4))], labels)
 
     def test_fraction(self):
         train, test = split(self.make_dataset(), 0.8, seed=0)
@@ -188,11 +197,7 @@ class TestSplit:
         n = 100
         labels = np.repeat(np.arange(10), 10)
         marker = labels[:, None] + np.zeros((n, 3))
-        ds = MultimodalDataset(
-            [marker, 2.0 * marker],
-            labels,
-            [ModalityDescriptor("a", 3), ModalityDescriptor("b", 3)],
-        )
+        ds = MultimodalDataset([marker, 2.0 * marker], labels)
         train, _ = split(ds, 0.7, seed=2)
         # example i carries its label in every modality
         assert np.all(train.modalities[0][:, 0] == train.labels)

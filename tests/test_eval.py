@@ -103,7 +103,7 @@ def tiny_vae_and_data(method="wb", seed=0, epochs=0):
     train_set, test_set = split(ds, 0.75, seed=1)
     config = mm.ModelConfig(
         num_modalities=2,
-        input_dims=tuple(d.dim for d in ds.descriptors),
+        input_dims=tuple(ds.dims),
         latent_dim=4,
         hidden=(16,),
         aggregation=method,

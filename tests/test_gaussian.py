@@ -8,7 +8,7 @@ from baryvae.gaussian import (
     SIGMA_FLOOR,
     DiagGaussian,
     FullGaussian,
-    GaussianMixture,
+    WeightedFamily,
     entropy_diag,
     kl_diag,
     log_density,
@@ -44,6 +44,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             DiagGaussian([0.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "mean,sigma,message",
+        [([1.0], [-2.0], "nonnegative"), ([0.0, 1.0], [1.0, -1e-300], "nonnegative"),
+         ([], [], "dimension")],
+        ids=["negative", "tiny_negative", "empty"],
+    )
+    def test_negative_sigma_and_empty_rejected(self, mean, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            DiagGaussian(mean, sigma)
+
     def test_full_gaussian_requires_spd(self):
         with pytest.raises(ValueError):
             FullGaussian([0.0, 0.0], SymMatrix(np.diag([1.0, -1.0])))
@@ -56,9 +66,11 @@ class TestTypes:
     def test_mixture_weights_validated(self):
         comps = (g1(0, 1), g1(1, 1))
         with pytest.raises(ValueError):
-            GaussianMixture(comps, [0.5, 0.6])
+            WeightedFamily(comps, [0.5, 0.6])
         with pytest.raises(ValueError):
-            GaussianMixture(comps, [-0.5, 1.5])
+            WeightedFamily(comps, [-0.5, 1.5])
+        with pytest.raises(ValueError):
+            WeightedFamily(comps, [math.nan, math.nan])
 
 
 class TestKl:
@@ -178,7 +190,7 @@ class TestQuantileOracle:
             assert w2sq_1d_quantile(p, q) == pytest.approx(w2sq_diag(p, q), rel=1e-4)
 
     def test_mixture_positive_and_symmetric(self):
-        mix = GaussianMixture((g1(-2, 1), g1(2, 1)), [0.5, 0.5])
+        mix = WeightedFamily((g1(-2, 1), g1(2, 1)), [0.5, 0.5])
         a = w2sq_1d_quantile(mix, g1(0, 1))
         b = w2sq_1d_quantile(g1(0, 1), mix)
         assert a > 0.0 and math.isfinite(a)
@@ -201,18 +213,18 @@ class TestDensity:
         assert log_density(g1(0, 1), [0.0]) == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_mixture_of_identical_components_idempotent(self):
-        mix = GaussianMixture((g1(1, 2), g1(1, 2)), [0.5, 0.5])
+        mix = WeightedFamily((g1(1, 2), g1(1, 2)), [0.5, 0.5])
         x = np.array([0.7])
         assert log_density(mix, x) == pytest.approx(log_density(g1(1, 2), x), abs=1e-12)
 
     def test_mixture_integrates_to_one(self):
-        mix = GaussianMixture((g1(-3, 0.5), g1(2, 2)), [0.3, 0.7])
+        mix = WeightedFamily((g1(-3, 0.5), g1(2, 2)), [0.3, 0.7])
         xs = np.linspace(-30.0, 30.0, 200_001)
         mass = np.trapezoid(np.exp(log_density_many(mix, xs[:, None])), xs)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_underflow_is_stabilized(self):
-        mix = GaussianMixture((g1(0, 1), g1(100, 1)), [0.5, 0.5])
+        mix = WeightedFamily((g1(0, 1), g1(100, 1)), [0.5, 0.5])
         val = log_density(mix, [-60.0])
         assert math.isfinite(val)
 
@@ -229,7 +241,7 @@ class TestMixtureLogDensity:
             weights[k // 2] = 0.0
             weights /= weights.sum()
         xs = rng.normal(0.0, 4.0, (64, d))
-        return GaussianMixture(comps, weights), xs
+        return WeightedFamily(comps, weights), xs
 
     @pytest.mark.parametrize("d", [1, 3, 16])
     @pytest.mark.parametrize(
@@ -237,12 +249,12 @@ class TestMixtureLogDensity:
     )
     def test_bit_identical_to_reference_formulas(self, d, k, zero_weight):
         mix, xs = self.family(d, k, zero_weight, seed=100 * d + k)
-        means = np.stack([c.mean for c in mix.components])
-        sigmas = np.stack([c.sigma for c in mix.components])
+        means = np.stack([c.mean for c in mix.members])
+        sigmas = np.stack([c.sigma for c in mix.members])
         want = proposal_log_density(mix.weights, means, sigmas, xs)
         assert np.array_equal(mixture_log_density(mix.weights, means, sigmas, xs), want)
         assert np.array_equal(log_density_many(mix, xs), want)
-        for c in mix.components:
+        for c in mix.members:
             assert np.array_equal(log_density_many(c, xs), diag_log_density(c, xs))
 
     def test_point_dim_checked(self):
@@ -299,7 +311,7 @@ class TestShapeBehaviour:
     def test_mixture_keeps_mass_at_every_expert(self):
         a, b = g1(-3.0, 0.7), g1(3.0, 1.2)
         lam = np.array([0.4, 0.6])
-        mix = GaussianMixture((a, b), lam)
+        mix = WeightedFamily((a, b), lam)
         for lam_m, g in zip(lam, (a, b)):
             mix_at_mean = math.exp(log_density(mix, g.mean))
             peak = math.exp(log_density(g, g.mean))

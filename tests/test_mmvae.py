@@ -10,7 +10,7 @@ from baryvae.barycenter import SubsetIndex, WeightedFamily, aggregate, subsets
 from baryvae.data import ToyConfig, gen_toy
 from baryvae.errors import NumericError
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
-from baryvae.gaussian import GaussianMixture, DiagGaussian
+from baryvae.gaussian import DiagGaussian
 
 from oracles import (
     linear_gaussian_vae,
@@ -68,6 +68,8 @@ class TestConfig:
             small_config(hidden=(0,))
         with pytest.raises(ValueError, match="hidden"):
             small_config(hidden=(6, -1))
+        with pytest.raises(ValueError, match="input_dims"):
+            mm.ModelConfig(num_modalities=2, input_dims=(5, 0))
 
     def test_component_counts(self):
         assert mm.num_mixture_components(small_config("wb")) == 1
@@ -182,8 +184,8 @@ class TestAggregate:
 
     def test_mwb_component_count(self):
         out = aggregate(self.family(), "mwb")
-        assert isinstance(out, GaussianMixture)
-        assert len(out.components) == 4
+        assert isinstance(out, WeightedFamily)
+        assert len(out.members) == 4
 
     def empty_subset(self, method):
         config = small_config(method)
@@ -219,13 +221,13 @@ class TestAggregate:
                 )
                 expected = aggregate(family, method)
                 comps = (
-                    expected.components
-                    if isinstance(expected, GaussianMixture)
+                    expected.members
+                    if isinstance(expected, WeightedFamily)
                     else (expected,)
                 )
                 exp_w = (
                     expected.weights
-                    if isinstance(expected, GaussianMixture)
+                    if isinstance(expected, WeightedFamily)
                     else np.ones(1)
                 )
                 assert np.allclose(weights, exp_w)
@@ -306,7 +308,7 @@ class TestElbo:
             weights, mus, sigmas = mm.aggregate_arrays(
                 vae, encoded, SubsetIndex(0b11, 2)
             )
-            mix = GaussianMixture(
+            mix = WeightedFamily(
                 tuple(DiagGaussian(mus[k, 0], sigmas[k, 0]) for k in range(len(weights))),
                 weights,
             )
@@ -323,7 +325,7 @@ class TestTrain:
     def config_for(self, ds, **overrides):
         defaults = dict(
             num_modalities=ds.num_modalities,
-            input_dims=tuple(d.dim for d in ds.descriptors),
+            input_dims=tuple(ds.dims),
             latent_dim=4,
             hidden=(16,),
             batch_size=16,
