@@ -59,10 +59,14 @@ class SubsetIndex:
         return self.mask == 0
 
 
+# The powerset methods and the subset sweep hold 2^M rows; M is capped here.
+MAX_MODALITIES = 16
+
+
 def subsets(m: int):
     """All 2^m subsets of m modalities in ascending bitmask order."""
-    if not 1 <= m <= 16:
-        raise ValueError(f"modality count {m} out of supported range 1..16")
+    if not 1 <= m <= MAX_MODALITIES:
+        raise ValueError(f"modality count {m} out of supported range 1..{MAX_MODALITIES}")
     return [SubsetIndex(mask, m) for mask in range(1 << m)]
 
 
@@ -93,6 +97,8 @@ def mixing(method: str, weights):
         if method == "moe":
             return w, np.eye(m, m + 1), natural
         return np.ones(1), np.append(np.ones(m) if natural else w, 0.0)[None], natural
+    if m > MAX_MODALITIES:
+        raise ValueError(f"{method} supports at most {MAX_MODALITIES} experts, got {m}")
     rows = np.zeros((1 << m, m + 1))
     rows[0, m] = 1.0
     for mask in range(1, 1 << m):

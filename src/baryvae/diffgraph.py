@@ -90,15 +90,17 @@ class Value:
         self._grad = value
         self._owns_grad = True
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
         """Add g to the gradient without writing into any array.
 
         The first gradient is stored as it comes, so it may be shared with
-        another node or be a read-only view; later ones add out of place.
+        another node or be a read-only view, unless the caller passes
+        `owned` for an array it made for this node alone; later ones add
+        out of place.
         """
         if self._grad is None:
             self._grad = g
-            self._owns_grad = False
+            self._owns_grad = owned
         else:
             self._grad = self._grad + g
             self._owns_grad = True
@@ -202,12 +204,13 @@ def dense(h, w, b, tanh=False) -> Value:
     def backward(g):
         if tanh:
             g = g * (1.0 - y * y)
+        # the weight product, and the bias sum over a batch, are new arrays
         if not b.constant:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape), owned=g.ndim > b.data.ndim)
         if not h.constant:
             h._accumulate(g @ w.data.T)
         if not w.constant:
-            w._accumulate(h.data.T @ g)
+            w._accumulate(h.data.T @ g, owned=True)
 
     return _node(y, (h, w, b), backward)
 
@@ -372,7 +375,10 @@ class ParamStore:
         return self.params[name]
 
     def as_values(self) -> dict:
-        return {name: Value(arr.copy()) for name, arr in self.params.items()}
+        """Leaf Values over the stored arrays themselves, not copies: the
+        tape never writes into a Value's data, and adam_step updates the
+        store only after backward()."""
+        return {name: Value(arr) for name, arr in self.params.items()}
 
 
 def forward_backward(builder, store: ParamStore):

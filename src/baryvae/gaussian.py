@@ -188,10 +188,13 @@ def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:
     """Log density at rows of xs (n x d) of the mixture of K weights, K x d means and sigmas."""
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    diffs = (xs[None, :, :] - means[:, None, :]) / sigmas[:, None, :]
+    # the K x n x d standardized squares are built in one buffer
+    diffs = xs[None, :, :] - means[:, None, :]
+    diffs /= sigmas[:, None, :]
+    np.square(diffs, out=diffs)
     log_sigma = np.sum(np.log(sigmas), axis=1)[:, None]
     d = means.shape[1]
-    stacked = -0.5 * np.sum(diffs**2, axis=2) - log_sigma - 0.5 * d * LOG_2PI + logw[:, None]
+    stacked = -0.5 * np.sum(diffs, axis=2) - log_sigma - 0.5 * d * LOG_2PI + logw[:, None]
     # log-sum-exp over components; an all -inf column maps to -inf.
     top = np.max(stacked, axis=0)
     safe_top = np.where(np.isfinite(top), top, 0.0)

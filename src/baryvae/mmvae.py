@@ -367,9 +367,9 @@ def train(config: ModelConfig, dataset):
     """
     if dataset.dims != list(config.input_dims):
         raise ValueError(f"dataset dims {dataset.dims} do not match {list(config.input_dims)}")
+    k = num_mixture_components(config)
     vae = MultimodalVae(config)
     n = dataset.num_examples
-    k = num_mixture_components(config)
     history = []
     for epoch in range(config.epochs):
         perm = dg.rng_stream(config.seed, _TAG_SHUFFLE, epoch).permutation(n)

@@ -456,6 +456,13 @@ class TestKernel:
             with pytest.raises(ValueError):
                 bc.mixing(method, [])
 
+    def test_powerset_table_capped_like_subsets(self):
+        for method in ("mopoe", "mwb"):
+            with pytest.raises(ValueError, match="at most 16 experts, got 17"):
+                bc.mixing(method, np.full(17, 1.0 / 17))
+        for method, rows in (("poe", 1), ("moe", 17), ("wb", 1)):
+            assert len(bc.mixing(method, np.full(17, 1.0 / 17))[1]) == rows
+
     def test_graph_and_array_routes_agree(self):
         # the same call builds a differentiable graph from Values
         rng = np.random.default_rng(7)

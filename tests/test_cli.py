@@ -150,6 +150,17 @@ class TestAggregateCommand:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["mopoe", "mwb"])
+    def test_seventeen_experts_exit_2_for_powerset_methods(self, tmp_path, capsys, method):
+        # 2^17 subsets; the table is refused before it is built
+        inp = self.posterior_file(
+            tmp_path, {"posteriors": [{"mean": [0.0], "sigma": [1.0]}] * 17}
+        )
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", method) == 2
+        assert capsys.readouterr().err == f"error: {method} supports at most 16 experts, got 17\n"
+        assert not out.exists()
+
     def test_bad_weights_exit_2(self, tmp_path, capsys):
         inp = self.posterior_file(
             tmp_path,

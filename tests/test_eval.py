@@ -1,11 +1,14 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import baryvae.evaluation as ev
 import baryvae.mmvae as mm
 from baryvae.barycenter import SubsetIndex
 from baryvae.data import ToyConfig, gen_toy, split
+from baryvae.errors import NumericError
 from baryvae.evaluation import (
     EvalReport,
     LinearProbe,
@@ -260,11 +263,12 @@ class TestEvalReport:
             loglik_examples=3,
             seed=0,
         )
-        # the probe batch, the test set, then one log-likelihood batch per subset
-        assert rows == [20, test_set.num_examples, 3, 3, 3]
+        # the probe batch and the test set; the log-likelihood rows are the
+        # test encoding's first rows
+        assert rows == [20, test_set.num_examples]
         # the encoder runs only through encode_arrays, once per modality per
         # batch: coherence generates from the test set's encoding
-        assert len(graph_calls) == 2 * (2 + 2**2 - 1)
+        assert len(graph_calls) == 2 * 2
 
     def test_latent_means_weighted_over_components(self):
         vae, train_set, _ = tiny_vae_and_data(method="mwb")
@@ -275,3 +279,88 @@ class TestEvalReport:
         weights, mus, _ = mm.aggregate_arrays(vae, encoded, subset)
         expected = sum(w * mus[k] for k, w in enumerate(weights))
         assert np.allclose(reps, expected, atol=1e-12)
+
+
+class TestSubsetThreads:
+    """evaluate_model runs its subsets on the caller plus one thread per further CPU."""
+
+    @staticmethod
+    def evaluate(vae, train_set, test_set):
+        return evaluate_model(
+            vae,
+            train_set,
+            test_set,
+            importance_samples=8,
+            probe_samples=30,
+            coherence_samples=10,
+            loglik_examples=4,
+            seed=2,
+        )
+
+    def test_report_does_not_depend_on_cpu_count(self, monkeypatch):
+        vae, train_set, test_set = tiny_vae_and_data(method="mwb", epochs=1)
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(ev, "_cpu_count", lambda cpus=cpus: cpus)
+            reports.append(self.evaluate(vae, train_set, test_set))
+        for report in reports[1:]:
+            assert vars(report) == vars(reports[0])
+            for key, value in vars(report).items():
+                if isinstance(value, dict):
+                    assert list(value) == list(vars(reports[0])[key])
+
+    @staticmethod
+    def hold_first_two_subsets(monkeypatch, on_arrival):
+        """Patch the log-likelihood so that subsets 1 and 2 meet at a barrier,
+        which they pass only on two threads; `on_arrival(mask)` runs after it.
+        Returns the masks that reach the log-likelihood, in order."""
+        barrier = threading.Barrier(2, timeout=30)
+        original = ev._log_likelihood
+        reached = []
+
+        def held(vae, encoded, batch, subset, num_samples, seed):
+            reached.append(subset.mask)
+            if subset.mask in (1, 2):
+                barrier.wait()
+                on_arrival(subset.mask)
+            return original(vae, encoded, batch, subset, num_samples, seed)
+
+        monkeypatch.setattr(ev, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ev, "_log_likelihood", held)
+        return reached
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch):
+        vae, train_set, test_set = tiny_vae_and_data(method="mwb")
+        seen = {}
+
+        def record(mask):
+            seen[mask] = (threading.get_ident(), np.geterr())
+
+        self.hold_first_two_subsets(monkeypatch, record)
+        with np.errstate(all="ignore"):
+            self.evaluate(vae, train_set, test_set)
+        assert sorted(seen) == [1, 2]
+        assert seen[1][0] != seen[2][0]
+        for _, settings in seen.values():
+            assert set(settings.values()) == {"ignore"}
+
+    def test_earliest_failing_subset_error_is_raised(self, monkeypatch):
+        vae, train_set, test_set = tiny_vae_and_data(method="mwb")
+        second_failed = threading.Event()
+        failed = []
+
+        def fail(mask):
+            # subset 2 fails first, subset 1 after it
+            if mask == 1:
+                assert second_failed.wait(timeout=30)
+            failed.append(mask)
+            if mask == 2:
+                second_failed.set()
+            raise NumericError(f"subset {mask} failed")
+
+        reached = self.hold_first_two_subsets(monkeypatch, fail)
+        with pytest.raises(NumericError, match="subset 1 failed"):
+            self.evaluate(vae, train_set, test_set)
+        assert failed == [2, 1]
+        # subset 3 is not started once an earlier one has failed
+        assert sorted(reached) == [1, 2]

@@ -7,7 +7,7 @@ import pytest
 import baryvae.diffgraph as dg
 import baryvae.mmvae as mm
 from baryvae.barycenter import SubsetIndex, WeightedFamily, aggregate, subsets
-from baryvae.data import ToyConfig, gen_toy
+from baryvae.data import MultimodalDataset, ToyConfig, gen_toy
 from baryvae.errors import NumericError
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
 from baryvae.gaussian import DiagGaussian
@@ -361,6 +361,13 @@ class TestTrain:
         config = self.config_for(ds)
         config = mm.config_with(config, num_modalities=1, input_dims=(64,))
         with pytest.raises(ValueError):
+            mm.train(config, ds)
+
+    @pytest.mark.parametrize("method", ["mopoe", "mwb"])
+    def test_seventeen_modality_powerset_rejected(self, method):
+        ds = MultimodalDataset([np.zeros((4, 1))] * 17, np.arange(4) % 2)
+        config = self.config_for(ds, aggregation=method)
+        with pytest.raises(ValueError, match="at most 16 experts, got 17"):
             mm.train(config, ds)
 
 
