@@ -13,6 +13,7 @@ format/version error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -527,7 +528,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="baryvae",
         description="Barycentric posterior aggregation, training, and evaluation.",

@@ -12,14 +12,22 @@ broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum, square,
 mix (stacked fixed linear combinations, the barycentric kernel's one
 primitive) and a fused weighted Bernoulli log-likelihood, bernoulli_loglik.
 matmul, tanh, exp and concat are unused by the model; they stay because
-perfbench's per-primitive trace patches them by name. Everything is
-deterministic; randomness is drawn outside the graph from counter-based
-Philox streams and injected as constants.
+perfbench's per-primitive trace patches them by name.
+
+fork_sum sums independent branches of one input, each built and run backward
+on a tape of its own, on the calling thread plus one thread per further CPU
+(_map_in_order, which evaluation uses too); its gradients equal those of one
+tape bit for bit. Everything is deterministic, whatever the CPU count;
+randomness is drawn outside the graph from counter-based Philox streams and
+injected as constants.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -118,25 +126,39 @@ class Value:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
         if self.constant:
             return
-        order = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if not parent.constant and id(parent) not in visited:
-                    stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node._grad is not None:
-                node._backward(node._grad)
+        _run_tape(_tape(self))
+
+
+def _tape(root: Value) -> list:
+    """The non-constant nodes `root` depends on, each after its parents."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if not parent.constant and id(parent) not in visited:
+                stack.append((parent, False))
+    return order
+
+
+def _run_tape(order: list, release=False) -> None:
+    """Run the backward of every node in `order` that holds a gradient, last
+    node first; with `release`, each such gradient is dropped once passed on."""
+    for node in reversed(order):
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
+            if release:
+                node._grad = None
+            else:
                 # the parents may now hold views of this gradient
                 node._owns_grad = False
 
@@ -240,7 +262,9 @@ def _sigmoid(x, e=None):
     """1 / (1 + exp(-x)) without overflow; `e` is exp(-|x|) when already known."""
     if e is None:
         e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # the mask is 1 for x >= 0, where e <= 1, and 0 otherwise, where e >= 0:
+    # the maximum picks 1 or e, as np.where(x >= 0, 1.0, e) would, bit for bit
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softplus(a) -> Value:
@@ -351,6 +375,125 @@ def bernoulli_loglik(x, logits, weights) -> Value:
     return _node(np.sum(ll * weights.data), (logits,), backward)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_order(task, items) -> list:
+    """[task(item) for item in items], on the calling thread plus one pool
+    thread per further CPU; with one CPU no thread is started.
+
+    numpy releases the interpreter lock in its array loops and BLAS, so the
+    threads overlap. Each call runs in its own copy of the caller's context:
+    a new thread does not inherit context variables such as np.errstate. If
+    calls raise, the earliest item's error is raised, as the serial loop
+    would; items after a failed one are not started.
+    """
+    workers = min(len(items), _cpu_count())
+    if workers <= 1:
+        return [task(item) for item in items]
+    # imported here: it costs about 10 ms, which aggregate need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    contexts = [contextvars.copy_context() for _ in items]
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    next_item, stop = 0, len(items)
+
+    def drain():
+        nonlocal next_item, stop
+        while True:
+            with lock:
+                i = next_item
+                if i >= stop:
+                    return
+                next_item += 1
+            try:
+                results[i] = contexts[i].run(task, items[i])
+            except Exception as err:  # raised below, in item order
+                with lock:
+                    errors[i] = err
+                    stop = min(stop, i)
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(drain) for _ in range(workers - 1)]
+        try:
+            drain()
+        except BaseException:
+            # interrupted: the workers finish their current item and stop
+            with lock:
+                stop = 0
+            raise
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def fork_sum(x, branches):
+    """The sum of branch(x) over `branches`, each branch on a tape of its own.
+
+    Returns (sum node, [branch outputs]). Each branch is called with a
+    private leaf over x's data, not a copy, and returns a Value; all outputs
+    have one shape, and the sum folds them left to right as a chain of `add`
+    would. A branch may read its leaf, constants and leaves such as
+    parameters, but no other node of the caller's tape, and no two branches
+    may share a node.
+
+    Backward seeds every branch's tape with the incoming gradient, then adds
+    the private leaves' gradients into x in branch order, so the sum, the
+    branch outputs and every gradient equal, bit for bit, those of the
+    branches built on one tape. A branch's inner nodes drop their gradients
+    once passed on, so that branches running at once hold less memory; the
+    leaves keep theirs. The branches are built, and their tapes run
+    backward, by _map_in_order: on the calling thread plus one thread per
+    further CPU.
+    """
+    x = _as_value(x)
+
+    def build(branch):
+        leaf = Value(x.data, constant=x.constant)
+        out = branch(leaf)
+        return leaf, out, [] if out.constant else _tape(out)
+
+    forks = _map_in_order(build, list(branches))
+    outs = [out for _, out, _ in forks]
+    seen = {id(x)}
+    for out, (_, _, order) in zip(outs, forks):
+        if out.data.shape != outs[0].data.shape:
+            raise ValueError("fork branches must return one shape")
+        ids = {id(node) for node in order}
+        if ids & seen:
+            raise ValueError("a fork branch reaches x or another branch's node")
+        seen |= ids
+    total = outs[0].data
+    for out in outs[1:]:
+        total = total + out.data
+
+    def backward(g):
+        def propagate(fork):
+            _, out, order = fork
+            if order:
+                out._accumulate(g)
+                _run_tape(order, release=True)
+
+        _map_in_order(propagate, forks)
+        if not x.constant:
+            for leaf, _, _ in forks:
+                if leaf._grad is not None:
+                    x._accumulate(leaf._grad)
+
+    if x.constant and all(out.constant for out in outs):
+        return Value(total, constant=True), outs
+    return Value(total, (x,), backward), outs
+
+
 class ParamStore:
     """Named float64 parameter tensors with Adam moment buffers."""
 
@@ -415,13 +558,23 @@ def adam_step(
         g = np.asarray(gradients[name], dtype=np.float64)
         m = store.moment1[name]
         v = store.moment2[name]
+        # In place, with the operands of m = beta1 m + (1 - beta1) g,
+        # v = beta2 v + (1 - beta2) g g and lr m_hat / (sqrt(v_hat) + eps) in
+        # that order, so every bit is as those formulas give it.
+        buf = g * (1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += buf
+        np.multiply(g, 1.0 - beta2, out=buf)
+        buf *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        store.params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += buf
+        np.divide(v, 1.0 - beta2**t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        step = m / (1.0 - beta1**t)
+        step *= lr
+        step /= buf
+        store.params[name] -= step
     return store
 
 

@@ -7,23 +7,20 @@ same machinery doubles as the raw-pixel reference classifier used to score
 cross-modal generation coherence.
 
 `evaluate_model` scores the modality subsets independently, on the calling
-thread plus one pool thread per further CPU; every output is the same
-whatever the CPU count.
+thread plus one pool thread per further CPU (`diffgraph._map_in_order`);
+every output is the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mmvae
 from .barycenter import SubsetIndex, subsets
-from .diffgraph import rng_stream
+from .diffgraph import _map_in_order, rng_stream
 from .errors import NumericError
 from .gaussian import mixture_log_density
 
@@ -194,67 +191,6 @@ def _log_likelihood(
     if not math.isfinite(result):
         raise NumericError("importance-sampled log-likelihood is not finite")
     return result
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_in_order(task, items) -> list:
-    """[task(item) for item in items], on the calling thread plus one pool
-    thread per further CPU; with one CPU no thread is started.
-
-    numpy releases the interpreter lock in its array loops and BLAS, so the
-    threads overlap. Each call runs in its own copy of the caller's context:
-    a new thread does not inherit context variables such as np.errstate. If
-    calls raise, the earliest item's error is raised, as the serial loop
-    would; items after a failed one are not started.
-    """
-    workers = min(len(items), _cpu_count())
-    if workers <= 1:
-        return [task(item) for item in items]
-    # imported here: it costs about 10 ms, which train and aggregate need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    contexts = [contextvars.copy_context() for _ in items]
-    results = [None] * len(items)
-    errors = {}
-    lock = threading.Lock()
-    next_item, stop = 0, len(items)
-
-    def drain():
-        nonlocal next_item, stop
-        while True:
-            with lock:
-                i = next_item
-                if i >= stop:
-                    return
-                next_item += 1
-            try:
-                results[i] = contexts[i].run(task, items[i])
-            except Exception as err:  # raised below, in item order
-                with lock:
-                    errors[i] = err
-                    stop = min(stop, i)
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(drain) for _ in range(workers - 1)]
-        try:
-            drain()
-        except BaseException:
-            # interrupted: the workers finish their current item and stop
-            with lock:
-                stop = 0
-            raise
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 @dataclass

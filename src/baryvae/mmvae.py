@@ -10,7 +10,11 @@ aggregations use the closed-form KL to the standard-normal prior, mixture
 aggregations use the convex upper bound (weighted component-wise KL) so the
 objective stays a valid bound, with one reparameterized sample per mixture
 component feeding all decoders. The K components of a batch stay stacked as
-one (K B) x d array through the KL, the sampling and the decoders.
+one (K B) x d array through the KL, the sampling and the decoders. For the
+mixture aggregations each modality's decoder and likelihood is one branch of
+`diffgraph.fork_sum`, built and run backward on the calling thread plus one
+thread per further CPU; the single-Gaussian aggregations keep them on one
+tape. Every training output is the same whatever the CPU count.
 
 The network is defined once, as diffgraph nodes (`_encode_graph`,
 `_decode_graph`). Training runs it on tape leaves; evaluation and generation
@@ -19,6 +23,7 @@ run it on the store's raw arrays, which are constants, so no tape is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -205,28 +210,30 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
 
     # Reconstruction: one reparameterized sample per component, the K
     # components stacked into a single decoder pass per modality, weighted by
-    # component weight.
+    # component weight. Each modality's decoder and likelihood is a branch of
+    # its own; with more than one component the branches are large enough to
+    # pay for running on several threads, and with one they are not.
     z_all = dg.add(mu, dg.mul(sigma, noise.reshape(k * b, d)))
     row_w = comp_w / b
 
-    recon_terms = []
-    for m in range(config.num_modalities):
-        out = _decode_graph(values, config, m, z_all)
+    def recon_graph(m, z):
+        out = _decode_graph(values, config, m, z)
         x_rep = np.tile(batch[m], (k, 1))
         if config.likelihood == "bernoulli":
-            recon_m = dg.bernoulli_loglik(x_rep, out, row_w)
-        else:
-            sq = dg.square(dg.add(x_rep, dg.mul(out, -1.0)))
-            scale = -0.5 / GAUSSIAN_LIK_SIGMA**2
-            const = -config.input_dims[m] * (
-                math.log(GAUSSIAN_LIK_SIGMA) + 0.5 * math.log(2.0 * math.pi)
-            )
-            recon_m = dg.add(dg.vsum(dg.mul(dg.mul(sq, scale), row_w)), const)
-        recon_terms.append(recon_m)
+            return dg.bernoulli_loglik(x_rep, out, row_w)
+        sq = dg.square(dg.add(x_rep, dg.mul(out, -1.0)))
+        scale = -0.5 / GAUSSIAN_LIK_SIGMA**2
+        const = -config.input_dims[m] * (
+            math.log(GAUSSIAN_LIK_SIGMA) + 0.5 * math.log(2.0 * math.pi)
+        )
+        return dg.add(dg.vsum(dg.mul(dg.mul(sq, scale), row_w)), const)
 
-    recon = recon_terms[0]
-    for t in recon_terms[1:]:
-        recon = dg.add(recon, t)
+    branches = [functools.partial(recon_graph, m) for m in range(config.num_modalities)]
+    if k > 1:
+        recon, recon_terms = dg.fork_sum(z_all, branches)
+    else:
+        recon_terms = [branch(z_all) for branch in branches]
+        recon = functools.reduce(dg.add, recon_terms)
     loss = dg.add(dg.mul(recon, -1.0), dg.mul(kl, config.beta))
 
     terms = {f"recon_mod{m}": float(t.data) for m, t in enumerate(recon_terms)}

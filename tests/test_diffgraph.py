@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import baryvae.diffgraph as dg
+import baryvae.mmvae as mm
 from baryvae.errors import NumericError
 
 
@@ -290,6 +293,19 @@ class TestTapeDiet:
                 expected = masked_sigmoid(x)
             assert dg._sigmoid(x).tobytes() == expected.tobytes()
 
+    def test_sigmoid_matches_where_formula_bitwise(self):
+        special = [
+            np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+            36.0, -36.0, 709.0, -709.0, 745.1, -745.1, 746.0, -746.0, 800.0, -800.0,
+        ]
+        normals = np.random.default_rng(61).standard_normal(4096) * 30.0
+        for x in (np.array(special), normals, normals.reshape(64, 64)):
+            e = np.exp(-np.abs(x))
+            with np.errstate(invalid="ignore"):
+                expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+                assert dg._sigmoid(x).tobytes() == expected.tobytes()
+                assert dg._sigmoid(x, e).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "prim,fn", [(dg.reciprocal, lambda x: 1.0 / x), (dg.sqrt, np.sqrt)]
     )
@@ -338,7 +354,149 @@ class TestMix:
             dg.mix(np.ones((1, 3)), [np.ones((2, 3)), np.ones((2, 3))])
 
 
+FORK_X = (np.random.default_rng(63).uniform(size=(6, 3)) < 0.5).astype(np.float64)
+FORK_W = np.random.default_rng(64).uniform(0.5, 2.0, size=(6, 1))
+
+
+def fork_store(branches=4):
+    rng = np.random.default_rng(62)
+    arrays = dict(
+        a=rng.standard_normal((6, 4)), w=rng.standard_normal((4, 5)), b=rng.standard_normal(5)
+    )
+    for m in range(branches):
+        arrays[f"w{m}"] = rng.standard_normal((5, 3))
+        arrays[f"b{m}"] = rng.standard_normal(3)
+    return make_store(**arrays)
+
+
+def fork_branch(v, m, z):
+    """Branch m of the fork tests: a layer and then one of two likelihoods."""
+    out = dg.dense(z, v[f"w{m}"], v[f"b{m}"], tanh=m % 2 == 0)
+    if m % 2:
+        return dg.vsum(dg.mul(dg.square(out), -0.5))
+    return dg.bernoulli_loglik(FORK_X, out, FORK_W)
+
+
+def run_fork_model(store, fork, count=4):
+    """Loss, branch outputs, the fork input's gradient and the parameter
+    gradients, as exact hex strings and bytes.
+
+    The input h also feeds a second consumer, so its gradient sums the
+    branches' share with another one, as z_all's mean and sigma do.
+    """
+    v = store.as_values()
+    h = dg.dense(v["a"], v["w"], v["b"], tanh=True)
+    branches = [lambda z, m=m: fork_branch(v, m, z) for m in range(count)]
+    if fork:
+        total, parts = dg.fork_sum(h, branches)
+    else:
+        parts = [branch(h) for branch in branches]
+        total = parts[0]
+        for part in parts[1:]:
+            total = dg.add(total, part)
+    loss = dg.add(dg.mul(total, -1.0), dg.vsum(dg.square(h)))
+    loss.backward()
+    return (
+        float(loss.data).hex(),
+        [float(p.data).hex() for p in parts],
+        h.grad.tobytes(),
+        {name: v[name].grad.tobytes() for name in store.names()},
+    )
+
+
+class TestForkSum:
+    """fork_sum against the same branches built serially on one tape."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_matches_one_tape_bitwise(self, monkeypatch, cpus):
+        monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        store = fork_store()
+        assert run_fork_model(store, True) == run_fork_model(store, False)
+
+    def test_many_threads_switching_often_match_one_tape(self, monkeypatch):
+        # more threads than cores, and the interpreter switching between them
+        # as often as it can: a lost gradient update would change the bytes
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 8)
+        store = fork_store(branches=16)
+        expected = run_fork_model(store, False, count=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert run_fork_model(store, True, count=16) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_constant_input_gets_no_gradient(self):
+        store = make_store(w0=np.ones((2, 3)), b0=np.zeros(3))
+        v = store.as_values()
+        x = np.arange(4.0).reshape(2, 2)
+        total, _ = dg.fork_sum(x, [lambda z: dg.vsum(dg.dense(z, v["w0"], v["b0"]))])
+        total.backward()
+        assert np.array_equal(v["w0"].grad, x.T @ np.ones((2, 3)))
+        assert dg.fork_sum(x, [dg.vsum, dg.vsum])[0].constant
+
+    def test_earliest_branch_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
+        third_failed = threading.Event()
+        failed = []
+
+        def branch(m, z):
+            # branch 3 fails first, branch 1 after it
+            if m == 1:
+                assert third_failed.wait(timeout=30)
+            if m in (1, 3):
+                failed.append(m)
+                third_failed.set()
+                raise NumericError(f"branch {m} failed")
+            return dg.vsum(z)
+
+        x = dg.Value(np.ones(3))
+        with pytest.raises(NumericError, match="branch 1 failed"):
+            dg.fork_sum(x, [lambda z, m=m: branch(m, z) for m in range(5)])
+        assert failed == [3, 1]
+
+    def test_branches_may_not_reach_the_input_or_share_a_node(self):
+        v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
+        with pytest.raises(ValueError, match="reaches x"):
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["x"]))])
+        with pytest.raises(ValueError, match="reaches x"):
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["w"]))] * 2)
+        with pytest.raises(ValueError, match="one shape"):
+            dg.fork_sum(v["x"], [dg.vsum, lambda z: z])
+
+
+def textbook_adam(params, moment1, moment2, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's update as written in the paper, out of place."""
+    for name, g in grads.items():
+        moment1[name] = moment1[name] * beta1 + (1.0 - beta1) * g
+        moment2[name] = moment2[name] * beta2 + (1.0 - beta2) * g * g
+        m_hat = moment1[name] / (1.0 - beta1**t)
+        v_hat = moment2[name] / (1.0 - beta2**t)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
+    def test_in_place_update_matches_textbook_bitwise(self):
+        # the shipped toy5 model's parameter arrays, over several steps
+        config = mm.ModelConfig(num_modalities=5, input_dims=(64,) * 5)
+        store = mm.MultimodalVae(config).store
+        params = {name: store[name].copy() for name in store.names()}
+        moment1 = {name: np.zeros_like(a) for name, a in params.items()}
+        moment2 = {name: np.zeros_like(a) for name, a in params.items()}
+        rng = np.random.default_rng(65)
+        for t in range(1, 6):
+            grads = {
+                name: rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+                for name, a in params.items()
+            }
+            dg.adam_step(store, grads, lr=1e-3)
+            textbook_adam(params, moment1, moment2, grads, t, lr=1e-3)
+        for name in store.names():
+            assert store[name].tobytes() == params[name].tobytes()
+            assert store.moment1[name].tobytes() == moment1[name].tobytes()
+            assert store.moment2[name].tobytes() == moment2[name].tobytes()
+
     def test_zero_gradient_keeps_parameters(self):
         store = make_store(w=[1.0, -2.0])
         before = store["w"].copy()

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import baryvae.diffgraph as dg
 import baryvae.evaluation as ev
 import baryvae.mmvae as mm
 from baryvae.barycenter import SubsetIndex
@@ -301,7 +302,7 @@ class TestSubsetThreads:
         vae, train_set, test_set = tiny_vae_and_data(method="mwb", epochs=1)
         reports = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(ev, "_cpu_count", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(dg, "_cpu_count", lambda cpus=cpus: cpus)
             reports.append(self.evaluate(vae, train_set, test_set))
         for report in reports[1:]:
             assert vars(report) == vars(reports[0])
@@ -325,7 +326,7 @@ class TestSubsetThreads:
                 on_arrival(subset.mask)
             return original(vae, encoded, batch, subset, num_samples, seed)
 
-        monkeypatch.setattr(ev, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
         monkeypatch.setattr(ev, "_log_likelihood", held)
         return reached
 

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import baryvae.diffgraph as dg
 import baryvae.mmvae as mm
 from baryvae.barycenter import SubsetIndex, WeightedFamily, aggregate, subsets
+from baryvae.cli import parse_run_config
 from baryvae.data import MultimodalDataset, ToyConfig, gen_toy
 from baryvae.errors import NumericError
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
@@ -369,6 +372,25 @@ class TestTrain:
         config = self.config_for(ds, aggregation=method)
         with pytest.raises(ValueError, match="at most 16 experts, got 17"):
             mm.train(config, ds)
+
+
+class TestTrainThreads:
+    """Training runs the decoder branches on one thread per CPU for mixtures."""
+
+    @pytest.mark.parametrize("name", ["toy5_wb", "toy5_mwb"])
+    def test_history_and_parameters_do_not_depend_on_cpu_count(self, monkeypatch, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        run_config, dataset = parse_run_config(json.loads(path.read_text()))
+        config = mm.config_with(run_config.model, epochs=2)
+        reduced = dataset.take(np.arange(160))
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(dg, "_cpu_count", lambda cpus=cpus: cpus)
+            runs.append(mm.train(config, reduced))
+        (one, one_history), (two, two_history) = runs
+        assert json.dumps(one_history) == json.dumps(two_history)
+        for key in one.store.names():
+            assert one.store[key].tobytes() == two.store[key].tobytes()
 
 
 class TestConditionalGenerate:
