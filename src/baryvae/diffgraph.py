@@ -15,11 +15,12 @@ matmul, tanh, exp and concat are unused by the model; they stay because
 perfbench's per-primitive trace patches them by name.
 
 fork_sum sums independent branches of one input, each built and run backward
-on a tape of its own, on the calling thread plus one thread per further CPU
-(_map_in_order, which evaluation uses too); its gradients equal those of one
-tape bit for bit. Everything is deterministic, whatever the CPU count;
-randomness is drawn outside the graph from counter-based Philox streams and
-injected as constants.
+on a tape of its own; once the input has FORK_THREAD_ROWS rows, on the
+calling thread plus one thread per further CPU (_map_in_order, which
+evaluation uses too). Its gradients equal those of one tape bit for bit.
+Everything is deterministic, whatever the CPU count; randomness is drawn
+outside the graph from counter-based Philox streams and injected as
+constants.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from .errors import NumericError
 
 GRAD_CHECK_SAMPLE_CAP = 10_000
 GRAD_CHECK_SAMPLE_SIZE = 256
+# fork_sum runs its branches on threads only when its input has at least this
+# many rows. Measured on the toy5 decoders (hidden [128, 128]) with two CPUs,
+# the median training step on two threads took 1.18x the one-thread time at
+# 64 rows, 1.01-1.03x at 128, 0.86-0.97x at 256 and 0.78-0.88x at 384 to
+# 512: below a few hundred rows the threads cost more than they overlap.
+FORK_THREAD_ROWS = 256
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -436,6 +443,10 @@ def _map_in_order(task, items) -> list:
     return results
 
 
+def _map_serial(task, items) -> list:
+    return [task(item) for item in items]
+
+
 def fork_sum(x, branches):
     """The sum of branch(x) over `branches`, each branch on a tape of its own.
 
@@ -443,35 +454,48 @@ def fork_sum(x, branches):
     private leaf over x's data, not a copy, and returns a Value; all outputs
     have one shape, and the sum folds them left to right as a chain of `add`
     would. A branch may read its leaf, constants and leaves such as
-    parameters, but no other node of the caller's tape, and no two branches
-    may share a node.
+    parameters, but no other node of the caller's tape: every node it
+    computes must derive from its leaf. No two branches may share a node.
+    A branch that breaks these rules raises ValueError.
 
     Backward seeds every branch's tape with the incoming gradient, then adds
     the private leaves' gradients into x in branch order, so the sum, the
-    branch outputs and every gradient equal, bit for bit, those of the
-    branches built on one tape. A branch's inner nodes drop their gradients
-    once passed on, so that branches running at once hold less memory; the
-    leaves keep theirs. The branches are built, and their tapes run
-    backward, by _map_in_order: on the calling thread plus one thread per
-    further CPU.
+    branch outputs and every leaf gradient equal, bit for bit, those of the
+    branches built on one tape. Each computed node of a branch, its output
+    included, drops its gradient once passed on, so that branches running
+    at once hold less memory: afterwards their .grad reads zeros. When x
+    has at least FORK_THREAD_ROWS rows, the branches are built, and their
+    tapes run backward, by _map_in_order: on the calling thread plus one
+    thread per further CPU; smaller forks run on the calling thread.
     """
     x = _as_value(x)
+    if x.data.ndim and len(x.data) >= FORK_THREAD_ROWS:
+        run = _map_in_order
+    else:
+        run = _map_serial
 
     def build(branch):
         leaf = Value(x.data, constant=x.constant)
         out = branch(leaf)
         return leaf, out, [] if out.constant else _tape(out)
 
-    forks = _map_in_order(build, list(branches))
+    forks = run(build, list(branches))
     outs = [out for _, out, _ in forks]
     seen = {id(x)}
-    for out, (_, _, order) in zip(outs, forks):
+    for out, (leaf, _, order) in zip(outs, forks):
         if out.data.shape != outs[0].data.shape:
             raise ValueError("fork branches must return one shape")
-        ids = {id(node) for node in order}
-        if ids & seen:
-            raise ValueError("a fork branch reaches x or another branch's node")
-        seen |= ids
+        derived = {id(leaf)}
+        for node in order:
+            if id(node) in seen:
+                raise ValueError("a fork branch reaches x or another branch's node")
+            seen.add(id(node))
+            if node._parents:
+                if not any(id(parent) in derived for parent in node._parents):
+                    raise ValueError(
+                        "a fork branch reads a computed node not derived from its input"
+                    )
+                derived.add(id(node))
     total = outs[0].data
     for out in outs[1:]:
         total = total + out.data
@@ -483,7 +507,7 @@ def fork_sum(x, branches):
                 out._accumulate(g)
                 _run_tape(order, release=True)
 
-        _map_in_order(propagate, forks)
+        run(propagate, forks)
         if not x.constant:
             for leaf, _, _ in forks:
                 if leaf._grad is not None:

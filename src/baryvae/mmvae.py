@@ -10,11 +10,12 @@ aggregations use the closed-form KL to the standard-normal prior, mixture
 aggregations use the convex upper bound (weighted component-wise KL) so the
 objective stays a valid bound, with one reparameterized sample per mixture
 component feeding all decoders. The K components of a batch stay stacked as
-one (K B) x d array through the KL, the sampling and the decoders. For the
-mixture aggregations each modality's decoder and likelihood is one branch of
-`diffgraph.fork_sum`, built and run backward on the calling thread plus one
-thread per further CPU; the single-Gaussian aggregations keep them on one
-tape. Every training output is the same whatever the CPU count.
+one (K B) x d array through the KL, the sampling and the decoders. Each
+modality's decoder and likelihood is one branch of `diffgraph.fork_sum`,
+built and run backward on the calling thread plus one thread per further CPU
+once the K B rows reach `diffgraph.FORK_THREAD_ROWS` (256): the mixture
+aggregations at the shipped batch size, not `poe` and `wb`. Every training
+output is the same whatever the CPU count.
 
 The network is defined once, as diffgraph nodes (`_encode_graph`,
 `_decode_graph`). Training runs it on tape leaves; evaluation and generation
@@ -211,8 +212,7 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     # Reconstruction: one reparameterized sample per component, the K
     # components stacked into a single decoder pass per modality, weighted by
     # component weight. Each modality's decoder and likelihood is a branch of
-    # its own; with more than one component the branches are large enough to
-    # pay for running on several threads, and with one they are not.
+    # the fork, which runs them on several threads when z_all has enough rows.
     z_all = dg.add(mu, dg.mul(sigma, noise.reshape(k * b, d)))
     row_w = comp_w / b
 
@@ -229,11 +229,7 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
         return dg.add(dg.vsum(dg.mul(dg.mul(sq, scale), row_w)), const)
 
     branches = [functools.partial(recon_graph, m) for m in range(config.num_modalities)]
-    if k > 1:
-        recon, recon_terms = dg.fork_sum(z_all, branches)
-    else:
-        recon_terms = [branch(z_all) for branch in branches]
-        recon = functools.reduce(dg.add, recon_terms)
+    recon, recon_terms = dg.fork_sum(z_all, branches)
     loss = dg.add(dg.mul(recon, -1.0), dg.mul(kl, config.beta))
 
     terms = {f"recon_mod{m}": float(t.data) for m, t in enumerate(recon_terms)}

@@ -410,6 +410,7 @@ class TestForkSum:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_matches_one_tape_bitwise(self, monkeypatch, cpus):
         monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         store = fork_store()
         assert run_fork_model(store, True) == run_fork_model(store, False)
 
@@ -417,6 +418,7 @@ class TestForkSum:
         # more threads than cores, and the interpreter switching between them
         # as often as it can: a lost gradient update would change the bytes
         monkeypatch.setattr(dg, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         store = fork_store(branches=16)
         expected = run_fork_model(store, False, count=16)
         interval = sys.getswitchinterval()
@@ -438,6 +440,7 @@ class TestForkSum:
 
     def test_earliest_branch_error_is_raised(self, monkeypatch):
         monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         third_failed = threading.Event()
         failed = []
 
@@ -456,6 +459,24 @@ class TestForkSum:
             dg.fork_sum(x, [lambda z, m=m: branch(m, z) for m in range(5)])
         assert failed == [3, 1]
 
+    def test_threads_only_from_the_row_threshold(self, monkeypatch):
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
+        calls = []
+        map_in_order = dg._map_in_order
+
+        def spy(task, items):
+            calls.append(len(items))
+            return map_in_order(task, items)
+
+        monkeypatch.setattr(dg, "_map_in_order", spy)
+        for rows, expected in [(dg.FORK_THREAD_ROWS - 1, []), (dg.FORK_THREAD_ROWS, [3, 3])]:
+            calls.clear()
+            x = dg.Value(np.ones((rows, 2)))
+            total, _ = dg.fork_sum(x, [dg.vsum] * 3)
+            total.backward()
+            assert calls == expected
+            assert np.array_equal(x.grad, np.full((rows, 2), 3.0))
+
     def test_branches_may_not_reach_the_input_or_share_a_node(self):
         v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
         with pytest.raises(ValueError, match="reaches x"):
@@ -464,6 +485,16 @@ class TestForkSum:
             dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["w"]))] * 2)
         with pytest.raises(ValueError, match="one shape"):
             dg.fork_sum(v["x"], [dg.vsum, lambda z: z])
+
+    def test_branches_may_not_read_a_node_of_the_callers_tape(self):
+        # the branch's backward would run the caller's nodes with only its
+        # own share of their gradient, and then drop it
+        v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
+        scaled = dg.mul(v["w"], 2.0)
+        with pytest.raises(ValueError, match="not derived from its input"):
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, scaled))])
+        with pytest.raises(ValueError, match="not derived from its input"):
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.add(dg.vsum(z), dg.vsum(scaled)))])
 
 
 def textbook_adam(params, moment1, moment2, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -375,7 +375,8 @@ class TestTrain:
 
 
 class TestTrainThreads:
-    """Training runs the decoder branches on one thread per CPU for mixtures."""
+    """Training gives the same outputs with its decoder branches on one
+    thread or on several."""
 
     @pytest.mark.parametrize("name", ["toy5_wb", "toy5_mwb"])
     def test_history_and_parameters_do_not_depend_on_cpu_count(self, monkeypatch, name):
@@ -383,6 +384,8 @@ class TestTrainThreads:
         run_config, dataset = parse_run_config(json.loads(path.read_text()))
         config = mm.config_with(run_config.model, epochs=2)
         reduced = dataset.take(np.arange(160))
+        # wb's 64-row branches would otherwise stay on one thread
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(dg, "_cpu_count", lambda cpus=cpus: cpus)
