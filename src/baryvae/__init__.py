@@ -18,14 +18,13 @@ from .barycenter import (
     wb_full,
 )
 from .data import MultimodalDataset, ToyConfig, gen_toy, load_idx, split
-from .diffgraph import ParamStore, Value, adam_step, forward_backward, grad_check
+from .diffgraph import ParamStore, Value, adam_step
 from .errors import (
     CheckpointFormatError,
     ConfigError,
     IdxFormatError,
     NotPsdError,
     NumericError,
-    OracleError,
 )
 from .evaluation import (
     EvalReport,
@@ -40,13 +39,8 @@ from .gaussian import (
     DiagGaussian,
     FullGaussian,
     WeightedFamily,
-    entropy_diag,
     kl_diag,
-    log_density,
-    sample,
-    w2sq_1d_quantile,
     w2sq_diag,
-    w2sq_full,
 )
 from .linalg import SymMatrix, sqrtm_psd, sym_eig
 from .mmvae import (
@@ -72,7 +66,6 @@ __all__ = [
     "MultimodalVae",
     "NotPsdError",
     "NumericError",
-    "OracleError",
     "ParamStore",
     "SubsetIndex",
     "SymMatrix",
@@ -84,30 +77,23 @@ __all__ = [
     "coherence",
     "conditional_generate",
     "elbo",
-    "entropy_diag",
     "evaluate_model",
     "fit_linear_probe",
-    "forward_backward",
     "gen_toy",
-    "grad_check",
     "kl_diag",
     "latent_accuracy",
     "load_idx",
-    "log_density",
     "moe",
     "mopoe",
     "mwb",
     "poe",
-    "sample",
     "split",
     "sqrtm_psd",
     "subsets",
     "sym_eig",
     "test_log_likelihood",
     "train",
-    "w2sq_1d_quantile",
     "w2sq_diag",
-    "w2sq_full",
     "wb_diag",
     "wb_full",
 ]

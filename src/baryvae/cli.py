@@ -39,6 +39,7 @@ EXIT_FORMAT = 4
 
 # Field kinds of the config sections; `_section` checks each present field.
 _INT = "an integer"
+_SEED = "an integer >= 0"
 _NUMBER = "a finite number"
 _TEXT = "a string"
 _INTS = "a list of integers"
@@ -55,7 +56,7 @@ _MODEL_FIELDS = {
     "learning_rate": _NUMBER,
     "batch_size": _INT,
     "epochs": _INT,
-    "seed": _INT,
+    "seed": _SEED,
 }
 _TOY_FIELDS = {
     "num_modalities": _INT,
@@ -64,13 +65,13 @@ _TOY_FIELDS = {
     "resolution": _INT,
     "background_ids": _IDS,
     "noise_level": _NUMBER,
-    "seed": _INT,
+    "seed": _SEED,
 }
 _IDX_FIELDS = {"images": _TEXT, "labels": _TEXT}
-_SPLIT_FIELDS = {"train_fraction": _NUMBER, "seed": _INT}
+_SPLIT_FIELDS = {"train_fraction": _NUMBER, "seed": _SEED}
 _SPLIT_DEFAULTS = {"train_fraction": 0.8, "seed": 0}
 _EVAL_COUNTS = ("importance_samples", "probe_samples", "coherence_samples", "loglik_examples")
-_EVAL_FIELDS = {**{key: _INT for key in _EVAL_COUNTS}, "seed": _INT}
+_EVAL_FIELDS = {**{key: _INT for key in _EVAL_COUNTS}, "seed": _SEED}
 _EVAL_DEFAULTS = {
     "importance_samples": 512,
     "probe_samples": 500,
@@ -93,6 +94,8 @@ def _is_kind(value, kind: str) -> bool:
         return isinstance(value, list) and all(_is_kind(v, _INT) for v in value)
     if kind == _TEXT:
         return isinstance(value, str)
+    if kind == _SEED:
+        return _is_kind(value, _INT) and value >= 0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return isinstance(value, int) if kind == _INT else math.isfinite(value)
@@ -131,8 +134,6 @@ def build_dataset(data_spec: dict) -> datamod.MultimodalDataset:
         for required in ("num_modalities", "examples_per_class"):
             if required not in toy:
                 raise ConfigError(f"missing required field 'data.toy.{required}'")
-        if "background_ids" in toy and toy["background_ids"] is not None:
-            toy["background_ids"] = tuple(toy["background_ids"])
         try:
             config = datamod.ToyConfig(**toy)
         except ValueError as err:
@@ -190,10 +191,10 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
             f"model.input_dims {model['input_dims']} does not match dataset {derived_dims}"
         )
     model["num_modalities"] = derived_m
-    model["input_dims"] = tuple(derived_dims)
-    if "hidden" in model:
-        model["hidden"] = tuple(model["hidden"])
+    model["input_dims"] = derived_dims
     if seed_override is not None:
+        if not _is_kind(seed_override, _SEED):
+            raise ConfigError(f"--seed must be {_SEED}, got {seed_override!r}")
         model["seed"] = seed_override
     try:
         model_cfg = mmvae.ModelConfig(**model)
@@ -334,12 +335,13 @@ def _parse_posteriors(doc):
             _reject_unknown(entry, {"mean", "cov"}, f"posteriors[{i}]")
             kinds.add("full")
             try:
-                posteriors.append(
-                    FullGaussian(
-                        _finite_array(entry["mean"], "mean"),
-                        SymMatrix(_finite_array(entry["cov"], "cov")),
-                    )
-                )
+                mean = _finite_array(entry["mean"], "mean")
+                # a finite cov can still overflow when symmetrized
+                with np.errstate(over="ignore"):
+                    cov = SymMatrix(_finite_array(entry["cov"], "cov"))
+                if not np.isfinite(cov.array).all():
+                    raise ValueError("cov overflows when symmetrized as (cov + cov^T) / 2")
+                posteriors.append(FullGaussian(mean, cov))
             except ValueError as err:
                 raise ConfigError(f"posteriors[{i}]: {err}") from err
         else:
@@ -453,7 +455,12 @@ def cmd_eval(args) -> int:
             run_config.model, override.data_spec, override.split_spec, override.eval_spec
         )
     else:
-        dataset = build_dataset(run_config.data_spec)
+        try:
+            dataset = build_dataset(run_config.data_spec)
+        except ConfigError as err:
+            raise CheckpointFormatError(
+                f"corrupt checkpoint {args.checkpoint}: config: {err}"
+            ) from err
     if dataset.dims != list(vae.config.input_dims):
         raise ConfigError(
             f"dataset input dims {dataset.dims} do not match the checkpoint's model "

@@ -20,10 +20,6 @@ class NotPsdError(ValueError):
         self.eigenvalue = eigenvalue
 
 
-class OracleError(RuntimeError):
-    """A brute-force oracle detected inconsistent input (e.g. non-monotone CDF)."""
-
-
 class IdxFormatError(ValueError):
     """An IDX file failed to parse (bad magic, truncation, or count mismatch)."""
 

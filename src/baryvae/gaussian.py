@@ -1,12 +1,12 @@
-"""Gaussian posterior types, densities, sampling, and the divergence toolbox.
+"""Gaussian posterior types, the mixture density, and the closed-form divergences.
 
 Diagonal Gaussians are the workhorse (mean + per-coordinate standard
 deviation); full-covariance Gaussians exist for the fixed-point barycenter
 path. A `WeightedFamily` is the one type for a weighted set of Gaussians:
 the input of every aggregator and, read as a density, the mixture that
-moe, mopoe and mwb return. Divergences: closed-form KL (both argument
-orders), closed-form squared 2-Wasserstein, and a brute-force 1-D quantile
-oracle for distributions that only expose a density.
+moe, mopoe and mwb return; `mixture_log_density` evaluates that density
+on stacked arrays. Divergences: closed-form KL and closed-form squared
+2-Wasserstein between diagonal Gaussians.
 """
 
 from __future__ import annotations
@@ -16,22 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OracleError
-# sym_eig is not called here but stays importable from this module.
+# sqrtm_psd and sym_eig are not called here: a traced aggregate-full benchmark
+# run patches both by name on this module, so both stay importable from it.
 from .linalg import SymMatrix, sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
 
 SIGMA_FLOOR = 1e-6
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Quantile-oracle resolution: a uniform core grid of 20001 points on
-# [5e-5, 1 - 5e-5], extended by log-spaced ladders down to 1e-8 in each tail
-# so that sigma-dominated pairs are resolved to ~1e-5 relative accuracy.
-QUANTILE_CORE_POINTS = 20001
-QUANTILE_CORE_EDGE = 5e-5
-QUANTILE_TAIL_FLOOR = 1e-8
-QUANTILE_TAIL_POINTS = 200
-QUANTILE_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,34 +147,6 @@ def w2sq_diag(p: DiagGaussian, q: DiagGaussian) -> float:
     return float(np.sum((p.mean - q.mean) ** 2 + (p.sigma - q.sigma) ** 2))
 
 
-def w2sq_full(p: FullGaussian, q: FullGaussian) -> float:
-    """Squared 2-Wasserstein distance between full-covariance Gaussians.
-
-    |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}); symmetric in
-    its arguments despite the asymmetric-looking trace term.
-    """
-    _check_dims(p, q)
-    s1, s2 = p.cov.array, q.cov.array
-    r1 = sqrtm_psd(p.cov).array
-    cross = sqrtm_psd(SymMatrix(r1 @ s2 @ r1)).array
-    val = float(np.sum((p.mean - q.mean) ** 2))
-    val += float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
-    return max(val, 0.0)
-
-
-def entropy_diag(g: DiagGaussian) -> float:
-    """Differential entropy of a diagonal Gaussian."""
-    return float(0.5 * g.dim * (1.0 + LOG_2PI) + np.sum(np.log(g.sigma)))
-
-
-def sample(g: DiagGaussian, noise: np.ndarray) -> np.ndarray:
-    """Reparameterized draw mean + sigma * noise for caller-supplied noise."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != g.mean.shape:
-        raise ValueError(f"noise shape {noise.shape} != dim {g.mean.shape}")
-    return g.mean + g.sigma * noise
-
-
 def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:
     """Log density at rows of xs (n x d) of the mixture of K weights, K x d means and sigmas."""
     with np.errstate(divide="ignore"):
@@ -200,91 +163,3 @@ def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:
     safe_top = np.where(np.isfinite(top), top, 0.0)
     out = safe_top + np.log(np.sum(np.exp(stacked - safe_top), axis=0))
     return np.where(np.isfinite(top), out, -np.inf)
-
-
-def _stacked(g):
-    """(weights K, means K x d, sigmas K x d) of a DiagGaussian or WeightedFamily."""
-    if isinstance(g, DiagGaussian):
-        return np.ones(1), g.mean[None, :], g.sigma[None, :]
-    if isinstance(g, WeightedFamily):
-        comps = g.members
-        return g.weights, np.stack([c.mean for c in comps]), np.stack([c.sigma for c in comps])
-    raise TypeError(f"unsupported distribution type {type(g).__name__}")
-
-
-def log_density_many(g, xs: np.ndarray) -> np.ndarray:
-    """Log density of `g` (DiagGaussian or WeightedFamily) at rows of xs."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    weights, means, sigmas = _stacked(g)
-    if xs.shape[1] != means.shape[1]:
-        raise ValueError(f"point dim {xs.shape[1]} != {means.shape[1]}")
-    return mixture_log_density(weights, means, sigmas, xs)
-
-
-def log_density(g, x: np.ndarray) -> float:
-    """Log density of a diagonal Gaussian or mixture at a single point."""
-    return float(log_density_many(g, np.atleast_1d(x)[None, :])[0])
-
-
-def _quantile_u_grid() -> np.ndarray:
-    lo = np.geomspace(QUANTILE_TAIL_FLOOR, QUANTILE_CORE_EDGE, QUANTILE_TAIL_POINTS, endpoint=False)
-    core = np.linspace(QUANTILE_CORE_EDGE, 1.0 - QUANTILE_CORE_EDGE, QUANTILE_CORE_POINTS)
-    return np.concatenate([lo, core, (1.0 - lo)[::-1]])
-
-
-def _cdf_table(g, n_points: int = 40001):
-    """Tabulated CDF of a 1-D density-evaluable distribution by quadrature.
-
-    Gaussians and mixtures are handled natively; any other object must expose
-    support() -> (lo, hi) and pdf(xs) -> densities.
-    """
-    if hasattr(g, "support") and hasattr(g, "pdf"):
-        lo, hi = g.support()
-        xs = np.linspace(float(lo), float(hi), n_points)
-        pdf = np.asarray(g.pdf(xs), dtype=np.float64)
-    else:
-        _, means, sigmas = _stacked(g)
-        if means.shape[1] != 1:
-            raise ValueError("quantile oracle handles 1-D distributions only")
-        lo = float(np.min(means - 10.0 * sigmas))
-        hi = float(np.max(means + 10.0 * sigmas))
-        xs = np.linspace(lo, hi, n_points)
-        pdf = np.exp(log_density_many(g, xs[:, None]))
-    h = xs[1] - xs[0]
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * (h / 2.0))])
-    if np.any(np.diff(cdf) < -1e-12):
-        raise OracleError("quadrature CDF is non-monotone")
-    total = cdf[-1]
-    if not (0.99 < total < 1.01):
-        raise OracleError(f"quadrature CDF mass {total!r} is not close to 1")
-    return xs, cdf / total
-
-
-def _invert_cdf(xs: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Bisection inversion of a tabulated CDF, vectorized over u."""
-    lo = np.full_like(u, xs[0])
-    hi = np.full_like(u, xs[-1])
-    span = xs[-1] - xs[0]
-    steps = int(math.ceil(math.log2(span / QUANTILE_BISECT_TOL))) + 1
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = np.interp(mid, xs, cdf) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def w2sq_1d_quantile(p, q) -> float:
-    """Brute-force squared 2-Wasserstein distance between 1-D distributions.
-
-    Integrates (F_p^{-1}(u) - F_q^{-1}(u))^2 over the quantile grid, with the
-    CDFs built by density quadrature and inverted by bisection. For two
-    Gaussians this matches w2sq_diag to better than 1e-4 relative.
-    """
-    u = _quantile_u_grid()
-    xp_s, cp = _cdf_table(p)
-    xq_s, cq = _cdf_table(q)
-    fp = _invert_cdf(xp_s, cp, u)
-    fq = _invert_cdf(xq_s, cq, u)
-    val = float(np.trapezoid((fp - fq) ** 2, u))
-    return max(val, 0.0)

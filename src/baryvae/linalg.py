@@ -38,14 +38,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.array.shape[0]
 
-    @staticmethod
-    def identity(dim: int) -> "SymMatrix":
-        return SymMatrix(np.eye(dim))
-
-    @staticmethod
-    def diagonal(values) -> "SymMatrix":
-        return SymMatrix(np.diag(np.asarray(values, dtype=np.float64)))
-
 
 def _lapack(solver, a: SymMatrix):
     """`solver(a.array)` with non-finite input and LAPACK failure as NumericError."""

@@ -252,7 +252,7 @@ def elbo(vae: MultimodalVae, batch, noise: np.ndarray):
 
 
 def elbo_builder(vae: MultimodalVae, batch, noise: np.ndarray):
-    """A graph-builder closure over (batch, noise) for forward_backward."""
+    """A builder of the loss node for (batch, noise) over given parameter leaves."""
 
     def build(values):
         return _elbo_graph(values, vae.config, batch, noise)[0]

@@ -1,10 +1,14 @@
 """Brute-force oracles shared by the test modules.
 
-These deliberately avoid the library's closed forms: KL by direct quadrature
-of p log(p/q), entropies by quadrature of -p log p, and products of densities
-on a grid. They are the independent side of every dual-route check. The
-network's forward pass is restated here in plain numpy, independently of the
-diffgraph nodes the model runs.
+These deliberately avoid the library's closed forms and density code: KL by
+direct quadrature of p log(p/q), entropies by quadrature of -p log p,
+products of densities on a grid, and squared 2-Wasserstein distances by
+inverting quadrature CDFs (1-D) or from eigendecomposition square roots
+(full covariance). Every density here is `proposal_log_density` on stacked
+arrays, so none shares a route with `baryvae.gaussian`. They are the
+independent side of every dual-route check. The network's forward pass is
+restated here in plain numpy, independently of the diffgraph nodes the
+model runs.
 """
 
 import math
@@ -12,9 +16,34 @@ import math
 import numpy as np
 
 from baryvae.barycenter import WeightedFamily
-from baryvae.errors import OracleError
-from baryvae.gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, log_density_many
+from baryvae.gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian
 from baryvae.linalg import SymMatrix
+
+# Quantile-oracle resolution: a uniform core grid of 20001 points on
+# [5e-5, 1 - 5e-5], extended by log-spaced ladders down to 1e-8 in each tail
+# so that sigma-dominated pairs are resolved to ~1e-5 relative accuracy.
+QUANTILE_CORE_POINTS = 20001
+QUANTILE_CORE_EDGE = 5e-5
+QUANTILE_TAIL_FLOOR = 1e-8
+QUANTILE_TAIL_POINTS = 200
+QUANTILE_BISECT_TOL = 1e-10
+
+
+class OracleError(RuntimeError):
+    """A brute-force oracle met inconsistent input or did not settle."""
+
+
+def stacked_arrays(g):
+    """(weights K, means K x d, sigmas K x d) of a DiagGaussian or WeightedFamily."""
+    if isinstance(g, DiagGaussian):
+        return np.ones(1), g.mean[None, :], g.sigma[None, :]
+    comps = g.members
+    return g.weights, np.stack([c.mean for c in comps]), np.stack([c.sigma for c in comps])
+
+
+def log_density_1d(g, xs):
+    """Log density of a 1-D DiagGaussian or WeightedFamily at the points xs."""
+    return proposal_log_density(*stacked_arrays(g), xs[:, None])
 
 
 def quad_grid(dists, pad_sigmas=12.0, step=1e-3):
@@ -35,8 +64,8 @@ def quad_kl_1d(p, q, xs=None):
     """KL(p || q) for 1-D distributions by trapezoid quadrature."""
     if xs is None:
         xs = quad_grid([p, q])
-    lp = log_density_many(p, xs[:, None])
-    lq = log_density_many(q, xs[:, None])
+    lp = log_density_1d(p, xs)
+    lq = log_density_1d(q, xs)
     pd = np.exp(lp)
     integrand = np.where(pd > 0.0, pd * (lp - lq), 0.0)
     return float(np.trapezoid(integrand, xs))
@@ -46,7 +75,7 @@ def quad_entropy_1d(p, xs=None):
     """Differential entropy of a 1-D distribution by trapezoid quadrature."""
     if xs is None:
         xs = quad_grid([p])
-    lp = log_density_many(p, xs[:, None])
+    lp = log_density_1d(p, xs)
     pd = np.exp(lp)
     integrand = np.where(pd > 0.0, -pd * lp, 0.0)
     return float(np.trapezoid(integrand, xs))
@@ -61,13 +90,74 @@ def grid_product_gaussian(experts, exponents, xs=None):
         xs = quad_grid(experts)
     log_prod = np.zeros_like(xs)
     for g, a in zip(experts, exponents):
-        log_prod += a * log_density_many(g, xs[:, None])
+        log_prod += a * log_density_1d(g, xs)
     log_prod -= log_prod.max()
     dens = np.exp(log_prod)
     dens /= np.trapezoid(dens, xs)
     mean = float(np.trapezoid(xs * dens, xs))
     var = float(np.trapezoid((xs - mean) ** 2 * dens, xs))
     return mean, float(np.sqrt(var))
+
+
+def _quantile_u_grid():
+    lo = np.geomspace(QUANTILE_TAIL_FLOOR, QUANTILE_CORE_EDGE, QUANTILE_TAIL_POINTS, endpoint=False)
+    core = np.linspace(QUANTILE_CORE_EDGE, 1.0 - QUANTILE_CORE_EDGE, QUANTILE_CORE_POINTS)
+    return np.concatenate([lo, core, (1.0 - lo)[::-1]])
+
+
+def _cdf_table(g, n_points=40001):
+    """Tabulated CDF of a 1-D density-evaluable distribution by quadrature.
+
+    Gaussians and mixtures are handled natively; any other object must expose
+    support() -> (lo, hi) and pdf(xs) -> densities.
+    """
+    if hasattr(g, "support") and hasattr(g, "pdf"):
+        lo, hi = g.support()
+        xs = np.linspace(float(lo), float(hi), n_points)
+        pdf = np.asarray(g.pdf(xs), dtype=np.float64)
+    else:
+        _, means, sigmas = stacked_arrays(g)
+        if means.shape[1] != 1:
+            raise ValueError("quantile oracle handles 1-D distributions only")
+        lo = float(np.min(means - 10.0 * sigmas))
+        hi = float(np.max(means + 10.0 * sigmas))
+        xs = np.linspace(lo, hi, n_points)
+        pdf = np.exp(log_density_1d(g, xs))
+    h = xs[1] - xs[0]
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * (h / 2.0))])
+    if np.any(np.diff(cdf) < -1e-12):
+        raise OracleError("quadrature CDF is non-monotone")
+    total = cdf[-1]
+    if not (0.99 < total < 1.01):
+        raise OracleError(f"quadrature CDF mass {total!r} is not close to 1")
+    return xs, cdf / total
+
+
+def _invert_cdf(xs, cdf, u):
+    """Bisection inversion of a tabulated CDF, vectorized over u."""
+    lo = np.full_like(u, xs[0])
+    hi = np.full_like(u, xs[-1])
+    span = xs[-1] - xs[0]
+    steps = int(math.ceil(math.log2(span / QUANTILE_BISECT_TOL))) + 1
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = np.interp(mid, xs, cdf) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def w2sq_1d_quantile(p, q):
+    """Brute-force squared 2-Wasserstein distance between 1-D distributions.
+
+    Integrates (F_p^{-1}(u) - F_q^{-1}(u))^2 over the quantile grid, with the
+    CDFs built by density quadrature and inverted by bisection. For two
+    Gaussians this matches w2sq_diag to better than 1e-4 relative.
+    """
+    u = _quantile_u_grid()
+    fp = _invert_cdf(*_cdf_table(p), u)
+    fq = _invert_cdf(*_cdf_table(q), u)
+    return max(float(np.trapezoid((fp - fq) ** 2, u)), 0.0)
 
 
 def random_spd(rng, dim, lo=0.3, hi=3.0):
@@ -92,6 +182,21 @@ def random_full_families(rng, count):
 def _eigh_sqrt(a):
     w, v = np.linalg.eigh(a)
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+
+def w2sq_full(p, q):
+    """Squared 2-Wasserstein distance between full-covariance Gaussians.
+
+    |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}), with every
+    root taken from numpy.linalg.eigh; symmetric in its arguments despite
+    the asymmetric-looking trace term.
+    """
+    s1, s2 = p.cov.array, q.cov.array
+    r1 = _eigh_sqrt(s1)
+    cross = _eigh_sqrt(r1 @ s2 @ r1)
+    val = float(np.sum((p.mean - q.mean) ** 2))
+    val += float(np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
+    return max(val, 0.0)
 
 
 def plain_wb_fixed_point(covs, weights):

@@ -136,10 +136,15 @@ class TestAggregateCommand:
         err = capsys.readouterr().err
         assert "posteriors[0]" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "posterior,message",
-        [({"mean": [1.0], "sigma": [-2.0]}, "nonnegative"), ({"mean": [], "sigma": []}, "dimension")],
-        ids=["negative_sigma", "empty"],
+        [
+            ({"mean": [1.0], "sigma": [-2.0]}, "nonnegative"),
+            ({"mean": [], "sigma": []}, "dimension"),
+            ({"mean": [0.0], "cov": [[1e308]]}, "overflows when symmetrized"),
+        ],
+        ids=["negative_sigma", "empty", "cov_overflows_when_symmetrized"],
     )
     def test_invalid_diagonal_posterior_exits_2(self, tmp_path, capsys, posterior, message):
         inp = self.posterior_file(tmp_path, {"posteriors": [posterior]})
@@ -338,9 +343,26 @@ class TestTrainCommand:
                 lambda doc: doc["model"].update(hidden=[16, -1]),
                 "invalid model section: hidden sizes must be >= 1",
             ),
+            (
+                lambda doc: doc["model"].update(seed=-3),
+                "field 'seed' in model section must be an integer >= 0, got -3",
+            ),
+            (
+                lambda doc: doc["data"]["toy"].update(seed=-1),
+                "field 'seed' in data.toy section must be an integer >= 0, got -1",
+            ),
+            (
+                lambda doc: doc["split"].update(seed=-1),
+                "field 'seed' in split section must be an integer >= 0, got -1",
+            ),
+            (
+                lambda doc: doc["eval"].update(seed=-1),
+                "field 'seed' in eval section must be an integer >= 0, got -1",
+            ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
-             "eval_zero_samples", "hidden_zero", "hidden_negative"],
+             "eval_zero_samples", "hidden_zero", "hidden_negative", "model_seed_negative",
+             "toy_seed_negative", "split_seed_negative", "eval_seed_negative"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -350,6 +372,14 @@ class TestTrainCommand:
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_json(cfg, TOY_CONFIG)
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out), "--seed", "-3") == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fraction,side", [(0.1, "train"), (0.9, "test")])
     def test_empty_split_exits_2(self, tmp_path, capsys, fraction, side):
@@ -510,6 +540,10 @@ class TestEvalCommand:
             (("config", "model", "hidden"), [0]),
             (("config", "model", "input_dims"), [64, 0]),
             (("rng_state", "adam_step"), 1.7),
+            (("config", "model", "seed"), -1),
+            (("config", "data", "toy", "seed"), -1),
+            (("config", "split", "seed"), -1),
+            (("config", "eval", "seed"), -1),
         ],
         ids=[
             "split_list",
@@ -521,6 +555,10 @@ class TestEvalCommand:
             "hidden_zero",
             "input_dims_zero",
             "adam_step_fraction",
+            "model_seed_negative",
+            "toy_seed_negative",
+            "split_seed_negative",
+            "eval_seed_negative",
         ],
     )
     def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):

@@ -9,6 +9,8 @@ import baryvae.diffgraph as dg
 import baryvae.mmvae as mm
 from baryvae.errors import NumericError
 
+from gradcheck import forward_backward, grad_check
+
 
 BERN_X = (np.random.default_rng(59).uniform(size=(4, 3)) < 0.5).astype(np.float64)
 BERN_W = np.array([[0.5], [1.0], [0.25], [2.0]])
@@ -27,13 +29,13 @@ def make_store(**arrays):
 class TestForwardBackward:
     def test_sum_of_squares(self):
         store = make_store(x=[1.0, 2.0])
-        loss, grads = dg.forward_backward(lambda v: dg.vsum(dg.square(v["x"])), store)
+        loss, grads = forward_backward(lambda v: dg.vsum(dg.square(v["x"])), store)
         assert loss == 5.0
         assert np.array_equal(grads["x"], [2.0, 4.0])
 
     def test_constant_loss_zero_grads(self):
         store = make_store(x=[1.0, -1.0])
-        loss, grads = dg.forward_backward(
+        loss, grads = forward_backward(
             lambda v: dg.add(dg.mul(dg.vsum(v["x"]), 0.0), 3.0), store
         )
         assert loss == 3.0
@@ -55,12 +57,12 @@ class TestForwardBackward:
             out = dg.dense(h, v["w2"], v["b2"])
             return dg.mul(dg.vsum(dg.square(dg.add(out, -y))), 1.0 / y.size)
 
-        assert dg.grad_check(build, store, 1e-5) < 1e-6
+        assert grad_check(build, store, 1e-5) < 1e-6
 
     def test_non_scalar_loss_rejected(self):
         store = make_store(x=[1.0, 2.0])
         with pytest.raises(ValueError):
-            dg.forward_backward(lambda v: dg.square(v["x"]), store)
+            forward_backward(lambda v: dg.square(v["x"]), store)
 
     def test_reused_node_accumulates(self):
         store = make_store(x=[3.0])
@@ -69,7 +71,7 @@ class TestForwardBackward:
             # x appears twice: d/dx (x*x + x) = 2x + 1
             return dg.vsum(dg.add(dg.mul(v["x"], v["x"]), v["x"]))
 
-        _, grads = dg.forward_backward(build, store)
+        _, grads = forward_backward(build, store)
         assert np.array_equal(grads["x"], [7.0])
 
 
@@ -115,7 +117,7 @@ class TestPrimitives:
             c2=rng.standard_normal((4, 3)),
             row=rng.standard_normal(3),
         )
-        assert dg.grad_check(build, store, 1e-5) < 1e-6
+        assert grad_check(build, store, 1e-5) < 1e-6
 
 
 def masked_sigmoid(x):
@@ -155,11 +157,11 @@ class TestTapeDiet:
 
             return loss
 
-        _, raw_grads = dg.forward_backward(build(False), store)
+        _, raw_grads = forward_backward(build(False), store)
         raw_operand = outs[-1]._parents[0 if raw_first else 1]
         assert raw_operand.constant
         assert raw_operand._grad is None and raw_operand.grad is None
-        _, leaf_grads = dg.forward_backward(build(True), store)
+        _, leaf_grads = forward_backward(build(True), store)
         leaf_operand = outs[-1]._parents[0 if raw_first else 1]
         assert not leaf_operand.constant and leaf_operand._grad is not None
         assert np.array_equal(raw_grads["w"], leaf_grads["w"])
@@ -205,7 +207,7 @@ class TestTapeDiet:
                 terms.reverse()
             return dg.add(*terms)
 
-        _, grads = dg.forward_backward(build, store)
+        _, grads = forward_backward(build, store)
         assert np.array_equal(grads["x"], c + d)
         assert np.array_equal(grads["y"], c)
 
@@ -230,7 +232,7 @@ class TestTapeDiet:
                 terms.reverse()
             return dg.add(*terms)
 
-        _, grads = dg.forward_backward(build, store)
+        _, grads = forward_backward(build, store)
         assert np.array_equal(grads["x"], c + 2.0)
         assert np.array_equal(grads["y"], c)
 
@@ -239,10 +241,10 @@ class TestTapeDiet:
         x = (rng.uniform(size=(64, 20)) < 0.4).astype(np.float64)
         weights = rng.uniform(0.1, 1.0, size=(64, 1))
         store = make_store(logits=8.0 * rng.standard_normal((64, 20)))
-        fused_loss, fused = dg.forward_backward(
+        fused_loss, fused = forward_backward(
             lambda v: dg.bernoulli_loglik(x, v["logits"], weights), store
         )
-        chain_loss, chain = dg.forward_backward(
+        chain_loss, chain = forward_backward(
             lambda v: composed_bernoulli(x, v["logits"], weights), store
         )
         assert fused_loss.hex() == chain_loss.hex()
@@ -272,8 +274,8 @@ class TestTapeDiet:
                 dg.mul(layer(x if raw_input else v["h"], v["w"], v["b"]), weights)
             )
 
-        fused_loss, fused_grads = dg.forward_backward(loss(fused), store)
-        chain_loss, chain_grads = dg.forward_backward(loss(composed), store)
+        fused_loss, fused_grads = forward_backward(loss(fused), store)
+        chain_loss, chain_grads = forward_backward(loss(composed), store)
         assert fused_loss.hex() == chain_loss.hex()
         for name in ("h", "w", "b"):
             assert fused_grads[name].tobytes() == chain_grads[name].tobytes()
@@ -283,7 +285,7 @@ class TestTapeDiet:
     def test_bernoulli_loglik_rejects_active_data(self):
         store = make_store(x=[1.0, 0.0])
         with pytest.raises(ValueError):
-            dg.forward_backward(lambda v: dg.bernoulli_loglik(v["x"], np.zeros(2), 1.0), store)
+            forward_backward(lambda v: dg.bernoulli_loglik(v["x"], np.zeros(2), 1.0), store)
 
     def test_sigmoid_matches_masked_formula_bitwise(self):
         special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
@@ -568,13 +570,13 @@ class TestAdam:
 class TestGradCheck:
     def test_linear_loss(self):
         store = make_store(x=[0.5, -1.0, 2.0])
-        assert dg.grad_check(lambda v: dg.vsum(dg.mul(v["x"], 3.0)), store) < 1e-10
+        assert grad_check(lambda v: dg.vsum(dg.mul(v["x"], 3.0)), store) < 1e-10
 
     def test_softplus_chain(self):
         rng = np.random.default_rng(53)
         store = make_store(x=rng.standard_normal(8))
         build = lambda v: dg.vsum(dg.softplus(dg.mul(dg.softplus(v["x"]), 1.7)))
-        assert dg.grad_check(build, store) < 1e-6
+        assert grad_check(build, store) < 1e-6
 
     def test_detects_corrupted_backward(self):
         store = make_store(x=[0.7, -0.4])
@@ -588,19 +590,19 @@ class TestGradCheck:
             out._backward = backward
             return out
 
-        assert dg.grad_check(lambda v: dg.vsum(bad_square(v["x"])), store) > 1e-2
+        assert grad_check(lambda v: dg.vsum(bad_square(v["x"])), store) > 1e-2
 
     def test_sampled_coordinates_above_cap(self):
         rng = np.random.default_rng(54)
         store = make_store(big=0.01 * rng.standard_normal((150, 100)))
-        err = dg.grad_check(lambda v: dg.vsum(dg.square(v["big"])), store)
+        err = grad_check(lambda v: dg.vsum(dg.square(v["big"])), store)
         assert err < 1e-6
 
     def test_nonfinite_loss_raises(self):
         store = make_store(x=[-2.0])
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError):
-                dg.grad_check(lambda v: dg.vsum(dg.log(v["x"])), store)
+                grad_check(lambda v: dg.vsum(dg.log(v["x"])), store)
 
 
 class TestDeterminism:
@@ -616,7 +618,7 @@ class TestDeterminism:
             rng = dg.rng_stream(7, 1)
             store = make_store(w=rng.standard_normal((4, 4)), b=rng.standard_normal(4))
             x = dg.rng_stream(7, 2).standard_normal((3, 4))
-            loss, grads = dg.forward_backward(
+            loss, grads = forward_backward(
                 lambda v: dg.vsum(dg.softplus(dg.dense(x, v["w"], v["b"], tanh=True))), store
             )
             return loss, grads["w"]
