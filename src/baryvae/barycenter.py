@@ -21,13 +21,15 @@ can be tested directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffgraph as dg
 from .errors import NumericError
-from .gaussian import DiagGaussian, FullGaussian, WeightedFamily, kl_diag, w2sq_diag
+from .gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, WeightedFamily
+from .gaussian import kl_diag, w2sq_diag
 from .linalg import SymMatrix, sqrtm_psd
 
 WB_FULL_TOL = 1e-9
@@ -99,12 +101,20 @@ def mixing(method: str, weights):
         return np.ones(1), np.append(np.ones(m) if natural else w, 0.0)[None], natural
     if m > MAX_MODALITIES:
         raise ValueError(f"{method} supports at most {MAX_MODALITIES} experts, got {m}")
+    return (*_powerset_table(m, natural), natural)
+
+
+@functools.cache
+def _powerset_table(m: int, natural: bool):
+    """The mopoe (natural) or mwb table over m experts, built once, read-only."""
     rows = np.zeros((1 << m, m + 1))
     rows[0, m] = 1.0
     for mask in range(1, 1 << m):
         idx = [i for i in range(m) if mask >> i & 1]
         rows[mask, idx] = 1.0 if natural else 1.0 / len(idx)
-    return np.full(1 << m, 1.0 / (1 << m)), rows, natural
+    weights = np.full(1 << m, 1.0 / (1 << m))
+    rows.flags.writeable = weights.flags.writeable = False
+    return weights, rows
 
 
 def combine(rows, natural: bool, mus, sigmas):
@@ -129,7 +139,9 @@ def _components(rows, natural: bool, family: WeightedFamily):
     mean, sigma = combine(
         rows, natural, [g.mean[None] for g in members], [g.sigma[None] for g in members]
     )
-    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean.data, sigma.data))
+    # floored here once, so no component floors its own sigma again
+    sigma = np.maximum(sigma.data, SIGMA_FLOOR)
+    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean.data, sigma))
 
 
 def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
@@ -191,6 +203,8 @@ def wb_full(
         mean += lam * member.mean
 
     cov = sum(lam * c for lam, c in zip(lams, covs))
+    if family.size == 1:  # its own barycenter; iterating could overflow
+        return FullGaussian(mean, SymMatrix(cov))
     for iteration in range(max_iter + 1):
         root = sqrtm_psd(SymMatrix(cov)).array
         mapped = np.zeros_like(cov)

@@ -211,10 +211,30 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _json_text(obj, encode, indent: str = "\n") -> str:
+    """`obj` as json.dumps(obj, indent=2) writes it, built over `encode`, a
+    compact C encoder, so that a list of numbers takes one call."""
+    if not (isinstance(obj, (list, tuple, dict)) and obj):
+        return encode(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        # a non-string key is converted as json converts it
+        keys = (encode(k) if isinstance(k, str) else encode({k: 0})[1:-4] for k in obj)
+        items = (k + ": " + _json_text(v, encode, inner) for k, v in zip(keys, obj.values()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj[0], (str, list, tuple, dict)):
+        # numbers hold no '"', '[' or '{', nor the ", " between items
+        text = encode(obj)[1:-1]
+        if not ('"' in text or "[" in text or "{" in text):
+            return "[" + inner + text.replace(", ", "," + inner) + indent + "]"
+    items = (_json_text(x, encode, inner) for x in obj)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _write_json(path: str, obj, allow_nan: bool = True) -> None:
-    """Write `obj` as indented JSON; with allow_nan=False, NaN or Infinity
-    raises ValueError before the file is opened."""
-    text = json.dumps(obj, indent=2, allow_nan=allow_nan)
+    """Write `obj` as json.dumps(obj, indent=2) does; with allow_nan=False,
+    NaN or Infinity raises ValueError before the file is opened."""
+    text = _json_text(obj, json.JSONEncoder(allow_nan=allow_nan).encode)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
 

@@ -327,15 +327,19 @@ def mix(rows, values) -> Value:
     shape = values[0].data.shape
     if any(v.data.shape != shape for v in values):
         raise ValueError("mix needs values of one shape")
+    # np.nonzero lists the entries row by row, in column order within a row
+    ks, js = np.nonzero(rows)
+    entries = list(zip(ks.tolist(), js.tolist(), rows[ks, js].tolist()))
+    if len(set(ks.tolist())) < rows.shape[0]:
+        raise ValueError(f"row {np.flatnonzero(~rows.any(axis=1))[0]} has no nonzero entry")
     out = np.empty((rows.shape[0], *shape))
-    for k, row in enumerate(rows):
-        cols = np.flatnonzero(row)
-        if cols.size == 0:
-            raise ValueError(f"row {k} has no nonzero entry")
-        acc = row[cols[0]] * values[cols[0]].data
-        for j in cols[1:]:
-            acc = acc + row[j] * values[j].data
-        out[k] = acc
+    first = -1
+    for k, j, c in entries:
+        if k != first:
+            np.multiply(c, values[j].data, out=out[k])
+            first = k
+        else:
+            out[k] += c * values[j].data
 
     def backward(g):
         per_value = rows.T @ g.reshape(rows.shape[0], -1)

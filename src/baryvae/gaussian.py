@@ -37,18 +37,20 @@ class DiagGaussian:
     sigma: np.ndarray = field()
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=np.float64))
+        mean = np.array(self.mean, dtype=np.float64, copy=None, ndmin=1)
+        sigma = np.array(self.sigma, dtype=np.float64, copy=None, ndmin=1)
         if mean.shape != sigma.shape or mean.ndim != 1:
             raise ValueError(
                 f"mean/sigma must be equal-length vectors, got {mean.shape} vs {sigma.shape}"
             )
         if mean.shape[0] == 0:
             raise ValueError("mean/sigma must have dimension >= 1")
-        if np.any(sigma < 0.0):
-            raise ValueError(f"sigma must be nonnegative, got {float(sigma.min())!r}")
+        if (sigma < SIGMA_FLOOR).any():
+            if (sigma < 0.0).any():
+                raise ValueError(f"sigma must be nonnegative, got {float(sigma.min())!r}")
+            sigma = np.maximum(sigma, SIGMA_FLOOR)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", np.maximum(sigma, SIGMA_FLOOR))
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:
@@ -99,7 +101,7 @@ class WeightedFamily:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(members),):
             raise ValueError("weights length must match member count")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("weights must be nonnegative")
         # written so that a NaN sum fails too
         if not abs(float(w.sum()) - 1.0) <= 1e-12:

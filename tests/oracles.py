@@ -71,16 +71,6 @@ def quad_kl_1d(p, q, xs=None):
     return float(np.trapezoid(integrand, xs))
 
 
-def quad_entropy_1d(p, xs=None):
-    """Differential entropy of a 1-D distribution by trapezoid quadrature."""
-    if xs is None:
-        xs = quad_grid([p])
-    lp = log_density_1d(p, xs)
-    pd = np.exp(lp)
-    integrand = np.where(pd > 0.0, -pd * lp, 0.0)
-    return float(np.trapezoid(integrand, xs))
-
-
 def grid_product_gaussian(experts, exponents, xs=None):
     """Normalized product of 1-D Gaussian densities raised to exponents.
 

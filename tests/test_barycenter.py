@@ -220,6 +220,14 @@ class TestWbFull:
         assert np.allclose(out.cov.array, cov.array, atol=1e-12)
         assert np.allclose(out.mean, member.mean)
 
+    @pytest.mark.parametrize("cov", [[[2.0, 0.3], [0.3, 0.7]], [[8e307]]])
+    def test_single_member_is_its_own_barycenter(self, cov):
+        # iterating on the 8e307 member would overflow root @ c @ root
+        member = FullGaussian(np.arange(len(cov)) - 0.5, SymMatrix(cov))
+        out = wb_full(WeightedFamily.uniform([member]))
+        assert np.array_equal(out.mean, member.mean)
+        assert np.array_equal(out.cov.array, member.cov.array)
+
     def test_diagonal_family_matches_wb_diag(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
@@ -458,6 +466,19 @@ class TestKernel:
                 bc.mixing(method, np.full(17, 1.0 / 17))
         for method, rows in (("poe", 1), ("moe", 17), ("wb", 1)):
             assert len(bc.mixing(method, np.full(17, 1.0 / 17))[1]) == rows
+
+    @pytest.mark.parametrize("method", ["mopoe", "mwb"])
+    def test_powerset_table_built_once_and_read_only(self, method):
+        for m in range(1, 7):
+            weights, rows, natural = bc.mixing(method, np.full(m, 1.0 / m))
+            # the table ignores the family weights, so any weights share it
+            again = bc.mixing(method, np.random.default_rng(m).dirichlet(np.ones(m)))
+            assert again[0] is weights and again[1] is rows
+            assert not (weights.flags.writeable or rows.flags.writeable)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 2.0
+            fresh_weights, fresh_rows = bc._powerset_table.__wrapped__(m, natural)
+            assert np.array_equal(weights, fresh_weights) and np.array_equal(rows, fresh_rows)
 
     def test_graph_and_array_routes_agree(self):
         # the same call builds a differentiable graph from Values

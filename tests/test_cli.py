@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import baryvae
+from baryvae import barycenter as bc
 from baryvae import cli
 from baryvae.cli import main
+from baryvae.gaussian import DiagGaussian, FullGaussian, WeightedFamily
 
 SRC_DIR = os.path.dirname(os.path.dirname(baryvae.__file__))
 
@@ -119,6 +121,14 @@ class TestAggregateCommand:
         assert doc["mean"] == [1.0, 0.0]
         cov = np.asarray(doc["cov"])
         assert cov.shape == (2, 2) and np.allclose(cov, cov.T)
+
+    @pytest.mark.parametrize("cov", [[[2.0, 0.3], [0.3, 0.7]], [[8e307]]])
+    def test_one_full_member_is_its_own_barycenter(self, tmp_path, cov):
+        mean = [0.5] * len(cov)
+        inp = self.posterior_file(tmp_path, {"posteriors": [{"mean": mean, "cov": cov}]})
+        out = tmp_path / "out.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 0
+        assert json.loads(out.read_text()) == {"method": "wb", "mean": mean, "cov": cov}
 
     def test_full_covariance_rejects_other_methods(self, tmp_path, capsys):
         inp = self.posterior_file(
@@ -275,6 +285,83 @@ class TestAggregateCommand:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not out.exists()
+
+
+def dumps_bytes(obj, allow_nan=True):
+    return (json.dumps(obj, indent=2, allow_nan=allow_nan) + "\n").encode()
+
+
+class TestWriteJson:
+    """`_write_json` writes the bytes of json.dumps(obj, indent=2) plus a newline."""
+
+    @pytest.mark.parametrize("method", bc.METHODS)
+    def test_aggregate_results(self, tmp_path, method):
+        rng = np.random.default_rng(71)
+        members = [DiagGaussian(rng.normal(size=4), rng.uniform(0.2, 2.0, 4)) for _ in range(3)]
+        doc = cli._posterior_to_doc(bc.aggregate(WeightedFamily.uniform(members), method), method)
+        cli._write_json(str(tmp_path / "o.json"), doc, allow_nan=False)
+        assert (tmp_path / "o.json").read_bytes() == dumps_bytes(doc)
+
+    def test_full_covariance_result(self, tmp_path):
+        members = [
+            FullGaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]]),
+            FullGaussian([2.0, 0.0], [[2.0, -0.1], [-0.1, 1.5]]),
+        ]
+        doc = cli._posterior_to_doc(bc.aggregate(WeightedFamily.uniform(members), "wb"), "wb")
+        cli._write_json(str(tmp_path / "o.json"), doc, allow_nan=False)
+        assert (tmp_path / "o.json").read_bytes() == dumps_bytes(doc)
+
+    def test_checkpoint_and_report_documents(self, tmp_path, monkeypatch):
+        written = {}
+        write = cli._write_json
+
+        def recording(path, obj, allow_nan=True):
+            written[os.path.basename(path)] = obj
+            write(path, obj, allow_nan)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        cfg = tmp_path / "config.json"
+        write_json(cfg, TOY_CONFIG)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        checkpoint = str(tmp_path / "checkpoint.json")
+        assert run("eval", "--checkpoint", checkpoint, "--out", str(tmp_path)) == 0
+        assert set(written) == {"checkpoint.json", "report.json"}
+        # dataclasses.asdict leaves the model's tuples as tuples
+        assert isinstance(written["checkpoint.json"]["config"]["model"]["hidden"], tuple)
+        for name, doc in written.items():
+            assert (tmp_path / name).read_bytes() == dumps_bytes(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"a": [], "b": {}, "c": [[], {}, ()], "d": [[[]]], "e": [{"f": []}]},
+            [],
+            {},
+            ["a, b", "ü, ß", "", "\u2603, \n"],
+            {"k, v": "naïve, ok", "ö": ["x, y"]},
+            "plain, text",
+            [1.5, "mixed, list", None, [2, 3]],
+            [0, "a number first, then text"],
+            [1, -2, True, False, None, 3.5, -0.0, 5e-324, 1e308, 10**30],
+            {"t": True, "f": False, "n": None, "i": 7, "x": (1, (2.5, None), [])},
+            {1: "int key", 2.5: [1.0], False: None, None: 0},
+            7,
+            None,
+            [[math.nan, math.inf], -math.inf],
+        ],
+    )
+    def test_matches_json_dumps(self, tmp_path, doc):
+        cli._write_json(str(tmp_path / "o.json"), doc)
+        assert (tmp_path / "o.json").read_bytes() == dumps_bytes(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_raises_and_leaves_the_file(self, tmp_path, bad):
+        out = tmp_path / "o.json"
+        out.write_bytes(b"previous bytes\n")
+        for doc in ({"mean": [0.0, bad]}, {"weights": [0.5], "x": bad}, [[1.0], [bad]]):
+            with pytest.raises(ValueError):
+                cli._write_json(str(out), doc, allow_nan=False)
+        assert out.read_bytes() == b"previous bytes\n"
 
 
 class TestTrainCommand:

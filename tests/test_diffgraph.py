@@ -347,9 +347,46 @@ class TestMix:
         for j, leaf in enumerate(leaves):
             assert np.allclose(leaf.grad, MIX_ROWS[0, j] * g[0] + MIX_ROWS[1, j] * g[1])
 
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_textbook_fold_bitwise(self, n, seed):
+        rng = np.random.default_rng(300 + seed)
+        k, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        # negative, tiny and huge coefficients, zeros, and some one-hot rows
+        scales = [-300, -8, 0, 0, 0, 0, 8, 300]
+        rows = rng.standard_normal((k, m)) * 10.0 ** rng.choice(scales, (k, m))
+        rows[rng.uniform(size=(k, m)) < 0.4] = 0.0
+        for i in np.flatnonzero(rng.uniform(size=k) < 0.2):
+            rows[i] = np.eye(m)[rng.integers(m)]
+        for i in np.flatnonzero(~rows.any(axis=1)):
+            rows[i, rng.integers(m)] = -2.5
+        arrays = [rng.standard_normal((n, 3)) * 10.0 ** rng.choice(scales) for _ in range(m)]
+        for a in arrays:
+            a[0, 0] = -0.0  # a sum of signed zeros keeps its sign
+        leaves = [dg.Value(a) if j % 2 == 0 else a for j, a in enumerate(arrays)]
+        # huge coefficients overflow to inf and NaN, which must match too
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = dg.mix(rows, leaves)
+            expected = []
+            for row in rows:
+                cols = [j for j in range(m) if row[j] != 0.0]
+                acc = row[cols[0]] * arrays[cols[0]]
+                for j in cols[1:]:
+                    acc = acc + row[j] * arrays[j]
+                expected.append(acc)
+            assert out.data.tobytes() == np.concatenate(expected).tobytes()
+
+            weights = rng.standard_normal((k * n, 3))
+            dg.vsum(dg.mul(out, weights)).backward()
+            per_value = rows.T @ weights.reshape(k, -1)
+            for j, leaf in enumerate(leaves[::2]):
+                assert leaf.grad.tobytes() == per_value[2 * j].reshape(n, 3).tobytes()
+
     def test_rejects_empty_rows_and_mismatched_shapes(self):
         with pytest.raises(ValueError):
             dg.mix(np.zeros((1, 2)), [np.ones(3), np.ones(3)])
+        with pytest.raises(ValueError, match="row 1 has no nonzero entry"):
+            dg.mix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]), [np.ones(3), np.ones(3)])
         with pytest.raises(ValueError):
             dg.mix(np.ones((1, 2)), [np.ones((2, 3)), np.ones((3, 2))])
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from oracles import (
     OracleError,
     diag_log_density,
     proposal_log_density,
-    quad_entropy_1d,
     quad_kl_1d,
     random_diag_gaussian,
     random_spd,
@@ -258,13 +257,6 @@ class TestMixtureLogDensity:
         assert np.array_equal(mixture_log_density(mix.weights, means, sigmas, xs), want)
         for c in mix.members:
             assert np.array_equal(log_density(c, xs), diag_log_density(c, xs))
-
-
-class TestEntropy:
-    def test_matches_quadrature(self):
-        # the closed-form entropy of N(0.7, 1.3^2)
-        closed = 0.5 * (1.0 + math.log(2.0 * math.pi)) + math.log(1.3)
-        assert closed == pytest.approx(quad_entropy_1d(g1(0.7, 1.3)), abs=1e-6)
 
 
 class TestShapeBehaviour:
