@@ -1,8 +1,10 @@
 """Aggregation of Gaussian families into joint posteriors.
 
-Every aggregator here solves a weighted barycenter problem over a
-`gaussian.WeightedFamily`: PoE minimizes reverse KL (precision-weighted
-product), MoE minimizes forward KL (the family itself), the Bures-Wasserstein
+Every aggregator here is read through a weighted barycenter problem over a
+`gaussian.WeightedFamily`. PoE is the unit-exponent product of experts (the
+MVAE convention); the reverse-KL barycenter is `poe(family, family.weights)`,
+the product with the weights as exponents. MoE minimizes forward KL (the
+family itself), the Bures-Wasserstein
 barycenter minimizes squared 2-Wasserstein distance (analytic per coordinate
 for diagonal members, a fixed-point iteration for full covariances), and
 MoPoE / MWB take equal-weight mixtures of the per-subset PoE / Wasserstein
@@ -118,12 +120,12 @@ def _powerset_table(m: int, natural: bool):
 
 
 def combine(rows, natural: bool, mus, sigmas):
-    """The table's components from expert parameters, as diffgraph values.
+    """The table's components from expert parameters.
 
     mus and sigmas list M+1 equal-shape n x d entries, the prior last. Raw
-    arrays enter as constants, so the result's `.data` serves array code and
-    Values serve the training graph. Returns (mean, sigma), each (K n) x d
-    with the components stacked component-major.
+    arrays give arrays, and diffgraph Values, as in training, give tape
+    nodes. Returns (mean, sigma), each (K n) x d with the components stacked
+    component-major.
     """
     if not natural:
         return dg.mix(rows, mus), dg.mix(rows, sigmas)
@@ -140,8 +142,8 @@ def _components(rows, natural: bool, family: WeightedFamily):
         rows, natural, [g.mean[None] for g in members], [g.sigma[None] for g in members]
     )
     # floored here once, so no component floors its own sigma again
-    sigma = np.maximum(sigma.data, SIGMA_FLOOR)
-    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean.data, sigma))
+    sigma = np.maximum(sigma, SIGMA_FLOOR)
+    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean, sigma))
 
 
 def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:

@@ -4,23 +4,23 @@ A Value wraps an array and records how it was produced; backward() walks the
 tape in reverse topological order accumulating gradients. A gradient is
 allocated only when the first one arrives: that array is stored as it comes,
 and later ones are added out of place, so arrays shared between nodes are
-never written into. Raw arrays and floats handed to a primitive are constants:
-they receive no gradient, and backward() neither visits nor differentiates
-them, nor any result computed from constants alone. The primitive set is the
-model's: dense (one network layer, h @ w + b with an optional tanh),
-broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum, square,
-mix (stacked fixed linear combinations, the barycentric kernel's one
+never written into. Only what is differentiated is a Value: raw arrays and
+floats handed to a primitive are not parents of its result, and one with no
+Value operand returns its raw result, in the operands' dtype. The primitive
+set is the model's: dense (one network layer, h @ w + b with an optional
+tanh), broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum,
+square, mix (stacked fixed linear combinations, the barycentric kernel's one
 primitive) and a fused weighted Bernoulli log-likelihood, bernoulli_loglik.
 matmul, tanh, exp and concat are unused by the model; they stay because
 perfbench's per-primitive trace patches them by name.
 
-fork_sum sums independent branches of one input, each built and run backward
+fork_sum sums independent branches of one Value, each built and run backward
 on a tape of its own; once the input has FORK_THREAD_ROWS rows, on the
 calling thread plus one thread per further CPU (_map_in_order, which
 evaluation uses too). Its gradients equal those of one tape bit for bit.
 Everything is deterministic, whatever the CPU count; randomness is drawn
-outside the graph from counter-based Philox streams and injected as
-constants.
+outside the graph from counter-based Philox streams and passed in as raw
+arrays.
 """
 
 from __future__ import annotations
@@ -64,17 +64,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Value:
     """A node in the computation graph: array data, gradient, provenance.
 
-    A constant holds data the loss is not differentiated by: it gets no
-    gradient buffer and backward() never visits it. Raw arrays and floats
-    handed to a primitive become constants, and so does the result of a
-    primitive whose operands are all constants.
+    Leaves, such as parameters, and the results of primitives with a Value
+    operand are Values; a result's parents are its Value operands alone.
     """
 
-    __slots__ = ("data", "constant", "_grad", "_owns_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_owns_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None, constant=False):
+    def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.constant = constant
         self._grad = None
         self._owns_grad = False
         self._parents = parents
@@ -82,13 +79,11 @@ class Value:
 
     @property
     def grad(self):
-        """The accumulated gradient: None for a constant, zeros before any.
+        """The accumulated gradient: zeros before any has arrived.
 
         The array returned belongs to this node alone, so `node.grad += g`
         in a custom primitive's backward cannot reach another node.
         """
-        if self.constant:
-            return None
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         elif not self._owns_grad:
@@ -127,14 +122,12 @@ class Value:
         """Accumulate d(self)/d(node) into every node's .grad; self is scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
-        if self.constant:
-            return
         self.grad = np.ones_like(self.data)
         _run_tape(_tape(self))
 
 
 def _tape(root: Value) -> list:
-    """The non-constant nodes `root` depends on, each after its parents."""
+    """The nodes `root` depends on, each after its parents."""
     order = []
     visited = set()
     stack = [(root, False)]
@@ -148,7 +141,7 @@ def _tape(root: Value) -> list:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if not parent.constant and id(parent) not in visited:
+            if id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -166,63 +159,68 @@ def _run_tape(order: list, release=False) -> None:
                 node._owns_grad = False
 
 
-def _as_value(x) -> Value:
-    return x if isinstance(x, Value) else Value(x, constant=True)
+def _unwrap(operands):
+    """The operands' arrays, and those operands that are Values, in order."""
+    arrays, parents = [], []
+    for x in operands:
+        if isinstance(x, Value):
+            parents.append(x)
+            x = x.data
+        arrays.append(x)
+    return arrays, tuple(parents)
 
 
-def _node(data, parents, backward) -> Value:
-    """A primitive's result: a constant unless some operand is not."""
-    if all(p.constant for p in parents):
-        return Value(data, constant=True)
-    return Value(data, parents, backward)
+def _node(data, parents, backward):
+    """A primitive's result: a Value over its Value operands, if any, else raw."""
+    return Value(data, parents, backward) if parents else data
 
 
-def add(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
-
-    def backward(g):
-        if not a.constant:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if not b.constant:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), backward)
-
-
-def mul(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
+def add(a, b):
+    (x, y), parents = _unwrap((a, b))
 
     def backward(g):
-        if not a.constant:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if not b.constant:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if isinstance(a, Value):
+            a._accumulate(_unbroadcast(g, x.shape))
+        if isinstance(b, Value):
+            b._accumulate(_unbroadcast(g, y.shape))
 
-    return _node(a.data * b.data, (a, b), backward)
+    return _node(x + y, parents, backward)
 
 
-def matmul(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
+def mul(a, b):
+    (x, y), parents = _unwrap((a, b))
 
     def backward(g):
-        if not a.constant:
-            a._accumulate(g @ b.data.T)
-        if not b.constant:
-            b._accumulate(a.data.T @ g)
+        if isinstance(a, Value):
+            a._accumulate(_unbroadcast(g * y, x.shape))
+        if isinstance(b, Value):
+            b._accumulate(_unbroadcast(g * x, y.shape))
 
-    return _node(a.data @ b.data, (a, b), backward)
+    return _node(x * y, parents, backward)
 
 
-def dense(h, w, b, tanh=False) -> Value:
+def matmul(a, b):
+    (x, y), parents = _unwrap((a, b))
+
+    def backward(g):
+        if isinstance(a, Value):
+            a._accumulate(g @ y.T)
+        if isinstance(b, Value):
+            b._accumulate(x.T @ g)
+
+    return _node(x @ y, parents, backward)
+
+
+def dense(h, w, b, tanh=False):
     """One network layer: h @ w + b, passed through tanh when `tanh` is set.
 
     One node and one array where the composed layer takes three. Value and
     gradients equal, bit for bit, those of tanh(add(matmul(h, w), b)), or
     add(matmul(h, w), b) without tanh.
     """
-    h, w, b = _as_value(h), _as_value(w), _as_value(b)
-    y = h.data @ w.data
-    y += b.data
+    (hd, wd, bd), parents = _unwrap((h, w, b))
+    y = hd @ wd
+    y += bd
     if tanh:
         np.tanh(y, out=y)
 
@@ -230,28 +228,28 @@ def dense(h, w, b, tanh=False) -> Value:
         if tanh:
             g = g * (1.0 - y * y)
         # the weight product, and the bias sum over a batch, are new arrays
-        if not b.constant:
-            b._accumulate(_unbroadcast(g, b.data.shape), owned=g.ndim > b.data.ndim)
-        if not h.constant:
-            h._accumulate(g @ w.data.T)
-        if not w.constant:
-            w._accumulate(h.data.T @ g, owned=True)
+        if isinstance(b, Value):
+            b._accumulate(_unbroadcast(g, bd.shape), owned=g.ndim > bd.ndim)
+        if isinstance(h, Value):
+            h._accumulate(g @ wd.T)
+        if isinstance(w, Value):
+            w._accumulate(hd.T @ g, owned=True)
 
-    return _node(y, (h, w, b), backward)
-
-
-def _unary(a, fn, dfn) -> Value:
-    a = _as_value(a)
-    y = fn(a.data)
-
-    def backward(g):
-        a._accumulate(g * dfn(a.data, y))
-
-    return _node(y, (a,), backward)
+    return _node(y, parents, backward)
 
 
-def tanh(a) -> Value:
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
+def _unary(a, fn, grad):
+    """fn(a); grad(g, x, y) maps the result's gradient g to a's, given a's
+    array x and the result y."""
+    if not isinstance(a, Value):
+        return fn(a)
+    x = a.data
+    y = fn(x)
+    return Value(y, (a,), lambda g: a._accumulate(grad(g, x, y)))
+
+
+def tanh(a):
+    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def _softplus(x, e=None):
@@ -270,97 +268,92 @@ def _sigmoid(x, e=None):
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def softplus(a) -> Value:
-    return _unary(a, _softplus, lambda x, y: _sigmoid(x))
+def softplus(a):
+    return _unary(a, _softplus, lambda g, x, y: g * _sigmoid(x))
 
 
-def exp(a) -> Value:
-    return _unary(a, np.exp, lambda x, y: y)
+def exp(a):
+    return _unary(a, np.exp, lambda g, x, y: g * y)
 
 
-def log(a) -> Value:
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
+def log(a):
+    return _unary(a, np.log, lambda g, x, y: g * (1.0 / x))
 
 
-def square(a) -> Value:
-    return _unary(a, np.square, lambda x, y: 2.0 * x)
+def square(a):
+    return _unary(a, np.square, lambda g, x, y: g * (2.0 * x))
 
 
-def vsum(a) -> Value:
-    a = _as_value(a)
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape))
-
-    return _node(np.sum(a.data), (a,), backward)
+def vsum(a):
+    return _unary(a, np.sum, lambda g, x, y: np.broadcast_to(g, x.shape))
 
 
-def concat(values, axis: int = 0) -> Value:
-    values = [_as_value(v) for v in values]
-    sizes = [v.data.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
+def concat(values, axis: int = 0):
+    arrays, parents = _unwrap(values)
 
     def backward(g):
-        for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
-            if not v.constant:
+        lo = 0
+        for v, x in zip(values, arrays):
+            hi = lo + x.shape[axis]
+            if isinstance(v, Value):
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 v._accumulate(g[tuple(sl)])
+            lo = hi
 
-    data = np.concatenate([v.data for v in values], axis=axis)
-    return _node(data, tuple(values), backward)
+    return _node(np.concatenate(arrays, axis=axis), parents, backward)
 
 
-def mix(rows, values) -> Value:
+def mix(rows, values):
     """Stacked linear combinations of equal-shape values by a fixed table.
 
     Component k folds rows[k, j] * values[j] over the nonzero entries of row
     k, in column order, so a one-hot row copies its value bit for bit. The K
     components are stacked component-major along the first axis: n x d
-    values give a (K n) x d result. Backward gives values[j] the sum over k
-    of rows[k, j] times component k's gradient.
+    values give a (K n) x d result, in the values' dtype. Backward gives
+    values[j] the sum over k of rows[k, j] times component k's gradient.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    values = [_as_value(v) for v in values]
-    if rows.ndim != 2 or rows.shape[1] != len(values):
-        raise ValueError(f"rows shape {rows.shape} does not match {len(values)} values")
-    shape = values[0].data.shape
-    if any(v.data.shape != shape for v in values):
+    arrays, parents = _unwrap(values)
+    if rows.ndim != 2 or rows.shape[1] != len(arrays):
+        raise ValueError(f"rows shape {rows.shape} does not match {len(arrays)} values")
+    shape = arrays[0].shape
+    if any(x.shape != shape for x in arrays):
         raise ValueError("mix needs values of one shape")
     # np.nonzero lists the entries row by row, in column order within a row
     ks, js = np.nonzero(rows)
     entries = list(zip(ks.tolist(), js.tolist(), rows[ks, js].tolist()))
     if len(set(ks.tolist())) < rows.shape[0]:
         raise ValueError(f"row {np.flatnonzero(~rows.any(axis=1))[0]} has no nonzero entry")
-    out = np.empty((rows.shape[0], *shape))
+    out = np.empty((rows.shape[0], *shape), dtype=np.result_type(*arrays))
     first = -1
     for k, j, c in entries:
         if k != first:
-            np.multiply(c, values[j].data, out=out[k])
+            np.multiply(c, arrays[j], out=out[k])
             first = k
         else:
-            out[k] += c * values[j].data
+            out[k] += c * arrays[j]
 
     def backward(g):
         per_value = rows.T @ g.reshape(rows.shape[0], -1)
         for v, grad in zip(values, per_value):
-            if not v.constant:
+            if isinstance(v, Value):
                 v._accumulate(grad.reshape(shape))
 
-    return _node(out.reshape(rows.shape[0] * shape[0], *shape[1:]), tuple(values), backward)
+    return _node(out.reshape(rows.shape[0] * shape[0], *shape[1:]), parents, backward)
 
 
-def reciprocal(a) -> Value:
+def reciprocal(a):
     """1/x."""
-    return _unary(a, lambda x: 1.0 / x, lambda x, y: -(y * y))
+    return _unary(a, lambda x: 1.0 / x, lambda g, x, y: g * -(y * y))
 
 
-def sqrt(a) -> Value:
+def sqrt(a):
     """sqrt(x) for positive x."""
-    return _unary(a, np.sqrt, lambda x, y: 0.5 / y)
+    return _unary(a, np.sqrt, lambda g, x, y: g * (0.5 / y))
 
 
-def bernoulli_loglik(x, logits, weights) -> Value:
+def bernoulli_loglik(x, logits, weights):
     """Weighted Bernoulli log-likelihood sum(weights * (x*logits - softplus(logits))).
 
     `x` and `weights` are data, so the gradient flows into `logits` only.
@@ -368,18 +361,17 @@ def bernoulli_loglik(x, logits, weights) -> Value:
     sigmoid. Value and gradient equal, bit for bit, those of
     vsum(mul(add(mul(x, logits), mul(softplus(logits), -1.0)), weights)).
     """
-    x, logits, weights = _as_value(x), _as_value(logits), _as_value(weights)
-    if not (x.constant and weights.constant):
+    if isinstance(x, Value) or isinstance(weights, Value):
         raise ValueError("bernoulli_loglik differentiates through logits only")
-    z = logits.data
+    (z,), parents = _unwrap((logits,))
     e = np.exp(-np.abs(z))
 
     def backward(g):
-        gw = g * weights.data
-        logits._accumulate(_unbroadcast(gw * x.data - gw * _sigmoid(z, e), z.shape))
+        gw = g * weights
+        logits._accumulate(_unbroadcast(gw * x - gw * _sigmoid(z, e), z.shape))
 
-    ll = x.data * z - _softplus(z, e)
-    return _node(np.sum(ll * weights.data), (logits,), backward)
+    ll = x * z - _softplus(z, e)
+    return _node(np.sum(ll * weights), parents, backward)
 
 
 def _cpu_count() -> int:
@@ -450,13 +442,13 @@ def _map_serial(task, items) -> list:
 def fork_sum(x, branches):
     """The sum of branch(x) over `branches`, each branch on a tape of its own.
 
-    Returns (sum node, [branch outputs]). Each branch is called with a
-    private leaf over x's data, not a copy, and returns a Value; all outputs
-    have one shape, and the sum folds them left to right as a chain of `add`
-    would. A branch may read its leaf, constants and leaves such as
-    parameters, but no other node of the caller's tape: every node it
+    Returns (sum node, [branch outputs]). x is a Value. Each branch is called
+    with a private leaf over x's data, not a copy, and returns a Value; all
+    outputs have one shape, and the sum folds them left to right as a chain
+    of `add` would. A branch may read its leaf, raw arrays and leaves such
+    as parameters, but no other node of the caller's tape: every node it
     computes must derive from its leaf. No two branches may share a node.
-    A branch that breaks these rules raises ValueError.
+    A raw x, and a branch that breaks these rules, raise ValueError.
 
     Backward seeds every branch's tape with the incoming gradient, then adds
     the private leaves' gradients into x in branch order, so the sum, the
@@ -468,16 +460,17 @@ def fork_sum(x, branches):
     tapes run backward, by _map_in_order: on the calling thread plus one
     thread per further CPU; smaller forks run on the calling thread.
     """
-    x = _as_value(x)
-    if x.data.ndim and len(x.data) >= FORK_THREAD_ROWS:
-        run = _map_in_order
-    else:
-        run = _map_serial
+    if not isinstance(x, Value):
+        raise ValueError("fork_sum needs a Value input")
+    threaded = x.data.ndim and len(x.data) >= FORK_THREAD_ROWS
+    run = _map_in_order if threaded else _map_serial
 
     def build(branch):
-        leaf = Value(x.data, constant=x.constant)
+        leaf = Value(x.data)
         out = branch(leaf)
-        return leaf, out, [] if out.constant else _tape(out)
+        if not isinstance(out, Value):
+            raise ValueError("a fork branch must return a Value")
+        return leaf, out, _tape(out)
 
     forks = run(build, list(branches))
     outs = [out for _, out, _ in forks]
@@ -503,18 +496,14 @@ def fork_sum(x, branches):
     def backward(g):
         def propagate(fork):
             _, out, order = fork
-            if order:
-                out._accumulate(g)
-                _run_tape(order, release=True)
+            out._accumulate(g)
+            _run_tape(order, release=True)
 
         run(propagate, forks)
-        if not x.constant:
-            for leaf, _, _ in forks:
-                if leaf._grad is not None:
-                    x._accumulate(leaf._grad)
+        for leaf, _, _ in forks:
+            if leaf._grad is not None:
+                x._accumulate(leaf._grad)
 
-    if x.constant and all(out.constant for out in outs):
-        return Value(total, constant=True), outs
     return Value(total, (x,), backward), outs
 
 

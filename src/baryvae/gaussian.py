@@ -103,9 +103,10 @@ class WeightedFamily:
             raise ValueError("weights length must match member count")
         if (w < 0.0).any():
             raise ValueError("weights must be nonnegative")
-        # written so that a NaN sum fails too
-        if not abs(float(w.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+            total = float(w.sum())
+        if not abs(total - 1.0) <= 1e-12:  # written so that a NaN sum fails too
+            raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", w)
 

@@ -17,9 +17,10 @@ once the K B rows reach `diffgraph.FORK_THREAD_ROWS` (256): the mixture
 aggregations at the shipped batch size, not `poe` and `wb`. Every training
 output is the same whatever the CPU count.
 
-The network is defined once, as diffgraph nodes (`_encode_graph`,
-`_decode_graph`). Training runs it on tape leaves; evaluation and generation
-run it on the store's raw arrays, which are constants, so no tape is built.
+The network is defined once, on diffgraph primitives (`_encode_graph`,
+`_decode_graph`). Training runs it on tape leaves and gets tape nodes;
+evaluation and generation run it on the store's raw arrays and get arrays,
+with no tape built.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ def _init_params(config: ModelConfig) -> dg.ParamStore:
 
 
 def _encode_graph(values, config: ModelConfig, m: int, x):
-    """Posterior (mu, sigma) nodes for modality m's B x input_dim batch x.
+    """Posterior (mu, sigma) for modality m's B x input_dim batch x.
 
-    `values` maps parameter names to tape leaves when training and to the
-    store's raw arrays otherwise: raw arrays are constants, so no tape is
-    built and the nodes' .data are the plain forward pass.
+    `values` maps parameter names to tape leaves when training, giving tape
+    nodes, and to the store's raw arrays otherwise, giving the plain forward
+    pass as arrays with no tape built.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dims[m]:
@@ -157,7 +158,7 @@ def _encode_graph(values, config: ModelConfig, m: int, x):
 
 
 def _decode_graph(values, config: ModelConfig, m: int, z):
-    """Raw decoder output node for latent rows z; `values` as in _encode_graph."""
+    """Raw decoder output for latent rows z; `values` as in _encode_graph."""
     h = z
     for i in range(len(config.hidden)):
         h = dg.dense(h, values[f"dec{m}.w{i}"], values[f"dec{m}.b{i}"], tanh=True)
@@ -169,9 +170,9 @@ def _joint_graph(config: ModelConfig, encoded, idx, b: int):
 
     `encoded` holds one (mu, sigma) pair per modality, tape nodes when
     training and arrays otherwise; only the entries idx selects are read.
-    The N(0, I) prior fills the table's last column as constant arrays.
-    mean and sigma are (K b) x d nodes, the components stacked
-    component-major.
+    The N(0, I) prior fills the table's last column as raw arrays. mean and
+    sigma are (K b) x d, nodes or arrays as `encoded` is, the components
+    stacked component-major.
     """
     weights, rows, natural = bc.mixing(config.aggregation, _uniform(len(idx)))
     shape = (b, config.latent_dim)
@@ -261,19 +262,18 @@ def elbo_builder(vae: MultimodalVae, batch, noise: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and generation: the network on the store's constant arrays
+# Evaluation and generation: the network on the store's raw arrays
 # ---------------------------------------------------------------------------
 
 
 def encode_arrays(vae: MultimodalVae, batch):
     """Per-modality posterior parameter arrays [(mu B x d, sigma B x d)]."""
-    nodes = [_encode_graph(vae.store.params, vae.config, m, x) for m, x in enumerate(batch)]
-    return [(mu.data, sigma.data) for mu, sigma in nodes]
+    return [_encode_graph(vae.store.params, vae.config, m, x) for m, x in enumerate(batch)]
 
 
 def decode_array(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
     """Raw decoder output (logits for bernoulli, means for gaussian)."""
-    return _decode_graph(vae.store.params, vae.config, m, z).data
+    return _decode_graph(vae.store.params, vae.config, m, z)
 
 
 def decode_mean(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
@@ -304,7 +304,7 @@ def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     b = encoded[idx[0] if idx else 0][0].shape[0]
     weights, mu, sigma = _joint_graph(vae.config, encoded, idx, b)
     shape = (len(weights), b, vae.config.latent_dim)
-    return weights, mu.data.reshape(shape), sigma.data.reshape(shape)
+    return weights, mu.reshape(shape), sigma.reshape(shape)
 
 
 def pick_components(weights: np.ndarray, u: np.ndarray) -> np.ndarray:

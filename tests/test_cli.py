@@ -259,21 +259,38 @@ class TestAggregateCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "method,posteriors",
+        "method,posteriors,weights,code,message",
         [
-            ("poe", [{"mean": [0.0], "sigma": [1e-300]}, {"mean": [1e300], "sigma": [1e-300]}]),
+            (
+                "poe",
+                [{"mean": [0.0], "sigma": [1e-300]}, {"mean": [1e300], "sigma": [1e-300]}],
+                None,
+                3,
+                "",
+            ),
             (
                 "wb",
                 [
                     {"mean": [0.0, 0.0], "cov": [[1e200, 0.0], [0.0, 1e200]]},
                     {"mean": [1.0, 0.0], "cov": [[2e200, 1e200], [1e200, 2e200]]},
                 ],
+                None,
+                3,
+                "",
             ),
+            ("wb", [{"mean": [0], "sigma": [1]}] * 2, [1e308, 1e308], 2, "weights sum to inf,"),
+            ("wb", [{"mean": [0], "sigma": [1]}] * 2, [0.3, 0.3], 2, "weights sum to 0.6,"),
         ],
+        ids=["poe-posteriors0", "wb-posteriors1", "wb-weights_sum_overflows", "wb-weights_sum"],
     )
-    def test_overflow_leaves_one_stderr_line(self, tmp_path, method, posteriors):
+    def test_overflow_leaves_one_stderr_line(
+        self, tmp_path, method, posteriors, weights, code, message
+    ):
         inp = tmp_path / "input.json"
-        write_json(inp, {"posteriors": posteriors})
+        doc = {"posteriors": posteriors}
+        if weights is not None:
+            doc["weights"] = weights
+        write_json(inp, doc)
         out = tmp_path / "o.json"
         argv = ["aggregate", "--input", str(inp), "--output", str(out), "--method", method]
         proc = subprocess.run(
@@ -282,8 +299,9 @@ class TestAggregateCommand:
             text=True,
             env={**os.environ, "PYTHONPATH": SRC_DIR},
         )
-        assert proc.returncode == 3
+        assert proc.returncode == code
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
         assert not out.exists()
 
 

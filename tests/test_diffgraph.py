@@ -14,7 +14,7 @@ from gradcheck import forward_backward, grad_check
 
 BERN_X = (np.random.default_rng(59).uniform(size=(4, 3)) < 0.5).astype(np.float64)
 BERN_W = np.array([[0.5], [1.0], [0.25], [2.0]])
-# two components over two parameters and a constant column, with a zero entry
+# two components over two parameters and a raw column, with a zero entry
 MIX_ROWS = np.array([[0.3, 0.0, 1.0], [1.5, -0.7, 0.2]])
 MIX_CONST = np.random.default_rng(60).standard_normal((4, 3))
 
@@ -136,12 +136,31 @@ def composed_bernoulli(x, logits, weights):
     )
 
 
-class TestTapeDiet:
-    """Raw arrays are constants; fused and direct primitives keep the numbers."""
+TAPE_DIET_C = np.random.default_rng(66).standard_normal((3, 3))
 
-    @pytest.mark.parametrize("op", [dg.matmul, dg.mul, dg.add])
+
+def dense_hw(p, q):
+    """dense with p as the input and q as the weight, over a raw bias."""
+    return dg.dense(p, q, TAPE_DIET_C)
+
+
+def dense_wb(p, q):
+    """dense with p as the weight and q as the bias, over a raw input."""
+    return dg.dense(TAPE_DIET_C, p, q, tanh=True)
+
+
+def mix_columns(p, q):
+    """mix with p and q as its first two columns and a raw third."""
+    return dg.mix(MIX_ROWS, [p, q, TAPE_DIET_C])
+
+
+class TestTapeDiet:
+    """Raw arrays stay raw; fused and direct primitives keep the numbers."""
+
+    @pytest.mark.parametrize("op", [dg.matmul, dg.mul, dg.add, dense_hw, dense_wb, mix_columns])
     @pytest.mark.parametrize("raw_first", [True, False])
     def test_raw_operand_gets_no_gradient(self, op, raw_first):
+        # dense_hw and dense_wb between them make h, w and b raw in turn
         rng = np.random.default_rng(55)
         store = make_store(w=rng.standard_normal((3, 3)))
         x = rng.standard_normal((3, 3))
@@ -151,28 +170,31 @@ class TestTapeDiet:
             def loss(v):
                 operand = dg.Value(x) if wrap else x
                 pair = (operand, v["w"]) if raw_first else (v["w"], operand)
-                out = op(*pair)
-                outs.append(out)
-                return dg.vsum(dg.square(dg.tanh(out)))
+                outs.append((op(*pair), operand, v["w"]))
+                return dg.vsum(dg.square(dg.tanh(outs[-1][0])))
 
             return loss
 
         _, raw_grads = forward_backward(build(False), store)
-        raw_operand = outs[-1]._parents[0 if raw_first else 1]
-        assert raw_operand.constant
-        assert raw_operand._grad is None and raw_operand.grad is None
+        out, _, leaf = outs[-1]
+        assert out._parents == (leaf,)
         _, leaf_grads = forward_backward(build(True), store)
-        leaf_operand = outs[-1]._parents[0 if raw_first else 1]
-        assert not leaf_operand.constant and leaf_operand._grad is not None
-        assert np.array_equal(raw_grads["w"], leaf_grads["w"])
+        out, operand, leaf = outs[-1]
+        assert out._parents == ((operand, leaf) if raw_first else (leaf, operand))
+        assert operand._grad is not None
+        assert raw_grads["w"].tobytes() == leaf_grads["w"].tobytes()
 
-    def test_constant_operands_give_constant_result(self):
-        out = dg.add(dg.mul(np.ones(3), 2.0), dg.square(np.arange(3.0)))
-        assert out.constant and out._parents == ()
+    def test_raw_operands_give_raw_result(self):
+        x = np.arange(3.0)
+        out = dg.add(dg.mul(np.ones(3), 2.0), dg.square(x))
+        assert type(out) is np.ndarray
+        assert out.tobytes() == (np.ones(3) * 2.0 + np.square(x)).tobytes()
         loss = dg.vsum(out)
-        assert loss.constant
-        loss.backward()
-        assert loss.grad is None
+        assert type(loss) is np.float64 and float(loss) == 11.0
+        # a Python float operand keeps a float32 array's dtype
+        half = np.ones((2, 3), dtype=np.float32)
+        assert dg.add(dg.softplus(half), 1e-6).dtype == np.float32
+        assert dg.dense(half, half.T, np.zeros(2, np.float32), tanh=True).dtype == np.float32
 
     def test_gradient_buffers_are_lazy_and_private(self):
         store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
@@ -266,7 +288,7 @@ class TestTapeDiet:
 
         def fused(h, w, b):
             out = dg.dense(h, w, b, tanh=tanh)
-            assert out._parents[1:] == (w, b)
+            assert out._parents == ((w, b) if raw_input else (h, w, b))
             return out
 
         def loss(layer):
@@ -325,7 +347,7 @@ class TestMix:
         rng = np.random.default_rng(61)
         values = [rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-300, 300) for _ in range(3)]
         rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        out = dg.mix(rows, values).data.reshape(3, 5, 3)
+        out = dg.mix(rows, values).reshape(3, 5, 3)
         for k, j in enumerate((1, 2, 0)):
             assert np.array_equal(out[k], values[j])
 
@@ -333,7 +355,7 @@ class TestMix:
         rng = np.random.default_rng(62)
         values = [rng.standard_normal((2, 4)) for _ in range(4)]
         rows = np.array([[0.25, 0.0, 0.5, 0.25], [0.0, 1.0 / 3.0, 0.0, 2.0 / 3.0]])
-        out = dg.mix(rows, values).data
+        out = dg.mix(rows, values)
         first = 0.25 * values[0] + 0.5 * values[2] + 0.25 * values[3]
         second = (1.0 / 3.0) * values[1] + (2.0 / 3.0) * values[3]
         assert np.array_equal(out, np.concatenate([first, second]))
@@ -468,14 +490,14 @@ class TestForkSum:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_constant_input_gets_no_gradient(self):
+    def test_raw_input_or_branch_output_is_rejected(self):
         store = make_store(w0=np.ones((2, 3)), b0=np.zeros(3))
         v = store.as_values()
         x = np.arange(4.0).reshape(2, 2)
-        total, _ = dg.fork_sum(x, [lambda z: dg.vsum(dg.dense(z, v["w0"], v["b0"]))])
-        total.backward()
-        assert np.array_equal(v["w0"].grad, x.T @ np.ones((2, 3)))
-        assert dg.fork_sum(x, [dg.vsum, dg.vsum])[0].constant
+        with pytest.raises(ValueError, match="needs a Value input"):
+            dg.fork_sum(x, [lambda z: dg.vsum(dg.dense(z, v["w0"], v["b0"]))])
+        with pytest.raises(ValueError, match="must return a Value"):
+            dg.fork_sum(dg.Value(x), [dg.vsum, lambda z: dg.vsum(x)])
 
     def test_earliest_branch_error_is_raised(self, monkeypatch):
         monkeypatch.setattr(dg, "_cpu_count", lambda: 2)

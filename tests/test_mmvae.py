@@ -8,7 +8,7 @@ import pytest
 
 import baryvae.diffgraph as dg
 import baryvae.mmvae as mm
-from baryvae.barycenter import SubsetIndex, WeightedFamily, aggregate, subsets
+from baryvae.barycenter import METHODS, SubsetIndex, WeightedFamily, aggregate, subsets
 from baryvae.cli import parse_run_config
 from baryvae.data import MultimodalDataset, ToyConfig, gen_toy
 from baryvae.errors import NumericError
@@ -170,6 +170,79 @@ class TestArrayForward:
             got = mm.decode_mean(vae, 1, z)
         assert np.array_equal(got, masked_sigmoid(mm.decode_array(vae, 1, z)))
         assert got[0, 0] == 1.0 and got[0, 1] == 0.0
+
+    def test_float32_store_decodes_in_float32(self):
+        config = small_config(hidden=(6, 5))
+        vae = mm.MultimodalVae(config)
+        params32 = {name: a.astype(np.float32) for name, a in vae.store.params.items()}
+        z = np.random.default_rng(6).standard_normal((7, config.latent_dim))
+        for m in range(config.num_modalities):
+            out = mm._decode_graph(params32, config, m, z.astype(np.float32))
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(out, mm.decode_array(vae, m, z), rtol=1e-4, atol=1e-5)
+
+
+def count_values(monkeypatch):
+    """The Values built from here on, collected as perfbench's tape size does."""
+    built = []
+    init = dg.Value.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(dg.Value, "__init__", counting_init)
+    return built
+
+
+class TestNoTapeOutsideTraining:
+    """Only training builds Values, and only for what it differentiates."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_array_calls_build_no_value(self, monkeypatch, method):
+        config = small_config(method, m=3)
+        vae = mm.MultimodalVae(config)
+        batch = random_batch(config, b=4)
+        full = SubsetIndex(0b111, 3)
+        rng = np.random.default_rng(5)
+        noise, u = rng.standard_normal((4, config.latent_dim)), rng.uniform(size=4)
+        encoded = mm.encode_arrays(vae, batch)
+        family = WeightedFamily.uniform([DiagGaussian(mu[0], s[0]) for mu, s in encoded])
+        calls = {
+            "encode_arrays": lambda: mm.encode_arrays(vae, batch),
+            "decode_array": lambda: mm.decode_array(vae, 2, noise),
+            "aggregate_arrays": lambda: mm.aggregate_arrays(vae, encoded, full),
+            "conditional_generate": lambda: mm.conditional_generate(
+                vae, encoded, full, 0, noise, u
+            ),
+            "barycenter.aggregate": lambda: aggregate(family, method),
+        }
+        built = count_values(monkeypatch)
+        counts = {}
+        for name, call in calls.items():
+            before = len(built)
+            call()
+            counts[name] = len(built) - before
+        assert counts == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("method", ["wb", "mwb"])
+    def test_training_leaves_are_parameters_and_fork_leaves(self, monkeypatch, method):
+        config = small_config(method, m=3)
+        vae = mm.MultimodalVae(config)
+        batch = random_batch(config, b=4)
+        built = count_values(monkeypatch)
+        values = vae.store.as_values()
+        loss, _ = mm._elbo_graph(values, config, batch, noise_for(config, 4))
+        loss.backward()
+        leaves = [v for v in built if not v._parents]
+        params = {id(v) for v in values.values()}
+        assert params <= {id(v) for v in leaves} and len(leaves) < len(built)
+        # the other leaves are fork_sum's: one per modality, over z_all's array
+        others = [v for v in leaves if id(v) not in params]
+        k = mm.num_mixture_components(config)
+        assert len(others) == config.num_modalities
+        assert len({id(v.data) for v in others}) == 1
+        assert others[0].shape == (k * 4, config.latent_dim)
 
 
 class TestAggregate:

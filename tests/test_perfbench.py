@@ -18,12 +18,14 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["train-wb", "aggregate-full"])
+@pytest.mark.parametrize("workload", ["train-wb", "aggregate-full", "aggregate-diag"])
 def test_traced_run_passes(workload):
     """A traced run patches by name what the benchmark wraps, so each must exist.
 
-    train-wb patches the diffgraph primitives the benchmark names, and
-    aggregate-full `sqrtm_psd` and `sym_eig` on `gaussian` as well as `linalg`.
+    train-wb patches the diffgraph primitives the benchmark names,
+    aggregate-full `sqrtm_psd` and `sym_eig` on `gaussian` as well as `linalg`,
+    and aggregate-diag `poe`, `moe`, `wb_diag`, `mopoe` and `mwb` on
+    `barycenter`.
     """
     proc = subprocess.run(
         [
