@@ -42,7 +42,7 @@ from .gaussian import (
     kl_diag,
     w2sq_diag,
 )
-from .linalg import SymMatrix, sqrtm_psd, sym_eig
+from .linalg import sqrtm_psd, sym_eig
 from .mmvae import (
     ModelConfig,
     MultimodalVae,
@@ -68,7 +68,6 @@ __all__ = [
     "NumericError",
     "ParamStore",
     "SubsetIndex",
-    "SymMatrix",
     "ToyConfig",
     "Value",
     "WeightedFamily",

@@ -32,7 +32,7 @@ from . import diffgraph as dg
 from .errors import NumericError
 from .gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, WeightedFamily
 from .gaussian import kl_diag, w2sq_diag
-from .linalg import SymMatrix, sqrtm_psd
+from .linalg import sqrtm_psd
 
 WB_FULL_TOL = 1e-9
 WB_FULL_MAX_ITER = 200
@@ -198,7 +198,7 @@ def wb_full(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    covs = [m.cov.array for m in family.members]
+    covs = [m.cov for m in family.members]
     lams = family.weights
     mean = np.zeros(family.dim)
     for lam, member in zip(lams, family.members):
@@ -206,20 +206,21 @@ def wb_full(
 
     cov = sum(lam * c for lam, c in zip(lams, covs))
     if family.size == 1:  # its own barycenter; iterating could overflow
-        return FullGaussian(mean, SymMatrix(cov))
+        return FullGaussian(mean, cov)
     for iteration in range(max_iter + 1):
-        root = sqrtm_psd(SymMatrix(cov)).array
+        root = sqrtm_psd(cov)
         mapped = np.zeros_like(cov)
         for lam, c in zip(lams, covs):
-            mapped += lam * sqrtm_psd(SymMatrix(root @ c @ root)).array
+            a = root @ c @ root
+            mapped += lam * sqrtm_psd((a + a.T) / 2.0)
         residual = float(np.linalg.norm(mapped - cov))
         scale = 1.0 + float(np.linalg.norm(cov))
         # iterate well past tol so the returned point, not just its residual,
         # sits within tol of the fixed point
         if residual <= 0.05 * tol * scale:
-            return FullGaussian(mean, SymMatrix(cov))
+            return FullGaussian(mean, cov)
         if iteration == max_iter and residual <= tol * scale:
-            return FullGaussian(mean, SymMatrix(cov))
+            return FullGaussian(mean, cov)
         # S^{-1/2} T(S)^2 S^{-1/2} = X X^T with X = S^{-1/2} T(S)
         try:
             half = np.linalg.solve(root, mapped)

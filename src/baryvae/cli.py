@@ -27,7 +27,6 @@ from . import data as datamod
 from . import evaluation, mmvae
 from .errors import CheckpointFormatError, ConfigError, IdxFormatError, NumericError
 from .gaussian import DiagGaussian, FullGaussian, WeightedFamily
-from .linalg import SymMatrix
 
 CHECKPOINT_VERSION = 1
 OUT_ENV_VAR = "BARYVAE_OUT"
@@ -355,13 +354,12 @@ def _parse_posteriors(doc):
             _reject_unknown(entry, {"mean", "cov"}, f"posteriors[{i}]")
             kinds.add("full")
             try:
-                mean = _finite_array(entry["mean"], "mean")
-                # a finite cov can still overflow when symmetrized
-                with np.errstate(over="ignore"):
-                    cov = SymMatrix(_finite_array(entry["cov"], "cov"))
-                if not np.isfinite(cov.array).all():
-                    raise ValueError("cov overflows when symmetrized as (cov + cov^T) / 2")
-                posteriors.append(FullGaussian(mean, cov))
+                posteriors.append(
+                    FullGaussian(
+                        _finite_array(entry["mean"], "mean"),
+                        _finite_array(entry["cov"], "cov"),
+                    )
+                )
             except ValueError as err:
                 raise ConfigError(f"posteriors[{i}]: {err}") from err
         else:
@@ -384,7 +382,7 @@ def _posterior_to_doc(result, method: str) -> dict:
         return {
             "method": method,
             "mean": result.mean.tolist(),
-            "cov": result.cov.array.tolist(),
+            "cov": result.cov.tolist(),
         }
     if isinstance(result, WeightedFamily):
         return {

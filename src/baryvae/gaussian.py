@@ -2,11 +2,12 @@
 
 Diagonal Gaussians are the workhorse (mean + per-coordinate standard
 deviation); full-covariance Gaussians exist for the fixed-point barycenter
-path. A `WeightedFamily` is the one type for a weighted set of Gaussians:
-the input of every aggregator and, read as a density, the mixture that
-moe, mopoe and mwb return; `mixture_log_density` evaluates that density
-on stacked arrays. Divergences: closed-form KL and closed-form squared
-2-Wasserstein between diagonal Gaussians.
+path and hold their covariance as a plain float64 array, checked and
+symmetrized once on construction. A `WeightedFamily` is the one type for a
+weighted set of Gaussians: the input of every aggregator and, read as a
+density, the mixture that moe, mopoe and mwb return; `mixture_log_density`
+evaluates that density on stacked arrays. Divergences: closed-form KL and
+closed-form squared 2-Wasserstein between diagonal Gaussians.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 # sqrtm_psd and sym_eig are not called here: a traced aggregate-full benchmark
 # run patches both by name on this module, so both stay importable from it.
-from .linalg import SymMatrix, sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
+from .linalg import sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
 
 SIGMA_FLOOR = 1e-6
 
@@ -59,21 +60,34 @@ class DiagGaussian:
 
 @dataclass(frozen=True)
 class FullGaussian:
-    """Gaussian with a full SPD covariance matrix."""
+    """Gaussian with a full SPD covariance matrix.
+
+    `cov` is stored as the float64 array (cov + cov^T)/2, so its entries
+    satisfy cov[i, j] == cov[j, i] exactly.
+    """
 
     mean: np.ndarray = field()
-    cov: SymMatrix = field()
+    cov: np.ndarray = field()
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        cov = self.cov if isinstance(self.cov, SymMatrix) else SymMatrix(self.cov)
-        if cov.dim != mean.shape[0]:
-            raise ValueError(f"cov dim {cov.dim} != mean dim {mean.shape[0]}")
-        w = sym_eigvals(cov)
+        cov = np.asarray(self.cov, dtype=np.float64)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {cov.shape}")
+        with np.errstate(over="ignore"):  # a finite overflow is rejected below
+            sym = (cov + cov.T) / 2.0
+        # NaN or Inf input is left to sym_eigvals, which raises NumericError
+        if not np.isfinite(sym).all() and np.isfinite(cov).all():
+            raise ValueError("cov overflows when symmetrized as (cov + cov^T) / 2")
+        mean = np.array(self.mean, dtype=np.float64, copy=None, ndmin=1)
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        if sym.shape[0] != mean.shape[0]:
+            raise ValueError(f"cov dim {sym.shape[0]} != mean dim {mean.shape[0]}")
+        w = sym_eigvals(sym)
         if w[0] < 1e-12:
             raise ValueError(f"covariance not SPD: smallest eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", sym)
 
     @property
     def dim(self) -> int:

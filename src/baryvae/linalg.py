@@ -3,13 +3,13 @@
 Both rest on LAPACK's symmetric eigensolver through `numpy.linalg.eigh`, and
 `sym_eigvals` on `numpy.linalg.eigvalsh`, so numpy stays the only dependency.
 The matrices are the small covariances that appear in latent spaces (dim up to
-a few dozen). Non-finite input and solver failures surface as NumericError,
-indefinite input to `sqrtm_psd` as NotPsdError.
+a few dozen), passed as plain symmetric float64 arrays: LAPACK reads only one
+triangle, so a caller symmetrizes where its input may not be. Non-finite input
+and solver failures surface as NumericError, indefinite input to `sqrtm_psd`
+as NotPsdError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,38 +18,17 @@ from .errors import NotPsdError, NumericError
 PSD_EIG_TOL = -1e-10
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """A symmetric dim x dim matrix of float64.
-
-    The constructor symmetrizes its input via (A + A^T)/2, so stored entries
-    satisfy a[i, j] == a[j, i] exactly.
-    """
-
-    array: np.ndarray = field()
-
-    def __post_init__(self):
-        a = np.asarray(self.array, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        object.__setattr__(self, "array", (a + a.T) / 2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-
-def _lapack(solver, a: SymMatrix):
-    """`solver(a.array)` with non-finite input and LAPACK failure as NumericError."""
-    if not np.isfinite(a.array).all():
+def _lapack(solver, a: np.ndarray):
+    """`solver(a)` with non-finite input and LAPACK failure as NumericError."""
+    if not np.isfinite(a).all():
         raise NumericError("eigendecomposition of a matrix with NaN or Inf entries")
     try:
-        return solver(a.array)
+        return solver(a)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"eigendecomposition failed: {err}") from err
 
 
-def sym_eig(a: SymMatrix):
+def sym_eig(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix by LAPACK (`numpy.linalg.eigh`).
 
     Returns (w, v) with eigenvalues `w` ascending and orthonormal eigenvectors
@@ -61,7 +40,7 @@ def sym_eig(a: SymMatrix):
     return _lapack(np.linalg.eigh, a)
 
 
-def sym_eigvals(a: SymMatrix) -> np.ndarray:
+def sym_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (`numpy.linalg.eigvalsh`).
 
     Skips the eigenvectors; raises NumericError as `sym_eig` does.
@@ -69,11 +48,12 @@ def sym_eigvals(a: SymMatrix) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, a)
 
 
-def sqrtm_psd(a: SymMatrix) -> SymMatrix:
+def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root R with R @ R == a.
 
     Eigenvalues in [PSD_EIG_TOL, 0) are treated as rounding noise and clamped
-    to zero; anything below PSD_EIG_TOL raises NotPsdError.
+    to zero; anything below PSD_EIG_TOL raises NotPsdError. R is returned as
+    (R + R^T)/2, so r[i, j] == r[j, i] exactly: it feeds later arithmetic.
     """
     w, v = sym_eig(a)
     wmin = float(w[0])
@@ -83,4 +63,4 @@ def sqrtm_psd(a: SymMatrix) -> SymMatrix:
         )
     w = np.maximum(w, 0.0)
     root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix(root)
+    return (root + root.T) / 2.0

@@ -17,7 +17,6 @@ import numpy as np
 
 from baryvae.barycenter import WeightedFamily
 from baryvae.gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian
-from baryvae.linalg import SymMatrix
 
 # Quantile-oracle resolution: a uniform core grid of 20001 points on
 # [5e-5, 1 - 5e-5], extended by log-spaced ladders down to 1e-8 in each tail
@@ -154,7 +153,8 @@ def random_spd(rng, dim, lo=0.3, hi=3.0):
     """A random SPD matrix with eigenvalues in [lo, hi]."""
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     w = rng.uniform(lo, hi, dim)
-    return SymMatrix((q * w) @ q.T)
+    a = (q * w) @ q.T
+    return (a + a.T) / 2.0
 
 
 def random_full_families(rng, count):
@@ -181,7 +181,7 @@ def w2sq_full(p, q):
     root taken from numpy.linalg.eigh; symmetric in its arguments despite
     the asymmetric-looking trace term.
     """
-    s1, s2 = p.cov.array, q.cov.array
+    s1, s2 = p.cov, q.cov
     r1 = _eigh_sqrt(s1)
     cross = _eigh_sqrt(r1 @ s2 @ r1)
     val = float(np.sum((p.mean - q.mean) ** 2))

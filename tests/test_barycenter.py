@@ -19,7 +19,7 @@ from baryvae.barycenter import (
 )
 from baryvae.errors import NumericError
 from baryvae.gaussian import DiagGaussian, FullGaussian, mixture_log_density
-from baryvae.linalg import SymMatrix, sqrtm_psd
+from baryvae.linalg import sqrtm_psd
 
 from oracles import (
     grid_product_gaussian,
@@ -213,20 +213,20 @@ class TestWbDiag:
 
 class TestWbFull:
     def test_identical_members_fixed_by_inspection(self):
-        cov = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         member = FullGaussian([1.0, -1.0], cov)
         fam = WeightedFamily.uniform([member, member, member])
         out = wb_full(fam)
-        assert np.allclose(out.cov.array, cov.array, atol=1e-12)
+        assert np.allclose(out.cov, cov, atol=1e-12)
         assert np.allclose(out.mean, member.mean)
 
     @pytest.mark.parametrize("cov", [[[2.0, 0.3], [0.3, 0.7]], [[8e307]]])
     def test_single_member_is_its_own_barycenter(self, cov):
         # iterating on the 8e307 member would overflow root @ c @ root
-        member = FullGaussian(np.arange(len(cov)) - 0.5, SymMatrix(cov))
+        member = FullGaussian(np.arange(len(cov)) - 0.5, cov)
         out = wb_full(WeightedFamily.uniform([member]))
         assert np.array_equal(out.mean, member.mean)
-        assert np.array_equal(out.cov.array, member.cov.array)
+        assert np.array_equal(out.cov, member.cov)
 
     def test_diagonal_family_matches_wb_diag(self):
         rng = np.random.default_rng(35)
@@ -238,36 +238,36 @@ class TestWbFull:
             fam_d = WeightedFamily(tuple(diag_members), w)
             fam_f = WeightedFamily(
                 tuple(
-                    FullGaussian(g.mean, SymMatrix(np.diag(g.sigma**2)))
+                    FullGaussian(g.mean, np.diag(g.sigma**2))
                     for g in diag_members
                 ),
                 w,
             )
             expected = wb_diag(fam_d)
             out = wb_full(fam_f)
-            assert np.allclose(np.diag(out.cov.array), expected.sigma**2, atol=1e-8)
+            assert np.allclose(np.diag(out.cov), expected.sigma**2, atol=1e-8)
             assert np.allclose(out.mean, expected.mean, atol=1e-12)
 
     def test_scalar_case_matches_wb_diag(self):
         fam_d = WeightedFamily((g1(0, 1), g1(2, 2)), [0.5, 0.5])
         fam_f = WeightedFamily(
-            tuple(FullGaussian(g.mean, SymMatrix([[float(g.sigma[0] ** 2)]])) for g in fam_d.members),
+            tuple(FullGaussian(g.mean, [[float(g.sigma[0] ** 2)]]) for g in fam_d.members),
             [0.5, 0.5],
         )
         out = wb_full(fam_f)
         expected = wb_diag(fam_d)
-        assert out.cov.array[0, 0] == pytest.approx(expected.sigma[0] ** 2, abs=1e-8)
+        assert out.cov[0, 0] == pytest.approx(expected.sigma[0] ** 2, abs=1e-8)
 
     def test_fixed_point_residual_contract(self):
         for fam in random_full_families(np.random.default_rng(36), 25):
             out = wb_full(fam, tol=1e-9)
-            root = sqrtm_psd(out.cov).array
+            root = sqrtm_psd(out.cov)
             mapped = sum(
-                lam * sqrtm_psd(SymMatrix(root @ mm.cov.array @ root)).array
+                lam * sqrtm_psd(root @ mm.cov @ root)
                 for lam, mm in zip(fam.weights, fam.members)
             )
-            residual = np.linalg.norm(out.cov.array - mapped)
-            assert residual <= 1e-9 * (1.0 + np.linalg.norm(out.cov.array))
+            residual = np.linalg.norm(out.cov - mapped)
+            assert residual <= 1e-9 * (1.0 + np.linalg.norm(out.cov))
 
     def test_matches_plain_map_oracle(self):
         # Two routes to the same fixed point: the Alvarez-Esteban update in
@@ -277,11 +277,11 @@ class TestWbFull:
         shapes = [(int(rng.integers(1, 9)), int(rng.integers(2, 6))) for _ in range(20)]
         shapes += [(16, 2), (16, 8), (32, 2), (32, 8)]
         for d, m in shapes:
-            covs = [random_spd(rng, d).array for _ in range(m)]
+            covs = [random_spd(rng, d) for _ in range(m)]
             w = rng.uniform(0.2, 1.0, m)
             w /= w.sum()
             fam = WeightedFamily(tuple(FullGaussian(np.zeros(d), c) for c in covs), w)
-            out = wb_full(fam).cov.array
+            out = wb_full(fam).cov
             expected = plain_wb_fixed_point(covs, w)
             assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
 
@@ -297,7 +297,7 @@ class TestWbFull:
             fam = WeightedFamily(
                 tuple(FullGaussian(np.zeros(d), (q * e) @ q.T) for e in eigs), w
             )
-            out = wb_full(fam).cov.array
+            out = wb_full(fam).cov
             expected = (q * (w @ np.sqrt(eigs)) ** 2) @ q.T
             assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
 
@@ -316,7 +316,7 @@ class TestWbFull:
         assert "residual" in err.value.details and "iterations" in err.value.details
 
     def test_tol_validated(self):
-        fam = WeightedFamily.uniform([FullGaussian([0.0], SymMatrix([[1.0]]))])
+        fam = WeightedFamily.uniform([FullGaussian([0.0], [[1.0]])])
         with pytest.raises(ValueError):
             wb_full(fam, tol=0.0)
 
@@ -514,8 +514,8 @@ class TestKernel:
         assert calls == [name]
 
     def test_aggregate_full_family_supports_wb_only(self):
-        fam = WeightedFamily.uniform([FullGaussian([0.0], SymMatrix([[2.0]]))])
-        assert bc.aggregate(fam, "wb").cov.array[0, 0] == pytest.approx(2.0)
+        fam = WeightedFamily.uniform([FullGaussian([0.0], [[2.0]])])
+        assert bc.aggregate(fam, "wb").cov[0, 0] == pytest.approx(2.0)
         for method in ("poe", "moe", "mopoe", "mwb"):
             with pytest.raises(ValueError):
                 bc.aggregate(fam, method)

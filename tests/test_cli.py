@@ -110,7 +110,7 @@ class TestAggregateCommand:
             tmp_path,
             {
                 "posteriors": [
-                    {"mean": [0.0, 0.0], "cov": [[1.0, 0.2], [0.2, 1.0]]},
+                    {"mean": [0.0, 0.0], "cov": [[1.0, 0.3], [0.1, 1.0]]},
                     {"mean": [2.0, 0.0], "cov": [[2.0, -0.1], [-0.1, 1.5]]},
                 ]
             },
@@ -120,7 +120,7 @@ class TestAggregateCommand:
         doc = json.loads(out.read_text())
         assert doc["mean"] == [1.0, 0.0]
         cov = np.asarray(doc["cov"])
-        assert cov.shape == (2, 2) and np.allclose(cov, cov.T)
+        assert cov.shape == (2, 2) and np.array_equal(cov, cov.T)
 
     @pytest.mark.parametrize("cov", [[[2.0, 0.3], [0.3, 0.7]], [[8e307]]])
     def test_one_full_member_is_its_own_barycenter(self, tmp_path, cov):
@@ -153,10 +153,11 @@ class TestAggregateCommand:
             ({"mean": [1.0], "sigma": [-2.0]}, "nonnegative"),
             ({"mean": [], "sigma": []}, "dimension"),
             ({"mean": [0.0], "cov": [[1e308]]}, "overflows when symmetrized"),
+            ({"mean": [[0], [1]], "cov": [[1, 0], [0, 1]]}, "mean must be a vector"),
         ],
-        ids=["negative_sigma", "empty", "cov_overflows_when_symmetrized"],
+        ids=["negative_sigma", "empty", "cov_overflows_when_symmetrized", "matrix_mean"],
     )
-    def test_invalid_diagonal_posterior_exits_2(self, tmp_path, capsys, posterior, message):
+    def test_invalid_posterior_exits_2(self, tmp_path, capsys, posterior, message):
         inp = self.posterior_file(tmp_path, {"posteriors": [posterior]})
         out = tmp_path / "o.json"
         assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2

@@ -13,7 +13,6 @@ from baryvae.gaussian import (
     mixture_log_density,
     w2sq_diag,
 )
-from baryvae.linalg import SymMatrix
 
 from oracles import (
     OracleError,
@@ -58,12 +57,35 @@ class TestTypes:
 
     def test_full_gaussian_requires_spd(self):
         with pytest.raises(ValueError):
-            FullGaussian([0.0, 0.0], SymMatrix(np.diag([1.0, -1.0])))
+            FullGaussian([0.0, 0.0], np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_full_gaussian_nonfinite_cov_raises_numeric_error(self, bad):
         with pytest.raises(NumericError):
-            FullGaussian([0.0, 0.0], SymMatrix([[1.0, bad], [bad, 1.0]]))
+            FullGaussian([0.0, 0.0], [[1.0, bad], [bad, 1.0]])
+
+    def test_full_gaussian_symmetrizes_cov(self):
+        # a unit diagonal would symmetrize to the singular [[1, 1], [1, 1]]
+        g = FullGaussian([0.0, 0.0], [[2.0, 2.0], [0.0, 2.0]])
+        assert np.array_equal(g.cov, g.cov.T)
+        assert g.cov[0, 1] == 1.0
+
+    @pytest.mark.parametrize(
+        "cov", [np.eye(3)[:2], np.ones((1, 1, 1)), np.zeros((0, 0))],
+        ids=["nonsquare", "three_d", "empty"],
+    )
+    def test_full_gaussian_rejects_nonsquare_cov(self, cov):
+        with pytest.raises(ValueError, match="expected a square matrix, got shape"):
+            FullGaussian(np.zeros(len(cov)), cov)
+
+    def test_full_gaussian_rejects_matrix_mean(self):
+        with pytest.raises(ValueError, match="mean must be a vector"):
+            FullGaussian([[0.0], [1.0]], np.eye(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_full_gaussian_finite_cov_overflowing_when_symmetrized(self):
+        with pytest.raises(ValueError, match="overflows when symmetrized"):
+            FullGaussian([0.0, 0.0], [[1.0, 1.7e308], [1.7e308, 1.0]])
 
     def test_mixture_weights_validated(self):
         comps = (g1(0, 1), g1(1, 1))
@@ -133,12 +155,12 @@ class TestW2Diag:
 
 class TestW2Full:
     def test_identical_is_zero(self):
-        p = FullGaussian([0.0, 0.0], SymMatrix(np.diag([1.0, 2.0])))
+        p = FullGaussian([0.0, 0.0], np.diag([1.0, 2.0]))
         assert w2sq_full(p, p) == pytest.approx(0.0, abs=1e-10)
 
     def test_commuting_diagonal_case(self):
-        p = FullGaussian([0.0, 0.0], SymMatrix(np.diag([1.0, 4.0])))
-        q = FullGaussian([0.0, 0.0], SymMatrix(np.diag([4.0, 1.0])))
+        p = FullGaussian([0.0, 0.0], np.diag([1.0, 4.0]))
+        q = FullGaussian([0.0, 0.0], np.diag([4.0, 1.0]))
         # commuting case reduces to (1-2)^2 + (2-1)^2 = 2
         assert w2sq_full(p, q) == pytest.approx(2.0, abs=1e-10)
 
@@ -150,8 +172,8 @@ class TestW2Full:
             wa = rng.uniform(0.3, 3.0, dim)
             wb = rng.uniform(0.3, 3.0, dim)
             mu_a, mu_b = rng.standard_normal(dim), rng.standard_normal(dim)
-            a = FullGaussian(mu_a, SymMatrix((q_mat * wa) @ q_mat.T))
-            b = FullGaussian(mu_b, SymMatrix((q_mat * wb) @ q_mat.T))
+            a = FullGaussian(mu_a, (q_mat * wa) @ q_mat.T)
+            b = FullGaussian(mu_b, (q_mat * wb) @ q_mat.T)
             # shared eigenbasis: distance separates along the eigenvalue pairs
             expected = float(np.sum((mu_a - mu_b) ** 2))
             expected += float(np.sum((np.sqrt(wa) - np.sqrt(wb)) ** 2))
@@ -171,8 +193,8 @@ class TestW2Full:
             d = int(rng.integers(1, 6))
             p = random_diag_gaussian(rng, d)
             q = random_diag_gaussian(rng, d)
-            fp = FullGaussian(p.mean, SymMatrix(np.diag(p.sigma**2)))
-            fq = FullGaussian(q.mean, SymMatrix(np.diag(q.sigma**2)))
+            fp = FullGaussian(p.mean, np.diag(p.sigma**2))
+            fq = FullGaussian(q.mean, np.diag(q.sigma**2))
             assert abs(w2sq_full(fp, fq) - w2sq_diag(p, q)) <= 1e-8
 
 
