@@ -35,13 +35,7 @@ from .evaluation import (
     latent_accuracy,
     test_log_likelihood,
 )
-from .gaussian import (
-    DiagGaussian,
-    FullGaussian,
-    WeightedFamily,
-    kl_diag,
-    w2sq_diag,
-)
+from .gaussian import DiagGaussian, FullGaussian, WeightedFamily
 from .linalg import sqrtm_psd, sym_eig
 from .mmvae import (
     ModelConfig,
@@ -79,7 +73,6 @@ __all__ = [
     "evaluate_model",
     "fit_linear_probe",
     "gen_toy",
-    "kl_diag",
     "latent_accuracy",
     "load_idx",
     "moe",
@@ -92,7 +85,6 @@ __all__ = [
     "sym_eig",
     "test_log_likelihood",
     "train",
-    "w2sq_diag",
     "wb_diag",
     "wb_full",
 ]

@@ -16,9 +16,13 @@ make each component, with which coefficients, and whether the coefficients
 mix (precision, precision * mean) or (mean, sigma). The standard-normal prior
 is the table's last column. `combine` applies a table with one diffgraph
 primitive, so training graphs, batched evaluation arrays and the
-per-example kernels below share one implementation. `barycenter_objective`
-evaluates the underlying weighted objective so optimality and stationarity
-can be tested directly.
+per-example kernels below share one implementation.
+
+`barycenter_objective` states the claim itself on arrays: the weighted
+forward KL, reverse KL or squared 2-Wasserstein distance from M stacked
+diagonal experts to n candidates, in closed form, in one call. Each
+closed form is written only there; a per-pair divergence is its
+one-expert, one-row case.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 from . import diffgraph as dg
 from .errors import NumericError
 from .gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, WeightedFamily
-from .gaussian import kl_diag, w2sq_diag
 from .linalg import sqrtm_psd
 
 WB_FULL_TOL = 1e-9
@@ -280,18 +283,47 @@ def aggregate(family: WeightedFamily, method: str):
 DIVERGENCES = ("forward_kl", "reverse_kl", "w2sq")
 
 
-def barycenter_objective(family: WeightedFamily, q: DiagGaussian, divergence: str) -> float:
-    """Weighted sum of divergences from the family members to a candidate q.
+def barycenter_objective(weights, means, sigmas, q_mean, q_sigma, divergence: str) -> np.ndarray:
+    """The weighted divergences from M diagonal experts to each of n candidates.
 
-    forward_kl uses D(member || q), reverse_kl uses D(q || member), and w2sq
-    is symmetric.
+    weights is (M,); the experts' means and sigmas are M x n x d, row i of
+    every expert facing candidate row i (broadcast views will do); the
+    candidates q_mean and q_sigma are n x d. Returns the n values of
+    sum_m weights[m] * D(expert m, q), the experts summed in order.
+    forward_kl uses KL(expert || q) and reverse_kl KL(q || expert), each
+    clamped at 0 per expert and row; w2sq is the squared 2-Wasserstein
+    distance. A per-pair divergence is the one-expert, one-row case.
     """
-    if divergence == "forward_kl":
-        terms = (kl_diag(m, q) for m in family.members)
-    elif divergence == "reverse_kl":
-        terms = (kl_diag(q, m) for m in family.members)
-    elif divergence == "w2sq":
-        terms = (w2sq_diag(m, q) for m in family.members)
-    else:
+    if divergence not in DIVERGENCES:
         raise ValueError(f"unknown divergence {divergence!r}; expected one of {DIVERGENCES}")
-    return float(sum(lam * t for lam, t in zip(family.weights, terms)))
+    weights, means, sigmas, q_mean, q_sigma = (
+        np.asarray(a, dtype=np.float64) for a in (weights, means, sigmas, q_mean, q_sigma)
+    )
+    if not (
+        weights.ndim == 1
+        and q_mean.ndim == 2
+        and q_sigma.shape == q_mean.shape
+        and means.shape == sigmas.shape == (*weights.shape, *q_mean.shape)
+    ):
+        raise ValueError(
+            "expected weights (M,), means and sigmas M x n x d, candidates n x d; got "
+            f"{weights.shape}, {means.shape}, {sigmas.shape}, {q_mean.shape}, {q_sigma.shape}"
+        )
+    if divergence == "w2sq":
+        terms = np.sum((means - q_mean) ** 2 + (sigmas - q_sigma) ** 2, axis=2)
+    else:
+        (p_mean, p_sigma), (r_mean, r_sigma) = (means, sigmas), (q_mean, q_sigma)
+        if divergence == "reverse_kl":
+            (p_mean, p_sigma), (r_mean, r_sigma) = (q_mean, q_sigma), (means, sigmas)
+        # KL(p || r), summed over the d coordinates
+        ratio = p_sigma / r_sigma
+        terms = np.sum(
+            np.log(r_sigma) - np.log(p_sigma)
+            + 0.5 * (ratio * ratio + ((p_mean - r_mean) / r_sigma) ** 2 - 1.0),
+            axis=2,
+        )
+        terms = np.maximum(terms, 0.0)
+    total = np.zeros(q_mean.shape[0])
+    for lam, term in zip(weights, terms):
+        total += lam * term
+    return total

@@ -327,6 +327,11 @@ def _finite_array(value, where: str) -> np.ndarray:
     return arr
 
 
+# A posterior document's spread key and the type it builds; "sigma" is tried
+# first, so an entry with both keys is rejected for its unknown 'cov'.
+_POSTERIOR_KINDS = {"sigma": DiagGaussian, "cov": FullGaussian}
+
+
 def _parse_posteriors(doc):
     if not isinstance(doc, dict) or "posteriors" not in doc:
         raise ConfigError("input document must contain a 'posteriors' list")
@@ -338,32 +343,19 @@ def _parse_posteriors(doc):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "mean" not in entry:
             raise ConfigError(f"posteriors[{i}] must be an object with a 'mean'")
-        if "sigma" in entry:
-            _reject_unknown(entry, {"mean", "sigma"}, f"posteriors[{i}]")
-            kinds.add("diag")
-            try:
-                posteriors.append(
-                    DiagGaussian(
-                        _finite_array(entry["mean"], "mean"),
-                        _finite_array(entry["sigma"], "sigma"),
-                    )
-                )
-            except ValueError as err:
-                raise ConfigError(f"posteriors[{i}]: {err}") from err
-        elif "cov" in entry:
-            _reject_unknown(entry, {"mean", "cov"}, f"posteriors[{i}]")
-            kinds.add("full")
-            try:
-                posteriors.append(
-                    FullGaussian(
-                        _finite_array(entry["mean"], "mean"),
-                        _finite_array(entry["cov"], "cov"),
-                    )
-                )
-            except ValueError as err:
-                raise ConfigError(f"posteriors[{i}]: {err}") from err
-        else:
+        key = next((k for k in _POSTERIOR_KINDS if k in entry), None)
+        if key is None:
             raise ConfigError(f"posteriors[{i}] needs 'sigma' or 'cov'")
+        _reject_unknown(entry, {"mean", key}, f"posteriors[{i}]")
+        kinds.add(key)
+        try:
+            posteriors.append(
+                _POSTERIOR_KINDS[key](
+                    _finite_array(entry["mean"], "mean"), _finite_array(entry[key], key)
+                )
+            )
+        except ValueError as err:
+            raise ConfigError(f"posteriors[{i}]: {err}") from err
     if len(kinds) != 1:
         raise ConfigError("posteriors must be all diagonal or all full-covariance")
     weights = doc.get("weights")
@@ -372,18 +364,10 @@ def _parse_posteriors(doc):
 
 
 def _posterior_to_doc(result, method: str) -> dict:
-    if isinstance(result, DiagGaussian):
-        return {
-            "method": method,
-            "mean": result.mean.tolist(),
-            "sigma": result.sigma.tolist(),
-        }
-    if isinstance(result, FullGaussian):
-        return {
-            "method": method,
-            "mean": result.mean.tolist(),
-            "cov": result.cov.tolist(),
-        }
+    for key, kind in _POSTERIOR_KINDS.items():
+        if isinstance(result, kind):
+            spread = getattr(result, key).tolist()
+            return {"method": method, "mean": result.mean.tolist(), key: spread}
     if isinstance(result, WeightedFamily):
         return {
             "method": method,

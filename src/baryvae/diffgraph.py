@@ -115,6 +115,10 @@ class Value:
     def shape(self):
         return self.data.shape
 
+    @property
+    def dtype(self):
+        return self.data.dtype
+
     def __repr__(self):
         return f"Value(shape={self.data.shape})"
 

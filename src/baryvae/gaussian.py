@@ -1,4 +1,4 @@
-"""Gaussian posterior types, the mixture density, and the closed-form divergences.
+"""Gaussian posterior types and the mixture density.
 
 Diagonal Gaussians are the workhorse (mean + per-coordinate standard
 deviation); full-covariance Gaussians exist for the fixed-point barycenter
@@ -6,8 +6,8 @@ path and hold their covariance as a plain float64 array, checked and
 symmetrized once on construction. A `WeightedFamily` is the one type for a
 weighted set of Gaussians: the input of every aggregator and, read as a
 density, the mixture that moe, mopoe and mwb return; `mixture_log_density`
-evaluates that density on stacked arrays. Divergences: closed-form KL and
-closed-form squared 2-Wasserstein between diagonal Gaussians.
+evaluates that density on stacked arrays. The closed-form divergences
+between diagonal Gaussians live in `barycenter.barycenter_objective`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 from .linalg import sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
 
 SIGMA_FLOOR = 1e-6
+# A FullGaussian's covariance must have every eigenvalue at or above this.
+COV_EIGENVALUE_FLOOR = 1e-12
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -60,7 +62,7 @@ class DiagGaussian:
 
 @dataclass(frozen=True)
 class FullGaussian:
-    """Gaussian with a full SPD covariance matrix.
+    """Gaussian with a full SPD covariance matrix, eigenvalues >= COV_EIGENVALUE_FLOOR.
 
     `cov` is stored as the float64 array (cov + cov^T)/2, so its entries
     satisfy cov[i, j] == cov[j, i] exactly.
@@ -84,8 +86,11 @@ class FullGaussian:
         if sym.shape[0] != mean.shape[0]:
             raise ValueError(f"cov dim {sym.shape[0]} != mean dim {mean.shape[0]}")
         w = sym_eigvals(sym)
-        if w[0] < 1e-12:
-            raise ValueError(f"covariance not SPD: smallest eigenvalue {w[0]:.3e}")
+        if w[0] < COV_EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"covariance smallest eigenvalue {w[0]:.3e} is below the floor "
+                f"{COV_EIGENVALUE_FLOOR:g}"
+            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", sym)
 
@@ -136,32 +141,6 @@ class WeightedFamily:
     @property
     def dim(self) -> int:
         return self.members[0].dim
-
-
-def _check_dims(p, q):
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-
-
-def kl_diag(p: DiagGaussian, q: DiagGaussian) -> float:
-    """KL divergence D(p || q) between diagonal Gaussians, closed form."""
-    _check_dims(p, q)
-    r = p.sigma / q.sigma
-    val = np.sum(
-        np.log(q.sigma) - np.log(p.sigma)
-        + 0.5 * (r * r + ((p.mean - q.mean) / q.sigma) ** 2 - 1.0)
-    )
-    return float(max(val, 0.0))
-
-
-def w2sq_diag(p: DiagGaussian, q: DiagGaussian) -> float:
-    """Squared 2-Wasserstein distance between diagonal Gaussians.
-
-    Commuting covariances reduce the general formula to a per-coordinate sum
-    of squared mean and sigma gaps.
-    """
-    _check_dims(p, q)
-    return float(np.sum((p.mean - q.mean) ** 2 + (p.sigma - q.sigma) ** 2))
 
 
 def mixture_log_density(weights, means, sigmas, xs: np.ndarray) -> np.ndarray:

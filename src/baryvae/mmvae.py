@@ -140,9 +140,9 @@ def _encode_graph(values, config: ModelConfig, m: int, x):
 
     `values` maps parameter names to tape leaves when training, giving tape
     nodes, and to the store's raw arrays otherwise, giving the plain forward
-    pass as arrays with no tape built.
+    pass as arrays with no tape built, in the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=values[f"enc{m}.mu_w"].dtype)
     if x.ndim != 2 or x.shape[1] != config.input_dims[m]:
         raise ValueError(
             f"modality {m} batch shape {x.shape} does not match input dim "
@@ -165,22 +165,24 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
     return dg.dense(h, values[f"dec{m}.out_w"], values[f"dec{m}.out_b"])
 
 
-def _joint_graph(config: ModelConfig, encoded, idx, b: int):
+def _joint_graph(config: ModelConfig, encoded, idx):
     """The joint posterior of the modalities in idx: (weights K, mean, sigma).
 
-    `encoded` holds one (mu, sigma) pair per modality, tape nodes when
-    training and arrays otherwise; only the entries idx selects are read.
-    The N(0, I) prior fills the table's last column as raw arrays. mean and
+    `encoded` holds one (mu, sigma) pair of b x d entries per modality, tape
+    nodes when training and arrays otherwise; only the entries idx selects
+    are read, and the first entry when idx is empty. The N(0, I) prior fills
+    the table's last column as raw arrays in the encodings' dtype. mean and
     sigma are (K b) x d, nodes or arrays as `encoded` is, the components
     stacked component-major.
     """
     weights, rows, natural = bc.mixing(config.aggregation, _uniform(len(idx)))
-    shape = (b, config.latent_dim)
+    first = encoded[idx[0] if idx else 0][0]
+    prior_mean = np.zeros((first.shape[0], config.latent_dim), first.dtype)
     mean, sigma = bc.combine(
         rows,
         natural,
-        [encoded[i][0] for i in idx] + [np.zeros(shape)],
-        [encoded[i][1] for i in idx] + [np.ones(shape)],
+        [encoded[i][0] for i in idx] + [prior_mean],
+        [encoded[i][1] for i in idx] + [np.ones_like(prior_mean)],
     )
     return weights, mean, sigma
 
@@ -193,7 +195,7 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
     b = batch[0].shape[0]
     d = config.latent_dim
-    weights, mu, sigma = _joint_graph(config, encoded, range(config.num_modalities), b)
+    weights, mu, sigma = _joint_graph(config, encoded, range(config.num_modalities))
     k = len(weights)
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape == (b, d) and k == 1:
@@ -300,10 +302,8 @@ def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     encoded is the output of encode_arrays; only the entries selected by
     `subset` are read.
     """
-    idx = subset.members()
-    b = encoded[idx[0] if idx else 0][0].shape[0]
-    weights, mu, sigma = _joint_graph(vae.config, encoded, idx, b)
-    shape = (len(weights), b, vae.config.latent_dim)
+    weights, mu, sigma = _joint_graph(vae.config, encoded, subset.members())
+    shape = (len(weights), -1, vae.config.latent_dim)
     return weights, mu.reshape(shape), sigma.reshape(shape)
 
 

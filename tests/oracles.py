@@ -40,6 +40,24 @@ def stacked_arrays(g):
     return g.weights, np.stack([c.mean for c in comps]), np.stack([c.sigma for c in comps])
 
 
+def objective_arrays(g, candidates):
+    """`barycenter_objective`'s arrays for the experts g against n DiagGaussian candidates.
+
+    g is a DiagGaussian (one expert of weight 1) or a WeightedFamily. Returns
+    (weights M, means and sigmas as M x n x d broadcast views, q_mean and
+    q_sigma n x d).
+    """
+    weights, means, sigmas = stacked_arrays(g)
+    shape = (len(weights), len(candidates), means.shape[1])
+    return (
+        weights,
+        np.broadcast_to(means[:, None], shape),
+        np.broadcast_to(sigmas[:, None], shape),
+        np.stack([c.mean for c in candidates]),
+        np.stack([c.sigma for c in candidates]),
+    )
+
+
 def log_density_1d(g, xs):
     """Log density of a 1-D DiagGaussian or WeightedFamily at the points xs."""
     return proposal_log_density(*stacked_arrays(g), xs[:, None])
@@ -141,7 +159,7 @@ def w2sq_1d_quantile(p, q):
 
     Integrates (F_p^{-1}(u) - F_q^{-1}(u))^2 over the quantile grid, with the
     CDFs built by density quadrature and inverted by bisection. For two
-    Gaussians this matches w2sq_diag to better than 1e-4 relative.
+    Gaussians this matches the closed-form W2 to better than 1e-4 relative.
     """
     u = _quantile_u_grid()
     fp = _invert_cdf(*_cdf_table(p), u)

@@ -35,12 +35,13 @@ from baryvae.evaluation import (
     latent_means,
     test_log_likelihood as importance_log_likelihood,
 )
-from baryvae.gaussian import DiagGaussian, FullGaussian, kl_diag, w2sq_diag
+from baryvae.gaussian import DiagGaussian, FullGaussian
 from baryvae.linalg import sqrtm_psd
 
 from gradcheck import grad_check
 from oracles import (
     linear_gaussian_vae,
+    objective_arrays,
     quad_kl_1d,
     random_diag_gaussian,
     random_full_families,
@@ -58,11 +59,16 @@ def criterion(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
+def pair_divergence(p, q, divergence):
+    """D(p, q) as the objective's one-expert, one-row case; forward_kl is KL(p || q)."""
+    return float(barycenter_objective(*objective_arrays(p, [q]), divergence)[0])
+
+
 def random_pair(rng, min_gap=0.01):
     while True:
         p = random_diag_gaussian(rng, 1, sigma_lo=0.5, sigma_hi=2.0)
         q = random_diag_gaussian(rng, 1, sigma_lo=0.5, sigma_hi=2.0)
-        if w2sq_diag(p, q) >= min_gap:
+        if pair_divergence(p, q, "w2sq") >= min_gap:
             return p, q
 
 
@@ -78,9 +84,9 @@ def test_criterion_1_divergence_oracles():
     worst_kl = worst_w2 = 0.0
     for _ in range(200):
         p, q = random_pair(rng)
-        kl = kl_diag(p, q)
+        kl = pair_divergence(p, q, "forward_kl")
         worst_kl = max(worst_kl, abs(kl - quad_kl_1d(p, q)) / max(kl, 1e-9))
-        w2 = w2sq_diag(p, q)
+        w2 = pair_divergence(p, q, "w2sq")
         worst_w2 = max(worst_w2, abs(w2 - w2sq_1d_quantile(p, q)) / max(w2, 1e-9))
 
     worst_sym = worst_commute = 0.0
@@ -112,18 +118,20 @@ def test_criterion_2_expert_optimality():
     for _ in range(200):
         fam = random_family(rng, int(rng.integers(1, 9)), int(rng.integers(2, 6)))
         opt = poe(fam, fam.weights)
-        best = barycenter_objective(fam, opt, "reverse_kl")
+        cands = [opt]
         for k in range(100):
             if k < 50:
-                cand = random_diag_gaussian(rng, fam.dim)
+                cands.append(random_diag_gaussian(rng, fam.dim))
             else:
                 scale = 10.0 ** rng.uniform(-3, 0)
-                cand = DiagGaussian(
-                    opt.mean + scale * rng.standard_normal(fam.dim),
-                    opt.sigma * np.exp(scale * rng.standard_normal(fam.dim)),
+                cands.append(
+                    DiagGaussian(
+                        opt.mean + scale * rng.standard_normal(fam.dim),
+                        opt.sigma * np.exp(scale * rng.standard_normal(fam.dim)),
+                    )
                 )
-            if best > barycenter_objective(fam, cand, "reverse_kl") + 1e-9:
-                poe_violations += 1
+        best, *at_cands = barycenter_objective(*objective_arrays(fam, cands), "reverse_kl")
+        poe_violations += sum(best > at_cand + 1e-9 for at_cand in at_cands)
 
     # the forward-KL objective at a mixture has no closed form beyond 1-D, so
     # the mixture leg runs on 1-D families where quadrature is exact enough
@@ -132,10 +140,9 @@ def test_criterion_2_expert_optimality():
         fam = random_family(rng, 1, int(rng.integers(2, 6)))
         mix = moe(fam)
         at_mix = sum(lam * quad_kl_1d(m, mix) for lam, m in zip(fam.weights, fam.members))
-        for _ in range(100):
-            cand = random_diag_gaussian(rng, 1)
-            if at_mix > barycenter_objective(fam, cand, "forward_kl") + 1e-9:
-                moe_violations += 1
+        cands = [random_diag_gaussian(rng, 1) for _ in range(100)]
+        at_cands = barycenter_objective(*objective_arrays(fam, cands), "forward_kl")
+        moe_violations += sum(at_mix > at_cand + 1e-9 for at_cand in at_cands)
     elapsed = time.perf_counter() - start
     criterion(
         2,
@@ -152,19 +159,17 @@ def test_criterion_3_barycenter_stationarity():
     for _ in range(200):
         fam = random_family(rng, int(rng.integers(1, 17)), int(rng.integers(2, 6)))
         out = wb_diag(fam)
+        cands = []
         for i in range(out.dim):
             for kind in ("mean", "sigma"):
                 plus = {"mean": out.mean.copy(), "sigma": out.sigma.copy()}
                 minus = {"mean": out.mean.copy(), "sigma": out.sigma.copy()}
                 plus[kind][i] += step
                 minus[kind][i] -= step
-                f_plus = barycenter_objective(
-                    fam, DiagGaussian(plus["mean"], plus["sigma"]), "w2sq"
-                )
-                f_minus = barycenter_objective(
-                    fam, DiagGaussian(minus["mean"], minus["sigma"]), "w2sq"
-                )
-                worst = max(worst, abs(f_plus - f_minus) / (2 * step))
+                cands.append(DiagGaussian(plus["mean"], plus["sigma"]))
+                cands.append(DiagGaussian(minus["mean"], minus["sigma"]))
+        f = barycenter_objective(*objective_arrays(fam, cands), "w2sq")
+        worst = max(worst, float(np.max(np.abs(f[0::2] - f[1::2]) / (2 * step))))
     criterion(3, worst < 1e-6, f"max |finite-difference gradient| {worst:.2e}")
 
 
@@ -211,8 +216,9 @@ def test_criterion_5_jensen_bound():
         size = int(rng.integers(2, 5))
         fam = random_family(rng, 1, size)
         cand = random_diag_gaussian(rng, 1)
-        gap_kl = quad_kl_1d(fam, cand) - barycenter_objective(fam, cand, "forward_kl")
-        gap_w2 = w2sq_1d_quantile(fam, cand) - barycenter_objective(fam, cand, "w2sq")
+        arrays = objective_arrays(fam, [cand])
+        gap_kl = quad_kl_1d(fam, cand) - barycenter_objective(*arrays, "forward_kl")[0]
+        gap_w2 = w2sq_1d_quantile(fam, cand) - barycenter_objective(*arrays, "w2sq")[0]
         worst = max(worst, gap_kl, gap_w2)
     criterion(5, worst <= 1e-6, f"max bound violation {worst:.2e}")
 

@@ -23,6 +23,7 @@ from baryvae.linalg import sqrtm_psd
 
 from oracles import (
     grid_product_gaussian,
+    objective_arrays,
     oracle_components,
     plain_wb_fixed_point,
     quad_kl_1d,
@@ -157,10 +158,9 @@ class TestMoe:
         at_mix = sum(
             lam * quad_kl_1d(m, mix) for lam, m in zip(fam.weights, fam.members)
         )
-        for _ in range(100):
-            cand = random_diag_gaussian(rng, 1)
-            at_cand = barycenter_objective(fam, cand, "forward_kl")
-            assert at_mix <= at_cand + 1e-6
+        cands = [random_diag_gaussian(rng, 1) for _ in range(100)]
+        at_cands = barycenter_objective(*objective_arrays(fam, cands), "forward_kl")
+        assert np.all(at_mix <= at_cands + 1e-6)
 
 
 class TestWbDiag:
@@ -194,21 +194,17 @@ class TestWbDiag:
         for _ in range(50):
             fam = random_family(rng, dim=int(rng.integers(1, 17)))
             out = wb_diag(fam)
-            worst = 0.0
+            cands = []
             for i in range(out.dim):
                 for kind in ("mean", "sigma"):
                     plus = {"mean": out.mean.copy(), "sigma": out.sigma.copy()}
                     minus = {"mean": out.mean.copy(), "sigma": out.sigma.copy()}
                     plus[kind][i] += step
                     minus[kind][i] -= step
-                    f_plus = barycenter_objective(
-                        fam, DiagGaussian(plus["mean"], plus["sigma"]), "w2sq"
-                    )
-                    f_minus = barycenter_objective(
-                        fam, DiagGaussian(minus["mean"], minus["sigma"]), "w2sq"
-                    )
-                    worst = max(worst, abs(f_plus - f_minus) / (2 * step))
-            assert worst < 1e-6
+                    cands.append(DiagGaussian(plus["mean"], plus["sigma"]))
+                    cands.append(DiagGaussian(minus["mean"], minus["sigma"]))
+            f = barycenter_objective(*objective_arrays(fam, cands), "w2sq")
+            assert np.max(np.abs(f[0::2] - f[1::2]) / (2 * step)) < 1e-6
 
 
 class TestWbFull:
@@ -370,36 +366,54 @@ class TestObjective:
     def test_zero_at_own_member(self):
         q = g1(0.5, 1.3)
         fam = WeightedFamily.uniform([q])
-        for divergence in ("forward_kl", "reverse_kl", "w2sq"):
-            assert barycenter_objective(fam, q, divergence) == 0.0
+        for divergence in bc.DIVERGENCES:
+            assert barycenter_objective(*objective_arrays(fam, [q]), divergence).tolist() == [0.0]
 
     def test_unknown_divergence(self):
         fam = WeightedFamily.uniform([g1(0, 1)])
         with pytest.raises(ValueError):
-            barycenter_objective(fam, g1(0, 1), "hellinger")
+            barycenter_objective(*objective_arrays(fam, [g1(0, 1)]), "hellinger")
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2,), (2, 3, 4), (2, 3, 4), (3, 5), (3, 5)],  # candidates' d
+            [(2,), (2, 3, 4), (2, 3, 4), (2, 4), (2, 4)],  # candidates' n
+            [(3,), (2, 3, 4), (2, 3, 4), (3, 4), (3, 4)],  # weights' M
+            [(2,), (2, 3, 4), (2, 3, 5), (3, 4), (3, 4)],  # sigmas against means
+            [(2,), (2, 3, 4), (2, 3, 4), (3, 4), (3, 5)],  # q_sigma against q_mean
+            [(2, 1), (2, 3, 4), (2, 3, 4), (3, 4), (3, 4)],  # weights not a vector
+            [(2,), (2, 4), (2, 4), (4,), (4,)],  # candidates not rows
+        ],
+    )
+    def test_shape_mismatch_raises(self, shapes):
+        with pytest.raises(ValueError, match="expected weights"):
+            barycenter_objective(*(np.ones(shape) for shape in shapes), "w2sq")
 
     def test_wb_minimizes_w2_objective(self):
         rng = np.random.default_rng(39)
         for _ in range(20):
             fam = random_family(rng, dim=int(rng.integers(1, 5)))
-            best = barycenter_objective(fam, wb_diag(fam), "w2sq")
-            for _ in range(100):
-                cand = random_diag_gaussian(rng, fam.dim)
-                assert best <= barycenter_objective(fam, cand, "w2sq") + 1e-9
+            cands = [wb_diag(fam)] + [random_diag_gaussian(rng, fam.dim) for _ in range(100)]
+            best, *at_cands = barycenter_objective(*objective_arrays(fam, cands), "w2sq")
+            assert np.all(best <= np.array(at_cands) + 1e-9)
 
     def test_weighted_poe_minimizes_reverse_kl(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
             fam = random_family(rng, dim=int(rng.integers(1, 5)))
             opt = poe(fam, fam.weights)
-            best = barycenter_objective(fam, opt, "reverse_kl")
+            cands = [opt]
             for _ in range(100):
                 scale = 10.0 ** rng.uniform(-3, 0)
-                cand = DiagGaussian(
-                    opt.mean + scale * rng.standard_normal(fam.dim),
-                    opt.sigma * np.exp(scale * rng.standard_normal(fam.dim)),
+                cands.append(
+                    DiagGaussian(
+                        opt.mean + scale * rng.standard_normal(fam.dim),
+                        opt.sigma * np.exp(scale * rng.standard_normal(fam.dim)),
+                    )
                 )
-                assert best <= barycenter_objective(fam, cand, "reverse_kl") + 1e-9
+            best, *at_cands = barycenter_objective(*objective_arrays(fam, cands), "reverse_kl")
+            assert np.all(best <= np.array(at_cands) + 1e-9)
 
 
 class TestJensenBound:
@@ -409,12 +423,13 @@ class TestJensenBound:
             size = int(rng.integers(2, 5))
             fam = random_family(rng, dim=1, size=size)
             cand = random_diag_gaussian(rng, 1)
+            arrays = objective_arrays(fam, [cand])
             lhs_kl = quad_kl_1d(fam, cand)
-            rhs_kl = barycenter_objective(fam, cand, "forward_kl")
+            rhs_kl = barycenter_objective(*arrays, "forward_kl")[0]
             assert lhs_kl <= rhs_kl + 1e-6
 
             lhs_w2 = w2sq_1d_quantile(fam, cand)
-            rhs_w2 = barycenter_objective(fam, cand, "w2sq")
+            rhs_w2 = barycenter_objective(*arrays, "w2sq")[0]
             assert lhs_w2 <= rhs_w2 + 1e-6
 
 

@@ -148,21 +148,33 @@ class TestAggregateCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "posterior,message",
+        "posteriors,message",
         [
-            ({"mean": [1.0], "sigma": [-2.0]}, "nonnegative"),
-            ({"mean": [], "sigma": []}, "dimension"),
-            ({"mean": [0.0], "cov": [[1e308]]}, "overflows when symmetrized"),
-            ({"mean": [[0], [1]], "cov": [[1, 0], [0, 1]]}, "mean must be a vector"),
+            ([{"mean": [1.0], "sigma": [-2.0]}], "nonnegative"),
+            ([{"mean": [], "sigma": []}], "dimension"),
+            ([{"mean": [0.0], "cov": [[1e308]]}], "overflows when symmetrized"),
+            ([{"mean": [[0], [1]], "cov": [[1, 0], [0, 1]]}], "mean must be a vector"),
+            (
+                [{"mean": [0], "cov": [[1e300]]}, {"mean": [1], "cov": [[1e-300]]}],
+                "covariance smallest eigenvalue 1.000e-300 is below the floor 1e-12",
+            ),
         ],
-        ids=["negative_sigma", "empty", "cov_overflows_when_symmetrized", "matrix_mean"],
+        ids=[
+            "negative_sigma",
+            "empty",
+            "cov_overflows_when_symmetrized",
+            "matrix_mean",
+            "cov_eigenvalue_below_floor",
+        ],
     )
-    def test_invalid_posterior_exits_2(self, tmp_path, capsys, posterior, message):
-        inp = self.posterior_file(tmp_path, {"posteriors": [posterior]})
+    def test_invalid_posterior_exits_2(self, tmp_path, capsys, posteriors, message):
+        # the last posterior is the invalid one
+        inp = self.posterior_file(tmp_path, {"posteriors": posteriors})
         out = tmp_path / "o.json"
         assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: posteriors[0]: ") and err.count("\n") == 1
+        assert err.startswith(f"error: posteriors[{len(posteriors) - 1}]: ")
+        assert err.count("\n") == 1
         assert message in err
         assert not out.exists()
 

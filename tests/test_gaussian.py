@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from baryvae.barycenter import barycenter_objective
 from baryvae.errors import NumericError
 from baryvae.gaussian import (
     SIGMA_FLOOR,
     DiagGaussian,
     FullGaussian,
     WeightedFamily,
-    kl_diag,
     mixture_log_density,
-    w2sq_diag,
 )
 
 from oracles import (
     OracleError,
     diag_log_density,
+    objective_arrays,
     proposal_log_density,
     quad_kl_1d,
     random_diag_gaussian,
@@ -29,6 +29,16 @@ from oracles import (
 
 def g1(mean, sigma):
     return DiagGaussian([mean], [sigma])
+
+
+def pair_kl(p, q):
+    """KL(p || q), the objective's one-expert, one-row forward-KL case."""
+    return float(barycenter_objective(*objective_arrays(p, [q]), "forward_kl")[0])
+
+
+def pair_w2sq(p, q):
+    """Squared W2 between p and q, the objective's one-expert, one-row case."""
+    return float(barycenter_objective(*objective_arrays(p, [q]), "w2sq")[0])
 
 
 def log_density(g, xs):
@@ -99,16 +109,16 @@ class TestTypes:
 
 class TestKl:
     def test_identical_is_zero(self):
-        assert kl_diag(g1(0, 1), g1(0, 1)) == 0.0
+        assert pair_kl(g1(0, 1), g1(0, 1)) == 0.0
 
     def test_mean_shift_quadrature_oracle(self):
         # closed form gives 2.0 for N(2,1) vs N(0,1); verify by quadrature
-        val = kl_diag(g1(2, 1), g1(0, 1))
+        val = pair_kl(g1(2, 1), g1(0, 1))
         assert val == pytest.approx(2.0, rel=1e-12)
         assert val == pytest.approx(quad_kl_1d(g1(2, 1), g1(0, 1)), rel=1e-6)
 
     def test_sigma_scale_quadrature_oracle(self):
-        val = kl_diag(g1(0, 2), g1(0, 1))
+        val = pair_kl(g1(0, 2), g1(0, 1))
         assert val == pytest.approx(math.log(0.5) + 2.0 - 0.5, rel=1e-12)
         assert val == pytest.approx(quad_kl_1d(g1(0, 2), g1(0, 1)), rel=1e-6)
 
@@ -118,8 +128,8 @@ class TestKl:
         for _ in range(200):
             p = random_diag_gaussian(rng, int(rng.integers(1, 5)))
             q = random_diag_gaussian(rng, p.dim)
-            forward = kl_diag(p, q)
-            backward = kl_diag(q, p)
+            forward = pair_kl(p, q)
+            backward = pair_kl(q, p)
             assert forward >= 0.0 and backward >= 0.0
             if abs(forward - backward) > 1e-6:
                 asymmetric_seen = True
@@ -127,30 +137,30 @@ class TestKl:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            kl_diag(g1(0, 1), DiagGaussian([0.0, 0.0], [1.0, 1.0]))
+            pair_kl(g1(0, 1), DiagGaussian([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestW2Diag:
     def test_identical_is_zero(self):
-        assert w2sq_diag(g1(0, 1), g1(0, 1)) == 0.0
+        assert pair_w2sq(g1(0, 1), g1(0, 1)) == 0.0
 
     def test_mean_gap(self):
-        assert w2sq_diag(g1(2, 1), g1(0, 1)) == 4.0
+        assert pair_w2sq(g1(2, 1), g1(0, 1)) == 4.0
 
     def test_sigma_gap(self):
-        assert w2sq_diag(g1(0, 1), g1(0, 3)) == 4.0
+        assert pair_w2sq(g1(0, 1), g1(0, 3)) == 4.0
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(22)
         for _ in range(1000):
             d = int(rng.integers(1, 5))
             p, q, r = (random_diag_gaussian(rng, d) for _ in range(3))
-            dpq = math.sqrt(w2sq_diag(p, q))
-            dqp = math.sqrt(w2sq_diag(q, p))
+            dpq = math.sqrt(pair_w2sq(p, q))
+            dqp = math.sqrt(pair_w2sq(q, p))
             assert dpq == dqp
             assert dpq >= 0.0
-            assert math.sqrt(w2sq_diag(p, p)) == 0.0
-            assert dpq <= math.sqrt(w2sq_diag(p, r)) + math.sqrt(w2sq_diag(r, q)) + 1e-9
+            assert math.sqrt(pair_w2sq(p, p)) == 0.0
+            assert dpq <= math.sqrt(pair_w2sq(p, r)) + math.sqrt(pair_w2sq(r, q)) + 1e-9
 
 
 class TestW2Full:
@@ -195,7 +205,7 @@ class TestW2Full:
             q = random_diag_gaussian(rng, d)
             fp = FullGaussian(p.mean, np.diag(p.sigma**2))
             fq = FullGaussian(q.mean, np.diag(q.sigma**2))
-            assert abs(w2sq_full(fp, fq) - w2sq_diag(p, q)) <= 1e-8
+            assert abs(w2sq_full(fp, fq) - pair_w2sq(p, q)) <= 1e-8
 
 
 class TestQuantileOracle:
@@ -211,7 +221,7 @@ class TestQuantileOracle:
         for _ in range(20):
             p = random_diag_gaussian(rng, 1)
             q = random_diag_gaussian(rng, 1)
-            assert w2sq_1d_quantile(p, q) == pytest.approx(w2sq_diag(p, q), rel=1e-4)
+            assert w2sq_1d_quantile(p, q) == pytest.approx(pair_w2sq(p, q), rel=1e-4)
 
     def test_mixture_positive_and_symmetric(self):
         mix = WeightedFamily((g1(-2, 1), g1(2, 1)), [0.5, 0.5])

@@ -181,6 +181,22 @@ class TestArrayForward:
             assert out.dtype == np.float32
             np.testing.assert_allclose(out, mm.decode_array(vae, m, z), rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float32_store_encodes_and_aggregates_in_float32(self, method):
+        config = small_config(method, m=3, hidden=(6, 5))
+        vae = mm.MultimodalVae(config)
+        batch = random_batch(config, b=7)
+        encoded64 = mm.encode_arrays(vae, batch)
+        vae.store.params = {name: a.astype(np.float32) for name, a in vae.store.params.items()}
+        encoded = mm.encode_arrays(vae, batch)
+        for (mu, sigma), (mu64, sigma64) in zip(encoded, encoded64):
+            assert mu.dtype == sigma.dtype == np.float32
+            np.testing.assert_allclose(mu, mu64, rtol=1e-4, atol=1e-5)
+            np.testing.assert_allclose(sigma, sigma64, rtol=1e-4, atol=1e-5)
+        for subset in subsets(config.num_modalities)[1:]:
+            weights, mus, sigmas = mm.aggregate_arrays(vae, encoded, subset)
+            assert mus.dtype == sigmas.dtype == np.float32, subset
+
 
 def count_values(monkeypatch):
     """The Values built from here on, collected as perfbench's tape size does."""
