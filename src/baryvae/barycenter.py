@@ -28,6 +28,7 @@ one-expert, one-row case.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,12 @@ def wb_full(
     Bures-Wasserstein objective (Chewi et al., 2020). It stops at the first S
     whose residual ||T(S) - S||_F is at most 0.05 * tol * (1 + ||S||_F), or,
     after max_iter updates, at most tol * (1 + ||S||_F).
+
+    The barycenter is 1-homogeneous in the covariances, so the iteration runs
+    on them divided by s, the largest power of four at most their largest
+    absolute entry, and returns s * S, so that no product overflows. Scaling
+    by a power of four commutes with every rounding, square roots included,
+    so the result is that of iterating on the covariances themselves.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -207,9 +214,12 @@ def wb_full(
     for lam, member in zip(lams, family.members):
         mean += lam * member.mean
 
+    if family.size == 1:  # its own barycenter, without an iteration's rounding
+        return FullGaussian(mean, sum(lam * c for lam, c in zip(lams, covs)))
+    _, e = math.frexp(max(float(np.max(np.abs(c))) for c in covs))
+    s = math.ldexp(1.0, 2 * ((e - 1) // 2))
+    covs = [c / s for c in covs]
     cov = sum(lam * c for lam, c in zip(lams, covs))
-    if family.size == 1:  # its own barycenter; iterating could overflow
-        return FullGaussian(mean, cov)
     for iteration in range(max_iter + 1):
         root = sqrtm_psd(cov)
         mapped = np.zeros_like(cov)
@@ -217,19 +227,21 @@ def wb_full(
             a = root @ c @ root
             mapped += lam * sqrtm_psd((a + a.T) / 2.0)
         residual = float(np.linalg.norm(mapped - cov))
-        scale = 1.0 + float(np.linalg.norm(cov))
+        # the stopping rules' 1 + ||S||_F, in units of s
+        scale = 1.0 / s + float(np.linalg.norm(cov))
         # iterate well past tol so the returned point, not just its residual,
         # sits within tol of the fixed point
         if residual <= 0.05 * tol * scale:
-            return FullGaussian(mean, cov)
+            return FullGaussian(mean, s * cov)
         if iteration == max_iter and residual <= tol * scale:
-            return FullGaussian(mean, cov)
+            return FullGaussian(mean, s * cov)
         # S^{-1/2} T(S)^2 S^{-1/2} = X X^T with X = S^{-1/2} T(S)
         try:
             half = np.linalg.solve(root, mapped)
         except np.linalg.LinAlgError as err:
             raise NumericError(f"barycenter iterate became singular: {err}") from err
         cov = half @ half.T
+    residual *= s
     raise NumericError(
         f"barycenter fixed point not reached in {max_iter} iterations "
         f"(residual {residual:.3e})",

@@ -4,7 +4,8 @@ A Value wraps an array and records how it was produced; backward() walks the
 tape in reverse topological order accumulating gradients. A gradient is
 allocated only when the first one arrives: that array is stored as it comes,
 and later ones are added out of place, so arrays shared between nodes are
-never written into. Only what is differentiated is a Value: raw arrays and
+never written into. `.grad` reads the stored gradient as a read-only view,
+never a copy. Only what is differentiated is a Value: raw arrays and
 floats handed to a primitive are not parents of its result, and one with no
 Value operand returns its raw result, in the operands' dtype. The primitive
 set is the model's: dense (one network layer, h @ w + b with an optional
@@ -39,6 +40,11 @@ import numpy as np
 # 512: below a few hundred rows the threads cost more than they overlap.
 FORK_THREAD_ROWS = 256
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """A Philox generator for (seed, key...); distinct keys never collide."""
@@ -68,48 +74,31 @@ class Value:
     operand are Values; a result's parents are its Value operands alone.
     """
 
-    __slots__ = ("data", "_grad", "_owns_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self._grad = None
-        self._owns_grad = False
         self._parents = parents
         self._backward = backward
 
     @property
     def grad(self):
-        """The accumulated gradient: zeros before any has arrived.
+        """The accumulated gradient, as a read-only view: zeros before any
+        has arrived. A gradient array may be shared with other nodes, so it
+        is never written into, and reading it never copies."""
+        grad = np.zeros_like(self.data) if self._grad is None else self._grad
+        view = np.asarray(grad).view()
+        view.flags.writeable = False
+        return view
 
-        The array returned belongs to this node alone, so `node.grad += g`
-        in a custom primitive's backward cannot reach another node.
-        """
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        elif not self._owns_grad:
-            self._grad = np.array(self._grad)
-        self._owns_grad = True
-        return self._grad
-
-    @grad.setter
-    def grad(self, value):
-        self._grad = value
-        self._owns_grad = True
-
-    def _accumulate(self, g, owned=False):
-        """Add g to the gradient without writing into any array.
-
-        The first gradient is stored as it comes, so it may be shared with
-        another node or be a read-only view, unless the caller passes
-        `owned` for an array it made for this node alone; later ones add
-        out of place.
-        """
+    def _accumulate(self, g):
+        """Add g to the gradient without writing into any array: the first
+        gradient is stored as it comes, and later ones add out of place."""
         if self._grad is None:
             self._grad = g
-            self._owns_grad = owned
         else:
             self._grad = self._grad + g
-            self._owns_grad = True
 
     @property
     def shape(self):
@@ -126,7 +115,7 @@ class Value:
         """Accumulate d(self)/d(node) into every node's .grad; self is scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
-        self.grad = np.ones_like(self.data)
+        self._grad = np.ones_like(self.data)
         _run_tape(_tape(self))
 
 
@@ -158,9 +147,6 @@ def _run_tape(order: list, release=False) -> None:
             node._backward(node._grad)
             if release:
                 node._grad = None
-            else:
-                # the parents may now hold views of this gradient
-                node._owns_grad = False
 
 
 def _unwrap(operands):
@@ -231,13 +217,12 @@ def dense(h, w, b, tanh=False):
     def backward(g):
         if tanh:
             g = g * (1.0 - y * y)
-        # the weight product, and the bias sum over a batch, are new arrays
         if isinstance(b, Value):
-            b._accumulate(_unbroadcast(g, bd.shape), owned=g.ndim > bd.ndim)
+            b._accumulate(_unbroadcast(g, bd.shape))
         if isinstance(h, Value):
             h._accumulate(g @ wd.T)
         if isinstance(w, Value):
-            w._accumulate(hd.T @ g, owned=True)
+            w._accumulate(hd.T @ g)
 
     return _node(y, parents, backward)
 
@@ -270,6 +255,12 @@ def _sigmoid(x, e=None):
     # the mask is 1 for x >= 0, where e <= 1, and 0 otherwise, where e >= 0:
     # the maximum picks 1 or e, as np.where(x >= 0, 1.0, e) would, bit for bit
     return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def _bernoulli_terms(x, logits, e=None):
+    """Elementwise Bernoulli log-likelihood x * logits - softplus(logits);
+    `e` is exp(-|logits|) when already known."""
+    return x * logits - _softplus(logits, e)
 
 
 def softplus(a):
@@ -374,8 +365,7 @@ def bernoulli_loglik(x, logits, weights):
         gw = g * weights
         logits._accumulate(_unbroadcast(gw * x - gw * _sigmoid(z, e), z.shape))
 
-    ll = x * z - _softplus(z, e)
-    return _node(np.sum(ll * weights), parents, backward)
+    return _node(np.sum(_bernoulli_terms(x, z, e) * weights), parents, backward)
 
 
 def _cpu_count() -> int:
@@ -541,20 +531,15 @@ class ParamStore:
         return {name: Value(arr) for name, arr in self.params.items()}
 
 
-def adam_step(
-    store: ParamStore,
-    gradients: dict,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> ParamStore:
-    """Bias-corrected Adam update applied in place; returns the store."""
+def adam_step(store: ParamStore, gradients: dict, lr: float = 1e-3) -> ParamStore:
+    """Bias-corrected Adam update applied in place, with ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS; returns the store."""
     for name in store.names():
         if name not in gradients:
             raise ValueError(f"missing gradient for parameter {name!r}")
     store.step += 1
     t = store.step
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for name in store.names():
         g = np.asarray(gradients[name], dtype=np.float64)
         m = store.moment1[name]

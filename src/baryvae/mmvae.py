@@ -198,8 +198,6 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     weights, mu, sigma = _joint_graph(config, encoded, range(config.num_modalities))
     k = len(weights)
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape == (b, d) and k == 1:
-        noise = noise[None]
     if noise.shape != (k, b, d):
         raise ValueError(f"noise shape {noise.shape} != {(k, b, d)}")
     comp_w = np.repeat(weights, b)[:, None]
@@ -290,7 +288,7 @@ def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -
     out = decode_array(vae, m, np.atleast_2d(z))
     x = np.asarray(x, dtype=np.float64)
     if vae.config.likelihood == "bernoulli":
-        return np.sum(x[None, :] * out - dg._softplus(out), axis=1)
+        return np.sum(dg._bernoulli_terms(x[None, :], out), axis=1)
     const = -0.5 * math.log(2.0 * math.pi) - math.log(GAUSSIAN_LIK_SIGMA)
     sq = (x[None, :] - out) ** 2 / (2.0 * GAUSSIAN_LIK_SIGMA**2)
     return np.sum(const - sq, axis=1)

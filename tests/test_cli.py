@@ -130,6 +130,24 @@ class TestAggregateCommand:
         assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 0
         assert json.loads(out.read_text()) == {"method": "wb", "mean": mean, "cov": cov}
 
+    def test_identical_huge_full_members_are_their_barycenter(self, tmp_path):
+        # the products of the fixed-point iteration would overflow unscaled
+        member = {"mean": [0.5], "cov": [[8e307]]}
+        inp = self.posterior_file(tmp_path, {"posteriors": [member, member]})
+        out = tmp_path / "out.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 0
+        assert json.loads(out.read_text()) == {"method": "wb", **member}
+
+    def test_huge_full_covariances_do_not_overflow(self, tmp_path):
+        covs = ([[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
+        members = [{"mean": [0.0, 0.0], "cov": (1e200 * np.array(c)).tolist()} for c in covs]
+        inp = self.posterior_file(tmp_path, {"posteriors": members})
+        out = tmp_path / "out.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 0
+        # the barycenter of the unscaled pair: sqrt(3)/4 (1, 1; 1, 1) + (1, 0; 0, 1)
+        expected = 1e200 * (math.sqrt(3.0) / 4.0 * np.ones((2, 2)) + np.eye(2))
+        np.testing.assert_allclose(json.loads(out.read_text())["cov"], expected, rtol=1e-8)
+
     def test_full_covariance_rejects_other_methods(self, tmp_path, capsys):
         inp = self.posterior_file(
             tmp_path,
@@ -282,14 +300,15 @@ class TestAggregateCommand:
                 "",
             ),
             (
+                # the weights sum to 1 + 5e-13, so the mean overflows
                 "wb",
                 [
-                    {"mean": [0.0, 0.0], "cov": [[1e200, 0.0], [0.0, 1e200]]},
-                    {"mean": [1.0, 0.0], "cov": [[2e200, 1e200], [1e200, 2e200]]},
+                    {"mean": [1.7976931348623157e308], "cov": [[1.0]]},
+                    {"mean": [1.7976931348623157e308], "cov": [[2.0]]},
                 ],
-                None,
+                [0.5000000000005, 0.5],
                 3,
-                "",
+                "wb aggregation overflowed",
             ),
             ("wb", [{"mean": [0], "sigma": [1]}] * 2, [1e308, 1e308], 2, "weights sum to inf,"),
             ("wb", [{"mean": [0], "sigma": [1]}] * 2, [0.3, 0.3], 2, "weights sum to 0.6,"),

@@ -19,6 +19,17 @@ MIX_ROWS = np.array([[0.3, 0.0, 1.0], [1.5, -0.7, 0.2]])
 MIX_CONST = np.random.default_rng(60).standard_normal((4, 3))
 
 
+def assert_grads_read_only(*nodes):
+    """Each node's .grad is its stored gradient, not a copy, and writing into
+    it raises without changing any node's gradient."""
+    before = [node.grad.tobytes() for node in nodes]
+    for node in nodes:
+        assert np.shares_memory(node.grad, node._grad)
+        with pytest.raises(ValueError):
+            node.grad += 1.0
+        assert [other.grad.tobytes() for other in nodes] == before
+
+
 def make_store(**arrays):
     store = dg.ParamStore()
     for name, arr in arrays.items():
@@ -200,20 +211,26 @@ class TestTapeDiet:
         store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
         values = store.as_values()
         s = dg.add(values["x"], values["y"])
+        assert np.array_equal(s.grad, [0.0, 0.0]) and not s.grad.flags.writeable
         assert s._grad is None
         dg.vsum(dg.square(s)).backward()
-        # add hands x and y the same array; reading .grad must not alias them
-        gx, gy = values["x"].grad, values["y"].grad
-        gx += 100.0
+        # add hands x and y the same array; neither may write into it
+        assert np.shares_memory(values["x"]._grad, values["y"]._grad)
+        assert_grads_read_only(values["x"], values["y"], s)
+        with pytest.raises(AttributeError):
+            values["x"].grad = np.zeros(2)
+        assert np.array_equal(values["x"].grad, [8.0, 12.0])
         assert np.array_equal(values["y"].grad, [8.0, 12.0])
-        assert np.array_equal(gy, [8.0, 12.0])
 
     def test_writing_an_intermediate_gradient_keeps_parents(self):
         store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
         values = store.as_values()
         s = dg.add(values["x"], values["y"])
         dg.vsum(dg.mul(s, s)).backward()
-        s.grad[:] = 0.0
+        assert_grads_read_only(s, values["x"], values["y"])
+        with pytest.raises(ValueError):
+            s.grad[:] = 0.0
+        assert np.array_equal(s.grad, [8.0, 12.0])
         assert np.array_equal(values["x"].grad, [8.0, 12.0])
         assert np.array_equal(values["y"].grad, [8.0, 12.0])
 
@@ -243,7 +260,7 @@ class TestTapeDiet:
             out = dg.Value(2.0 * a.data, parents=(a,))
 
             def backward(g):
-                a.grad += 2.0 * g
+                a._accumulate(2.0 * g)
 
             out._backward = backward
             return out
@@ -254,9 +271,11 @@ class TestTapeDiet:
                 terms.reverse()
             return dg.add(*terms)
 
-        _, grads = forward_backward(build, store)
-        assert np.array_equal(grads["x"], c + 2.0)
-        assert np.array_equal(grads["y"], c)
+        values = store.as_values()
+        build(values).backward()
+        assert np.array_equal(values["x"].grad, c + 2.0)
+        assert np.array_equal(values["y"].grad, c)
+        assert_grads_read_only(values["x"], values["y"])
 
     def test_bernoulli_loglik_matches_composed_chain_bitwise(self):
         rng = np.random.default_rng(56)
@@ -644,7 +663,7 @@ class TestGradCheck:
             out = dg.Value(a.data**2, parents=(a,))
 
             def backward(g):
-                a.grad += g * (3.0 * a.data)  # deliberately wrong: should be 2x
+                a._accumulate(g * (3.0 * a.data))  # deliberately wrong: should be 2x
 
             out._backward = backward
             return out
