@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffgraph as dg
-from .errors import NumericError
+from .errors import NotPsdError, NumericError
 from .gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, WeightedFamily
 from .linalg import sqrtm_psd
 
@@ -205,6 +205,11 @@ def wb_full(
     absolute entry, and returns s * S, so that no product overflows. Scaling
     by a power of four commutes with every rounding, square roots included,
     so the result is that of iterating on the covariances themselves.
+
+    Ill-conditioned members can defeat the iteration in rounding: an iterate
+    that turns indefinite, or a result below FullGaussian's eigenvalue
+    floor, raises NumericError naming the iteration, as do a singular
+    iterate and no convergence within max_iter.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -221,20 +226,30 @@ def wb_full(
     covs = [c / s for c in covs]
     cov = sum(lam * c for lam, c in zip(lams, covs))
     for iteration in range(max_iter + 1):
-        root = sqrtm_psd(cov)
-        mapped = np.zeros_like(cov)
-        for lam, c in zip(lams, covs):
-            a = root @ c @ root
-            mapped += lam * sqrtm_psd((a + a.T) / 2.0)
+        try:
+            root = sqrtm_psd(cov)
+            mapped = np.zeros_like(cov)
+            for lam, c in zip(lams, covs):
+                a = root @ c @ root
+                mapped += lam * sqrtm_psd((a + a.T) / 2.0)
+        except NotPsdError as err:
+            raise NumericError(
+                f"barycenter iteration {iteration}: {err}", iterations=iteration
+            ) from err
         residual = float(np.linalg.norm(mapped - cov))
         # the stopping rules' 1 + ||S||_F, in units of s
         scale = 1.0 / s + float(np.linalg.norm(cov))
         # iterate well past tol so the returned point, not just its residual,
         # sits within tol of the fixed point
-        if residual <= 0.05 * tol * scale:
-            return FullGaussian(mean, s * cov)
-        if iteration == max_iter and residual <= tol * scale:
-            return FullGaussian(mean, s * cov)
+        if residual <= 0.05 * tol * scale or (
+            iteration == max_iter and residual <= tol * scale
+        ):
+            try:
+                return FullGaussian(mean, s * cov)
+            except ValueError as err:
+                raise NumericError(
+                    f"barycenter at iteration {iteration}: {err}", iterations=iteration
+                ) from err
         # S^{-1/2} T(S)^2 S^{-1/2} = X X^T with X = S^{-1/2} T(S)
         try:
             half = np.linalg.solve(root, mapped)

@@ -316,8 +316,24 @@ def load_checkpoint(path: str):
 # ---------------------------------------------------------------------------
 
 
+def _text_or_bool(value):
+    """The first string or boolean in a JSON value, nested lists searched; else None."""
+    if isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, list) and not {str, bool, list}.isdisjoint(map(type, value)):
+        for item in value:
+            found = _text_or_bool(item)
+            if found is not None:
+                return found
+    return None
+
+
 def _finite_array(value, where: str) -> np.ndarray:
-    """`value` as a float64 array; NaN and Infinity, which json parses, are rejected."""
+    """`value` as a float64 array; strings and booleans, which numpy would
+    convert, and NaN and Infinity, which json parses, are rejected."""
+    bad = _text_or_bool(value)
+    if bad is not None:
+        raise ConfigError(f"{where} must hold JSON numbers only, got {json.dumps(bad)}")
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as err:
@@ -384,7 +400,12 @@ def cmd_aggregate(args) -> int:
     doc = _load_json(args.input)
     posteriors, weights = _parse_posteriors(doc)
     if args.weights is not None:
-        weights = [float(w) for w in args.weights.split(",")]
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError as err:
+            raise ConfigError(
+                f"--weights must be comma-separated numbers, got {args.weights!r}"
+            ) from err
     if weights is not None and args.method not in bc.WEIGHTED_METHODS:
         raise ConfigError(
             f"method {args.method!r} does not use weights; "

@@ -22,11 +22,18 @@ evaluation uses too). Its gradients equal those of one tape bit for bit.
 Everything is deterministic, whatever the CPU count; randomness is drawn
 outside the graph from counter-based Philox streams and passed in as raw
 arrays.
+
+keep_heap_mapped sets glibc's allocator so that the large arrays of one
+training step or evaluation, once freed, stay mapped and serve the next,
+instead of going back to the OS and being faulted in again. The settings
+hold for the whole process, and its resident memory is not returned to the
+OS after the peak.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 import threading
@@ -44,6 +51,36 @@ FORK_THREAD_ROWS = 256
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# glibc mallopt parameters and the values keep_heap_mapped gives them: arrays
+# up to 32 MiB (the largest threshold glibc takes) come from the heap, not
+# from fresh zero-filled mmaps; the heap top is trimmed only past 1 GiB; and
+# one arena serves every thread, so memory freed on one thread serves another.
+_MALLOPT_SETTINGS = (
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD
+    (-1, 1 << 30),  # M_TRIM_THRESHOLD
+    (-8, 1),  # M_ARENA_MAX
+)
+_heap_kept_mapped = None
+
+
+def keep_heap_mapped() -> bool:
+    """Keep freed heap memory mapped, for the whole process; True if set.
+
+    Sets glibc's allocator once per process (_MALLOPT_SETTINGS); later calls
+    return the first call's answer. Where the C library has no `mallopt`,
+    it does nothing and returns False. Values are unchanged either way; the
+    process's resident memory is not returned to the OS after its peak.
+    """
+    global _heap_kept_mapped
+    if _heap_kept_mapped is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+            _heap_kept_mapped = False
+        else:
+            _heap_kept_mapped = all([mallopt(p, v) == 1 for p, v in _MALLOPT_SETTINGS])
+    return _heap_kept_mapped
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

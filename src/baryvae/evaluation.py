@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mmvae
 from .barycenter import SubsetIndex, subsets
-from .diffgraph import _map_in_order, rng_stream
+from .diffgraph import _map_in_order, keep_heap_mapped, rng_stream
 from .errors import NumericError
 from .gaussian import mixture_log_density
 
@@ -222,7 +222,12 @@ def evaluate_model(
     loglik_examples: int = 64,
     seed: int = 0,
 ) -> EvalReport:
-    """Run all three protocols over every non-empty modality subset."""
+    """Run all three protocols over every non-empty modality subset.
+
+    Calls `diffgraph.keep_heap_mapped`, for the whole process, so that the
+    importance sampler's large arrays are not faulted in afresh each time.
+    """
+    keep_heap_mapped()
     m_count = vae.config.num_modalities
     nonempty = [s for s in subsets(m_count) if not s.is_empty]
     rng = rng_stream(seed, _TAG_PROBE)

@@ -360,14 +360,33 @@ def conditional_generate(
     return decode_mean(vae, target, z)
 
 
+def _train_step(vae: MultimodalVae, batch, noise: np.ndarray):
+    """One Adam step on (batch, noise); returns (loss, terms) as floats.
+
+    The step's tape lives only in this call, so it is freed before the
+    caller builds the next step's graph.
+    """
+    values = vae.store.as_values()
+    loss, terms = _elbo_graph(values, vae.config, batch, noise)
+    loss.backward()
+    grads = {name: values[name].grad for name in vae.store.names()}
+    dg.adam_step(vae.store, grads, lr=vae.config.learning_rate)
+    return float(loss.data), terms
+
+
 def train(config: ModelConfig, dataset):
     """Train a model on the dataset; returns (vae, per-epoch metrics rows).
 
     Deterministic for a fixed seed: shuffling and reparameterization noise are
-    drawn from counter-based streams keyed by (seed, epoch, step).
+    drawn from counter-based streams keyed by (seed, epoch, step). Calls
+    `diffgraph.keep_heap_mapped`, so one step's freed tape serves the next
+    without faulting memory in again; that allocator setting holds for the
+    whole process, and its resident memory is not returned to the OS after
+    the peak.
     """
     if dataset.dims != list(config.input_dims):
         raise ValueError(f"dataset dims {dataset.dims} do not match {list(config.input_dims)}")
+    dg.keep_heap_mapped()
     k = num_mixture_components(config)
     vae = MultimodalVae(config)
     n = dataset.num_examples
@@ -382,17 +401,13 @@ def train(config: ModelConfig, dataset):
             noise = dg.rng_stream(config.seed, _TAG_NOISE, epoch, step).standard_normal(
                 (k, len(idx), config.latent_dim)
             )
-            values = vae.store.as_values()
             try:
-                loss, terms = _elbo_graph(values, config, batch, noise)
+                loss, terms = _train_step(vae, batch, noise)
             except NumericError as err:
                 raise NumericError(
                     f"{err} (epoch {epoch}, step {step})", epoch=epoch, step=step
                 ) from err
-            loss.backward()
-            grads = {name: values[name].grad for name in vae.store.names()}
-            dg.adam_step(vae.store, grads, lr=config.learning_rate)
-            sums["loss"] = sums.get("loss", 0.0) + float(loss.data)
+            sums["loss"] = sums.get("loss", 0.0) + loss
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + value
             count += 1

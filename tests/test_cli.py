@@ -272,6 +272,87 @@ class TestAggregateCommand:
         assert err.startswith("error: ") and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["1", True])
+    @pytest.mark.parametrize("field", ["mean", "sigma", "cov", "weights"])
+    def test_text_or_bool_number_exits_2(self, tmp_path, capsys, field, bad):
+        # numpy would read "1" and true as 1.0; the config parser rejects both too
+        kind = "cov" if field == "cov" else "sigma"
+        spread = [[1.0, 0.0], [0.0, 1.0]] if kind == "cov" else [1.0, 1.0]
+        posteriors = [{"mean": [0.0, 1.0], kind: spread}, {"mean": [1.0, 0.0], kind: spread}]
+        doc = {"posteriors": posteriors}
+        if field == "mean":
+            posteriors[1]["mean"] = [0.0, bad]
+        elif field == "sigma":
+            posteriors[1]["sigma"] = [bad, 1.0]
+        elif field == "cov":
+            posteriors[1]["cov"] = [[bad, 0.0], [0.0, 1.0]]
+        else:
+            doc["weights"] = [bad, 0.0]
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
+        where = "weights" if field == "weights" else f"posteriors[1]: {field}"
+        assert capsys.readouterr().err == (
+            f"error: {where} must hold JSON numbers only, got {json.dumps(bad)}\n"
+        )
+        assert not out.exists()
+
+    def test_non_numeric_weights_flag_exits_2(self, tmp_path, capsys):
+        inp = self.posterior_file(
+            tmp_path,
+            {"posteriors": [{"mean": [0.0], "sigma": [1.0]}, {"mean": [1.0], "sigma": [1.0]}]},
+        )
+        out = tmp_path / "o.json"
+        argv = ["--output", str(out), "--method", "wb", "--weights", "a,b"]
+        assert run("aggregate", "--input", inp, *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --weights must be comma-separated numbers, got 'a,b'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "covs,message",
+        [
+            (
+                [
+                    [
+                        [2.432088779122967e184, -2.389198666106787e184],
+                        [-2.389198666106787e184, 2.347064924243803e184],
+                    ],
+                    [
+                        [8.204078270454097e106, -1.2042653682700895e108],
+                        [-1.2042653682700898e108, 1.7677246738523125e109],
+                    ],
+                ],
+                "barycenter iteration 1: matrix is not PSD: smallest eigenvalue -2.982e-01",
+            ),
+            (
+                [
+                    [
+                        [1.7509965794436136e288, -3.1477182467894685e288],
+                        [-3.1477182467894685e288, 5.658566257347982e288],
+                    ],
+                    [
+                        [4.129396930668272e187, 1.2660840201175585e188],
+                        [1.2660840201175585e188, 3.8818470902907976e188],
+                    ],
+                ],
+                "barycenter at iteration 1: covariance smallest eigenvalue 0.000e+00 "
+                "is below the floor 1e-12",
+            ),
+        ],
+        ids=["indefinite_iterate", "result_below_floor"],
+    )
+    def test_ill_conditioned_wb_full_exits_3(self, tmp_path, capsys, covs, message):
+        # accepted members whose iteration fails in rounding: a numeric
+        # failure of wb_full, not a matrix the user gave
+        doc = {"posteriors": [{"mean": [0, 0], "cov": c} for c in covs]}
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_poe_result_exits_3(self, tmp_path, capsys):
         # the sigma floor makes each precision 1e12; precision * 1e300 overflows
         doc = {

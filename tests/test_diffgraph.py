@@ -1,4 +1,5 @@
 import math
+import platform
 import sys
 import threading
 
@@ -585,6 +586,46 @@ def textbook_adam(params, moment1, moment2, grads, t, lr, beta1=0.9, beta2=0.999
         m_hat = moment1[name] / (1.0 - beta1**t)
         v_hat = moment2[name] / (1.0 - beta2**t)
         params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestKeepHeapMapped:
+    """keep_heap_mapped sets glibc's allocator once per process, through
+    mallopt, and does nothing where the C library has none."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, calls, has_mallopt=True):
+        """Make ctypes.CDLL(None) a C library that records mallopt calls,
+        and forget any earlier keep_heap_mapped call."""
+
+        class Libc:
+            pass
+
+        if has_mallopt:
+            Libc.mallopt = staticmethod(lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(dg, "_heap_kept_mapped", None)
+        monkeypatch.setattr(dg.ctypes, "CDLL", lambda name: Libc())
+
+    def test_sets_the_allocator_once(self, monkeypatch):
+        calls = []
+        self.fake_libc(monkeypatch, calls)
+        assert dg.keep_heap_mapped() is True
+        assert dg.keep_heap_mapped() is True
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 1 GiB, M_ARENA_MAX 1
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        calls = []
+        self.fake_libc(monkeypatch, calls, has_mallopt=False)
+        assert dg.keep_heap_mapped() is False
+        # idempotent: a later call does not look for mallopt again
+        monkeypatch.setattr(dg.ctypes, "CDLL", lambda name: pytest.fail("looked again"))
+        assert dg.keep_heap_mapped() is False
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_glibc_accepts_the_settings(self, monkeypatch):
+        monkeypatch.setattr(dg, "_heap_kept_mapped", None)
+        assert dg.keep_heap_mapped() is True
 
 
 class TestAdam:

@@ -282,6 +282,17 @@ class TestEvalReport:
         assert np.allclose(reps, expected, atol=1e-12)
 
 
+def test_evaluate_model_keeps_the_heap_mapped(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ev, "keep_heap_mapped", lambda: calls.append("eval"))
+    vae, train_set, test_set = tiny_vae_and_data()
+    evaluate_model(
+        vae, train_set, test_set, importance_samples=4, probe_samples=10,
+        coherence_samples=4, loglik_examples=2,
+    )
+    assert calls == ["eval"]
+
+
 class TestSubsetThreads:
     """evaluate_model runs its subsets on the caller plus one thread per further CPU."""
 

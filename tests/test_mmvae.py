@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +457,42 @@ class TestTrain:
         config = mm.config_with(config, num_modalities=1, input_dims=(64,))
         with pytest.raises(ValueError):
             mm.train(config, ds)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("method", ["wb", "mwb"])
+    def test_step_tape_is_freed_before_the_next_graph(self, monkeypatch, method, cpus):
+        ds = self.toy(per_class=4)  # 40 examples: 3 steps per epoch
+        config = self.config_for(ds, aggregation=method, epochs=2)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)  # threads at 2 CPUs
+        monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        original = mm._elbo_graph
+        losses = []
+
+        def tracked(*args):
+            assert all(ref() is None for ref in losses), "an earlier step's loss node is alive"
+            loss, terms = original(*args)
+            # a node holds its data, so once the data is dead the node is too
+            losses.append(weakref.ref(loss.data))
+            return loss, terms
+
+        monkeypatch.setattr(mm, "_elbo_graph", tracked)
+        # freed by reference counting alone, not by a collection that happens to run
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mm.train(config, ds)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(losses) == 6
+        assert all(ref() is None for ref in losses)
+
+    def test_keeps_the_heap_mapped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dg, "keep_heap_mapped", lambda: calls.append("train"))
+        ds = self.toy(per_class=4)
+        mm.train(self.config_for(ds, epochs=1), ds)
+        assert calls == ["train"]
 
     @pytest.mark.parametrize("method", ["mopoe", "mwb"])
     def test_seventeen_modality_powerset_rejected(self, method):
