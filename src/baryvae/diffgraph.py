@@ -178,12 +178,26 @@ def _tape(root: Value) -> list:
 
 def _run_tape(order: list, release=False) -> None:
     """Run the backward of every node in `order` that holds a gradient, last
-    node first; with `release`, each such gradient is dropped once passed on."""
-    for node in reversed(order):
-        if node._backward is not None and node._grad is not None:
-            node._backward(node._grad)
-            if release:
-                node._grad = None
+    node first.
+
+    With `release`, `order` is emptied as it runs: each computed node is
+    popped and, once its backward has run, detached, dropping its gradient,
+    its backward and its parents. The arrays only it kept, its parents' and
+    its own data, are then freed before the nodes before it run. Leaves keep
+    their gradients.
+    """
+    if not release:
+        for node in reversed(order):
+            if node._backward is not None and node._grad is not None:
+                node._backward(node._grad)
+        return
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            if node._grad is not None:
+                node._backward(node._grad)
+            node._grad = node._backward = None
+            node._parents = ()
 
 
 def _unwrap(operands):
@@ -278,26 +292,22 @@ def tanh(a):
     return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
-def _softplus(x, e=None):
-    """log(1 + exp(x)) without overflow; `e` is exp(-|x|) when already known."""
-    if e is None:
-        e = np.exp(-np.abs(x))
-    return np.maximum(x, 0.0) + np.log1p(e)
+def _softplus(x):
+    """log(1 + exp(x)) without overflow."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _sigmoid(x, e=None):
-    """1 / (1 + exp(-x)) without overflow; `e` is exp(-|x|) when already known."""
-    if e is None:
-        e = np.exp(-np.abs(x))
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) without overflow."""
+    e = np.exp(-np.abs(x))
     # the mask is 1 for x >= 0, where e <= 1, and 0 otherwise, where e >= 0:
     # the maximum picks 1 or e, as np.where(x >= 0, 1.0, e) would, bit for bit
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _bernoulli_terms(x, logits, e=None):
-    """Elementwise Bernoulli log-likelihood x * logits - softplus(logits);
-    `e` is exp(-|logits|) when already known."""
-    return x * logits - _softplus(logits, e)
+def _bernoulli_terms(x, logits):
+    """Elementwise Bernoulli log-likelihood x * logits - softplus(logits)."""
+    return x * logits - _softplus(logits)
 
 
 def softplus(a):
@@ -389,20 +399,35 @@ def bernoulli_loglik(x, logits, weights):
     """Weighted Bernoulli log-likelihood sum(weights * (x*logits - softplus(logits))).
 
     `x` and `weights` are data, so the gradient flows into `logits` only.
-    One exp(-|logits|) pass serves both the softplus and its derivative, the
-    sigmoid. Value and gradient equal, bit for bit, those of
-    vsum(mul(add(mul(x, logits), mul(softplus(logits), -1.0)), weights)).
+    `logits` stacks k blocks of x's rows: x is b x ... and logits (k b) x ...,
+    read as a k x b x ... view, so that one x serves every block without
+    being copied; weights with a row per logits row are read the same way.
+    The sum runs in the flat order of the stacked rows. Backward recomputes
+    exp(-|logits|) for the sigmoid instead of keeping it from forward. Value
+    and gradient equal, bit for bit, those of
+    vsum(mul(add(mul(xk, logits), mul(softplus(logits), -1.0)), weights)),
+    where xk is x tiled k times along its first axis.
     """
     if isinstance(x, Value) or isinstance(weights, Value):
         raise ValueError("bernoulli_loglik differentiates through logits only")
     (z,), parents = _unwrap((logits,))
-    e = np.exp(-np.abs(z))
+    x = np.asarray(x)
+    weights = np.asarray(weights)
+    b = len(x) if x.ndim else 0
+    k = len(z) // b if b and z.ndim else 0
+    if not x.ndim or z.shape != (k * b, *x.shape[1:]):
+        raise ValueError(f"logits shape {z.shape} is not a stack of x's shape {x.shape}")
+    stacked = (k, b, *x.shape[1:])
+    zk = z.reshape(stacked)
+    if weights.ndim == z.ndim and len(weights) == len(z):
+        weights = weights.reshape(stacked[:2] + weights.shape[1:])
 
     def backward(g):
         gw = g * weights
-        logits._accumulate(_unbroadcast(gw * x - gw * _sigmoid(z, e), z.shape))
+        grad = _unbroadcast(gw * x - gw * _sigmoid(zk), stacked)
+        logits._accumulate(grad.reshape(z.shape))
 
-    return _node(np.sum(_bernoulli_terms(x, z, e) * weights), parents, backward)
+    return _node(np.sum(_bernoulli_terms(x, zk) * weights), parents, backward)
 
 
 def _cpu_count() -> int:
@@ -485,8 +510,11 @@ def fork_sum(x, branches):
     the private leaves' gradients into x in branch order, so the sum, the
     branch outputs and every leaf gradient equal, bit for bit, those of the
     branches built on one tape. Each computed node of a branch, its output
-    included, drops its gradient once passed on, so that branches running
-    at once hold less memory: afterwards their .grad reads zeros. When x
+    included, is detached once its backward has run (_run_tape's release):
+    it drops its gradient, backward and parents, so a branch's activations
+    are freed layer by layer as its backward runs, and afterwards the node
+    reads as a leaf whose .grad is zeros. Leaves, the private one included,
+    keep their gradients. When x
     has at least FORK_THREAD_ROWS rows, the branches are built, and their
     tapes run backward, by _map_in_order: on the calling thread plus one
     thread per further CPU; smaller forks run on the calling thread.

@@ -42,10 +42,12 @@ class DiagGaussian:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64, copy=None, ndmin=1)
         sigma = np.array(self.sigma, dtype=np.float64, copy=None, ndmin=1)
-        if mean.shape != sigma.shape or mean.ndim != 1:
+        if mean.ndim != 1 or sigma.ndim != 1:
             raise ValueError(
-                f"mean/sigma must be equal-length vectors, got {mean.shape} vs {sigma.shape}"
+                f"mean/sigma must be vectors, got shape {mean.shape} vs {sigma.shape}"
             )
+        if mean.shape != sigma.shape:
+            raise ValueError(f"mean/sigma lengths differ: {len(mean)} vs {len(sigma)}")
         if mean.shape[0] == 0:
             raise ValueError("mean/sigma must have dimension >= 1")
         if (sigma < SIGMA_FLOOR).any():

@@ -219,9 +219,9 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
 
     def recon_graph(m, z):
         out = _decode_graph(values, config, m, z)
-        x_rep = np.tile(batch[m], (k, 1))
         if config.likelihood == "bernoulli":
-            return dg.bernoulli_loglik(x_rep, out, row_w)
+            return dg.bernoulli_loglik(batch[m], out, row_w)
+        x_rep = np.tile(batch[m], (k, 1))
         sq = dg.square(dg.add(x_rep, dg.mul(out, -1.0)))
         scale = -0.5 / GAUSSIAN_LIK_SIGMA**2
         const = -config.input_dims[m] * (

@@ -173,6 +173,11 @@ class TestAggregateCommand:
             ([{"mean": [0.0], "cov": [[1e308]]}], "overflows when symmetrized"),
             ([{"mean": [[0], [1]], "cov": [[1, 0], [0, 1]]}], "mean must be a vector"),
             (
+                [{"mean": [[0.0]], "sigma": [[1.0]]}],
+                "mean/sigma must be vectors, got shape (1, 1) vs (1, 1)",
+            ),
+            ([{"mean": [0.0, 1.0], "sigma": [1.0]}], "mean/sigma lengths differ: 2 vs 1"),
+            (
                 [{"mean": [0], "cov": [[1e300]]}, {"mean": [1], "cov": [[1e-300]]}],
                 "covariance smallest eigenvalue 1.000e-300 is below the floor 1e-12",
             ),
@@ -182,6 +187,8 @@ class TestAggregateCommand:
             "empty",
             "cov_overflows_when_symmetrized",
             "matrix_mean",
+            "matrix_mean_and_sigma",
+            "unequal_lengths",
             "cov_eigenvalue_below_floor",
         ],
     )

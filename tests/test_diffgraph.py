@@ -1,5 +1,6 @@
 import math
 import platform
+import re
 import sys
 import threading
 
@@ -324,6 +325,27 @@ class TestTapeDiet:
         if raw_input:
             assert not fused_grads["h"].any()
 
+    @pytest.mark.parametrize("k", [1, 2, 32])
+    def test_bernoulli_loglik_broadcasts_x_over_stacked_logits_bitwise(self, k):
+        rng = np.random.default_rng(67)
+        x = (rng.uniform(size=(64, 20)) < 0.4).astype(np.float64)
+        weights = rng.uniform(0.1, 1.0, size=(k * 64, 1))
+        store = make_store(logits=8.0 * rng.standard_normal((k * 64, 20)))
+        once_loss, once = forward_backward(
+            lambda v: dg.bernoulli_loglik(x, v["logits"], weights), store
+        )
+        tiled_loss, tiled = forward_backward(
+            lambda v: dg.bernoulli_loglik(np.tile(x, (k, 1)), v["logits"], weights), store
+        )
+        assert once_loss.hex() == tiled_loss.hex()
+        assert once["logits"].tobytes() == tiled["logits"].tobytes()
+
+    @pytest.mark.parametrize("logits_shape", [(10, 3), (8, 4), (8,)])
+    def test_bernoulli_loglik_rejects_logits_not_stacking_x(self, logits_shape):
+        message = f"logits shape {logits_shape} is not a stack of x's shape (4, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dg.bernoulli_loglik(np.zeros((4, 3)), dg.Value(np.zeros(logits_shape)), 1.0)
+
     def test_bernoulli_loglik_rejects_active_data(self):
         store = make_store(x=[1.0, 0.0])
         with pytest.raises(ValueError):
@@ -348,7 +370,6 @@ class TestTapeDiet:
             with np.errstate(invalid="ignore"):
                 expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
                 assert dg._sigmoid(x).tobytes() == expected.tobytes()
-                assert dg._sigmoid(x, e).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "prim,fn", [(dg.reciprocal, lambda x: 1.0 / x), (dg.sqrt, np.sqrt)]
@@ -458,18 +479,21 @@ def fork_branch(v, m, z):
     return dg.bernoulli_loglik(FORK_X, out, FORK_W)
 
 
-def run_fork_model(store, fork, count=4):
+def run_fork_model(store, fork, count=4, computed=None):
     """Loss, branch outputs, the fork input's gradient and the parameter
     gradients, as exact hex strings and bytes.
 
     The input h also feeds a second consumer, so its gradient sums the
-    branches' share with another one, as z_all's mean and sigma do.
+    branches' share with another one, as z_all's mean and sigma do. A
+    `computed` list receives the branches' computed nodes before backward.
     """
     v = store.as_values()
     h = dg.dense(v["a"], v["w"], v["b"], tanh=True)
     branches = [lambda z, m=m: fork_branch(v, m, z) for m in range(count)]
     if fork:
         total, parts = dg.fork_sum(h, branches)
+        if computed is not None:
+            computed.extend(node for part in parts for node in dg._tape(part) if node._parents)
     else:
         parts = [branch(h) for branch in branches]
         total = parts[0]
@@ -494,6 +518,21 @@ class TestForkSum:
         monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         store = fork_store()
         assert run_fork_model(store, True) == run_fork_model(store, False)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_branch_nodes_are_detached_after_backward(self, monkeypatch, cpus):
+        # each branch's activations are freed as its backward runs, while
+        # every leaf gradient stays that of one tape
+        monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
+        store = fork_store()
+        computed = []
+        assert run_fork_model(store, True, computed=computed) == run_fork_model(store, False)
+        # a dense layer and a likelihood per branch, plus square and mul in two
+        assert len(computed) == 12
+        for node in computed:
+            assert node._parents == () and node._backward is None
+            assert not node.grad.any()
 
     def test_many_threads_switching_often_match_one_tape(self, monkeypatch):
         # more threads than cores, and the interpreter switching between them

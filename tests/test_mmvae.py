@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -251,8 +252,9 @@ class TestNoTapeOutsideTraining:
         built = count_values(monkeypatch)
         values = vae.store.as_values()
         loss, _ = mm._elbo_graph(values, config, batch, noise_for(config, 4))
-        loss.backward()
+        # taken before backward, which detaches the fork branches' nodes
         leaves = [v for v in built if not v._parents]
+        loss.backward()
         params = {id(v) for v in values.values()}
         assert params <= {id(v) for v in leaves} and len(leaves) < len(built)
         # the other leaves are fork_sum's: one per modality, over z_all's array
@@ -502,15 +504,21 @@ class TestTrain:
             mm.train(config, ds)
 
 
+def shipped_config(name):
+    """The model config and dataset of configs/<name>.json."""
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    run_config, dataset = parse_run_config(json.loads(path.read_text()))
+    return run_config.model, dataset
+
+
 class TestTrainThreads:
     """Training gives the same outputs with its decoder branches on one
     thread or on several."""
 
     @pytest.mark.parametrize("name", ["toy5_wb", "toy5_mwb"])
     def test_history_and_parameters_do_not_depend_on_cpu_count(self, monkeypatch, name):
-        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
-        run_config, dataset = parse_run_config(json.loads(path.read_text()))
-        config = mm.config_with(run_config.model, epochs=2)
+        model, dataset = shipped_config(name)
+        config = mm.config_with(model, epochs=2)
         reduced = dataset.take(np.arange(160))
         # wb's 64-row branches would otherwise stay on one thread
         monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
@@ -522,6 +530,37 @@ class TestTrainThreads:
         assert json.dumps(one_history) == json.dumps(two_history)
         for key in one.store.names():
             assert one.store[key].tobytes() == two.store[key].tobytes()
+
+
+class TestTrainStepMemory:
+    """A training step holds only what its backward still reads."""
+
+    def test_mwb_step_frees_branch_activations_during_backward(self, monkeypatch):
+        # one CPU, so the branches run one after another and their peaks
+        # do not add up
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 1)
+        config, dataset = shipped_config("toy5_mwb")
+        vae = mm.MultimodalVae(config)
+        batch = [mod[:64] for mod in dataset.modalities]
+        noise = noise_for(config, 64)
+        values = vae.store.as_values()
+        gc.collect()
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss, _ = mm._elbo_graph(values, config, batch, noise)
+            tracemalloc.reset_peak()
+            loss.backward()
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        mb = 2.0**20
+        # measured: 34.1 MB peak and 9.3 MB live, against 46.9 and 44.3 MB
+        # with a tiled batch, a kept exp(-|z|) and branches kept whole
+        assert (peak - base) / mb <= 40.0
+        assert (live - base) / mb <= 12.0
 
 
 class TestConditionalGenerate:

@@ -18,14 +18,18 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["train-wb", "aggregate-full", "aggregate-diag"])
+@pytest.mark.parametrize(
+    "workload", ["train-wb", "train-mwb", "aggregate-full", "aggregate-diag"]
+)
 def test_traced_run_passes(workload):
     """A traced run patches by name what the benchmark wraps, so each must exist.
 
     train-wb patches the diffgraph primitives the benchmark names,
     aggregate-full `sqrtm_psd` and `sym_eig` on `gaussian` as well as `linalg`,
     and aggregate-diag `poe`, `moe`, `wb_diag`, `mopoe` and `mwb` on
-    `barycenter`.
+    `barycenter`. The training runs rebuild the training loop and require
+    its losses to equal `mmvae.train`'s bit for bit; train-mwb's is the one
+    whose fork branches run on threads and are released during backward.
     """
     proc = subprocess.run(
         [
