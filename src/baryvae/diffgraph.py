@@ -15,8 +15,9 @@ primitive) and a fused weighted Bernoulli log-likelihood, bernoulli_loglik.
 matmul, tanh, exp and concat are unused by the model; they stay because
 perfbench's per-primitive trace patches them by name.
 
-fork_sum sums independent branches of one Value, each built and run backward
-on a tape of its own; once the input has FORK_THREAD_ROWS rows, on the
+fork_sum sums independent branches of one Value, each run backward on a
+tape of its own as soon as it is built, from the gradient the caller says
+the sum will receive; once the input has FORK_THREAD_ROWS rows, on the
 calling thread plus one thread per further CPU (_map_in_order, which
 evaluation uses too). Its gradients equal those of one tape bit for bit.
 Everything is deterministic, whatever the CPU count; randomness is drawn
@@ -176,15 +177,23 @@ def _tape(root: Value) -> list:
     return order
 
 
+class _Released(tuple):
+    """The parents of a node that _run_tape has released: empty, like a
+    leaf's, but told apart from them by identity."""
+
+
+_RELEASED = _Released()
+
+
 def _run_tape(order: list, release=False) -> None:
     """Run the backward of every node in `order` that holds a gradient, last
     node first.
 
     With `release`, `order` is emptied as it runs: each computed node is
     popped and, once its backward has run, detached, dropping its gradient,
-    its backward and its parents. The arrays only it kept, its parents' and
-    its own data, are then freed before the nodes before it run. Leaves keep
-    their gradients.
+    its backward and its parents (set to _RELEASED). The arrays only it
+    kept, its parents' and its own data, are then freed before the nodes
+    before it run. Leaves keep their gradients.
     """
     if not release:
         for node in reversed(order):
@@ -197,7 +206,7 @@ def _run_tape(order: list, release=False) -> None:
             if node._grad is not None:
                 node._backward(node._grad)
             node._grad = node._backward = None
-            node._parents = ()
+            node._parents = _RELEASED
 
 
 def _unwrap(operands):
@@ -495,8 +504,9 @@ def _map_serial(task, items) -> list:
     return [task(item) for item in items]
 
 
-def fork_sum(x, branches):
-    """The sum of branch(x) over `branches`, each branch on a tape of its own.
+def fork_sum(x, branches, grad):
+    """The sum of branch(x) over `branches`, each branch differentiated on a
+    tape of its own as soon as it is built.
 
     Returns (sum node, [branch outputs]). x is a Value. Each branch is called
     with a private leaf over x's data, not a copy, and returns a Value; all
@@ -504,66 +514,94 @@ def fork_sum(x, branches):
     of `add` would. A branch may read its leaf, raw arrays and leaves such
     as parameters, but no other node of the caller's tape: every node it
     computes must derive from its leaf. No two branches may share a node.
-    A raw x, and a branch that breaks these rules, raise ValueError.
+    A raw x, and a branch that breaks these rules, raise ValueError; a rule
+    that spans two branches is checked once all have run, so leaf gradients
+    may have changed by then.
 
-    Backward seeds every branch's tape with the incoming gradient, then adds
-    the private leaves' gradients into x in branch order, so the sum, the
-    branch outputs and every leaf gradient equal, bit for bit, those of the
-    branches built on one tape. Each computed node of a branch, its output
-    included, is detached once its backward has run (_run_tape's release):
-    it drops its gradient, backward and parents, so a branch's activations
-    are freed layer by layer as its backward runs, and afterwards the node
-    reads as a leaf whose .grad is zeros. Leaves, the private one included,
-    keep their gradients. When x
-    has at least FORK_THREAD_ROWS rows, the branches are built, and their
-    tapes run backward, by _map_in_order: on the calling thread plus one
-    thread per further CPU; smaller forks run on the calling thread.
+    `grad` is the gradient the sum will receive in backward, in every
+    entry; the caller knows it when the loss is linear in the sum. Each
+    branch's output is seeded with it and its tape run backward at once,
+    each computed node, the output included, detached once its backward
+    has run (_run_tape's release): it drops its gradient, backward and
+    parents, so a branch's activations are freed layer by layer before the
+    next branch starts, and afterwards the node reads as a leaf whose .grad
+    is zeros. Leaves, the private one included, keep their gradients. A
+    branch whose output is not finite is not run backward. When x has at
+    least FORK_THREAD_ROWS rows, the branches are built and differentiated
+    by _map_in_order, on the calling thread plus one thread per further
+    CPU, so each thread holds one branch at a time; smaller forks run on
+    the calling thread.
+
+    The sum's backward checks that the incoming gradient equals `grad` bit
+    for bit, and that no branch was skipped, raising ValueError otherwise;
+    it then adds the private leaves' gradients into x in branch order. The
+    sum, the branch outputs and every leaf gradient then equal, bit for bit,
+    those of the branches built on one tape, for leaves that only the
+    branches read.
     """
     if not isinstance(x, Value):
         raise ValueError("fork_sum needs a Value input")
+    grad = float(grad)
     threaded = x.data.ndim and len(x.data) >= FORK_THREAD_ROWS
     run = _map_in_order if threaded else _map_serial
 
-    def build(branch):
+    def differentiate(branch):
         leaf = Value(x.data)
         out = branch(leaf)
         if not isinstance(out, Value):
             raise ValueError("a fork branch must return a Value")
-        return leaf, out, _tape(out)
-
-    forks = run(build, list(branches))
-    outs = [out for _, out, _ in forks]
-    seen = {id(x)}
-    for out, (leaf, _, order) in zip(outs, forks):
-        if out.data.shape != outs[0].data.shape:
-            raise ValueError("fork branches must return one shape")
+        order = _tape(out)
+        # the tape's leaves, kept alive until every branch is checked, so
+        # that no id compared across branches is reused by a new node
+        leaves = []
         derived = {id(leaf)}
         for node in order:
-            if id(node) in seen:
+            if node is x or node._parents is _RELEASED:
                 raise ValueError("a fork branch reaches x or another branch's node")
-            seen.add(id(node))
             if node._parents:
                 if not any(id(parent) in derived for parent in node._parents):
                     raise ValueError(
                         "a fork branch reads a computed node not derived from its input"
                     )
                 derived.add(id(node))
+            else:
+                leaves.append(node)
+        finite = bool(np.isfinite(out.data).all())
+        if finite:  # else the sum's backward raises
+            out._accumulate(np.full(out.data.shape, grad))
+            _run_tape(order, release=True)
+        return leaf, out, leaves, finite
+
+    private, outs, leaves, finite = zip(*run(differentiate, list(branches)))
+    seen = set()
+    for out, branch_leaves in zip(outs, leaves):
+        if out.data.shape != outs[0].data.shape:
+            raise ValueError("fork branches must return one shape")
+        ids = {id(node) for node in branch_leaves}
+        if not seen.isdisjoint(ids):
+            raise ValueError("a fork branch reaches x or another branch's node")
+        seen |= ids
     total = outs[0].data
     for out in outs[1:]:
         total = total + out.data
+    expected = np.full(total.shape, grad)
+    skipped = [i for i, ok in enumerate(finite) if not ok]
 
     def backward(g):
-        def propagate(fork):
-            _, out, order = fork
-            out._accumulate(g)
-            _run_tape(order, release=True)
-
-        run(propagate, forks)
-        for leaf, _, _ in forks:
+        g = np.asarray(g)
+        if g.shape != expected.shape or g.astype(np.float64).tobytes() != expected.tobytes():
+            got = g.item() if g.size == 1 else g
+            raise ValueError(
+                f"fork_sum's branches were differentiated for gradient {grad!r}, "
+                f"but the sum received {got!r}"
+            )
+        if skipped:
+            raise ValueError(f"fork branch {skipped[0]} was not differentiated: not finite")
+        for leaf in private:
             if leaf._grad is not None:
                 x._accumulate(leaf._grad)
 
-    return Value(total, (x,), backward), outs
+    return Value(total, (x,), backward), list(outs)
 
 
 class ParamStore:

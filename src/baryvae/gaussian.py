@@ -22,7 +22,9 @@ import numpy as np
 from .linalg import sqrtm_psd, sym_eig, sym_eigvals  # noqa: F401
 
 SIGMA_FLOOR = 1e-6
-# A FullGaussian's covariance must have every eigenvalue at or above this.
+# A FullGaussian's covariance must have every eigenvalue at or above this,
+# and its smallest eigenvalue above d * eps times its largest: below that,
+# rounding alone can make a singular d x d matrix read as positive definite.
 COV_EIGENVALUE_FLOOR = 1e-12
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -64,7 +66,8 @@ class DiagGaussian:
 
 @dataclass(frozen=True)
 class FullGaussian:
-    """Gaussian with a full SPD covariance matrix, eigenvalues >= COV_EIGENVALUE_FLOOR.
+    """Gaussian with a full SPD covariance matrix: eigenvalues at least
+    COV_EIGENVALUE_FLOOR, and the smallest above d * eps times the largest.
 
     `cov` is stored as the float64 array (cov + cov^T)/2, so its entries
     satisfy cov[i, j] == cov[j, i] exactly.
@@ -92,6 +95,12 @@ class FullGaussian:
             raise ValueError(
                 f"covariance smallest eigenvalue {w[0]:.3e} is below the floor "
                 f"{COV_EIGENVALUE_FLOOR:g}"
+            )
+        d = len(w)
+        if w[0] <= d * np.finfo(np.float64).eps * w[-1]:
+            raise ValueError(
+                f"covariance is numerically singular: smallest eigenvalue {w[0]:.3e} "
+                f"is at most {d} * eps times the largest, {w[-1]:.3e}"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", sym)

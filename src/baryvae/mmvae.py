@@ -12,10 +12,10 @@ objective stays a valid bound, with one reparameterized sample per mixture
 component feeding all decoders. The K components of a batch stay stacked as
 one (K B) x d array through the KL, the sampling and the decoders. Each
 modality's decoder and likelihood is one branch of `diffgraph.fork_sum`,
-built and run backward on the calling thread plus one thread per further CPU
-once the K B rows reach `diffgraph.FORK_THREAD_ROWS` (256): the mixture
-aggregations at the shipped batch size, not `poe` and `wb`. Every training
-output is the same whatever the CPU count.
+run backward as soon as it is built, on the calling thread plus one thread
+per further CPU once the K B rows reach `diffgraph.FORK_THREAD_ROWS` (256):
+the mixture aggregations at the shipped batch size, not `poe` and `wb`.
+Every training output is the same whatever the CPU count.
 
 The network is defined once, on diffgraph primitives (`_encode_graph`,
 `_decode_graph`). Training runs it on tape leaves and gets tape nodes;
@@ -230,7 +230,9 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
         return dg.add(dg.vsum(dg.mul(dg.mul(sq, scale), row_w)), const)
 
     branches = [functools.partial(recon_graph, m) for m in range(config.num_modalities)]
-    recon, recon_terms = dg.fork_sum(z_all, branches)
+    # loss = -recon + beta * KL, so recon's gradient is -1: each branch runs
+    # backward as soon as it is built, and frees its activations
+    recon, recon_terms = dg.fork_sum(z_all, branches, grad=-1.0)
     loss = dg.add(dg.mul(recon, -1.0), dg.mul(kl, config.beta))
 
     terms = {f"recon_mod{m}": float(t.data) for m, t in enumerate(recon_terms)}
@@ -246,7 +248,8 @@ def elbo(vae: MultimodalVae, batch, noise: np.ndarray):
 
     Returns (loss, terms) where loss is -reconstruction + beta * KL-term and
     terms holds the per-modality mean reconstruction log-likelihoods and the
-    KL term.
+    KL term. Building the loss also runs each decoder branch's backward
+    (`diffgraph.fork_sum`), into parameter leaves that are then dropped.
     """
     loss, terms = _elbo_graph(vae.store.as_values(), vae.config, batch, noise)
     return float(loss.data), terms

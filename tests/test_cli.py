@@ -323,6 +323,62 @@ class TestAggregateCommand:
             (
                 [
                     [
+                        [8.129266358761842e46, 7.764164252858095e46],
+                        [7.764164252858094e46, 7.41545966119205e46],
+                    ],
+                    [
+                        [2.6612239300971347e76, 2.94520422993033e76],
+                        [2.94520422993033e76, 3.2594882374725346e76],
+                    ],
+                ],
+                "barycenter iteration 2: matrix is not PSD: smallest eigenvalue -7.451e-09",
+            ),
+            (
+                [
+                    [
+                        [2.7833387647690705e51, 4.4685389133651904e51],
+                        [4.4685389133651904e51, 1.0095335403618081e52],
+                    ],
+                    [
+                        [2.10872589196551e273, -5.939083402062917e272],
+                        [-5.939083402062917e272, 1.672702544749789e272],
+                    ],
+                ],
+                "barycenter at iteration 1: covariance smallest eigenvalue -7.316e+255 "
+                "is below the floor 1e-12",
+            ),
+        ],
+        ids=["indefinite_iterate", "result_below_floor"],
+    )
+    def test_ill_conditioned_wb_full_exits_3(self, tmp_path, capsys, covs, message):
+        # accepted members (eigenvalue ratios down to 8.8e-14) whose
+        # iteration fails in rounding: a numeric failure of wb_full, not a
+        # matrix the user gave
+        doc = {"posteriors": [{"mean": [0, 0], "cov": c} for c in covs]}
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # a member whose smallest eigenvalue is at most d * eps times its largest
+    FOUND_SINGULAR = [
+        [7.34663342348146e194, 2.7148700051497356e194],
+        [2.7148700051497356e194, 1.0032512472044572e194],
+    ]
+    FOUND_SINGULAR_TOO = [
+        [1.6027992862684582e243, 2.7295081228032707e244],
+        [2.7295081228032707e244, 4.648251753214952e245],
+    ]
+
+    @pytest.mark.parametrize(
+        "covs,smallest,largest",
+        [
+            ([FOUND_SINGULAR, FOUND_SINGULAR_TOO], "1.020e+178", "8.350e+194"),
+            ([FOUND_SINGULAR_TOO, FOUND_SINGULAR], "2.016e+227", "4.664e+245"),
+            (
+                [
+                    [
                         [2.432088779122967e184, -2.389198666106787e184],
                         [-2.389198666106787e184, 2.347064924243803e184],
                     ],
@@ -331,7 +387,8 @@ class TestAggregateCommand:
                         [-1.2042653682700898e108, 1.7677246738523125e109],
                     ],
                 ],
-                "barycenter iteration 1: matrix is not PSD: smallest eigenvalue -2.982e-01",
+                "1.350e+168",
+                "4.779e+184",
             ),
             (
                 [
@@ -344,20 +401,26 @@ class TestAggregateCommand:
                         [1.2660840201175585e188, 3.8818470902907976e188],
                     ],
                 ],
-                "barycenter at iteration 1: covariance smallest eigenvalue 0.000e+00 "
-                "is below the floor 1e-12",
+                "1.571e+272",
+                "7.410e+288",
             ),
         ],
-        ids=["indefinite_iterate", "result_below_floor"],
+        ids=["ratio_1e-17", "ratio_4e-19", "was_indefinite_iterate", "was_result_below_floor"],
     )
-    def test_ill_conditioned_wb_full_exits_3(self, tmp_path, capsys, covs, message):
-        # accepted members whose iteration fails in rounding: a numeric
-        # failure of wb_full, not a matrix the user gave
+    def test_numerically_singular_covariance_exits_2(
+        self, tmp_path, capsys, covs, smallest, largest
+    ):
+        # first members with eigenvalue ratios of 4.3e-19 to 2.8e-17 pass the
+        # absolute floor, and wb_full failed on them with exit 3: the iterate
+        # became singular, turned indefinite or fell below the floor
         doc = {"posteriors": [{"mean": [0, 0], "cov": c} for c in covs]}
         inp = self.posterior_file(tmp_path, doc)
         out = tmp_path / "o.json"
-        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
+        assert capsys.readouterr().err == (
+            f"error: posteriors[0]: covariance is numerically singular: smallest "
+            f"eigenvalue {smallest} is at most 2 * eps times the largest, {largest}\n"
+        )
         assert not out.exists()
 
     def test_overflowing_poe_result_exits_3(self, tmp_path, capsys):

@@ -479,21 +479,30 @@ def fork_branch(v, m, z):
     return dg.bernoulli_loglik(FORK_X, out, FORK_W)
 
 
-def run_fork_model(store, fork, count=4, computed=None):
+def run_fork_model(store, fork, count=4, check_fork=None):
     """Loss, branch outputs, the fork input's gradient and the parameter
     gradients, as exact hex strings and bytes.
 
     The input h also feeds a second consumer, so its gradient sums the
     branches' share with another one, as z_all's mean and sigma do. A
-    `computed` list receives the branches' computed nodes before backward.
+    `check_fork` callback receives the branches' computed nodes right after
+    the fork is built, before the loss's backward.
     """
     v = store.as_values()
     h = dg.dense(v["a"], v["w"], v["b"], tanh=True)
-    branches = [lambda z, m=m: fork_branch(v, m, z) for m in range(count)]
+    computed = []
+
+    def recorded(m, z):
+        out = fork_branch(v, m, z)
+        computed.extend(node for node in dg._tape(out) if node._parents)
+        return out
+
+    branches = [lambda z, m=m: recorded(m, z) for m in range(count)]
     if fork:
-        total, parts = dg.fork_sum(h, branches)
-        if computed is not None:
-            computed.extend(node for part in parts for node in dg._tape(part) if node._parents)
+        # the loss below is -total + ..., so the sum's gradient is -1
+        total, parts = dg.fork_sum(h, branches, grad=-1.0)
+        if check_fork is not None:
+            check_fork(computed)
     else:
         parts = [branch(h) for branch in branches]
         total = parts[0]
@@ -521,18 +530,24 @@ class TestForkSum:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_branch_nodes_are_detached_after_backward(self, monkeypatch, cpus):
-        # each branch's activations are freed as its backward runs, while
-        # every leaf gradient stays that of one tape
+        # each branch runs backward as it is built, so its activations are
+        # freed before the fork returns, while every leaf gradient stays
+        # that of one tape
         monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         store = fork_store()
-        computed = []
-        assert run_fork_model(store, True, computed=computed) == run_fork_model(store, False)
-        # a dense layer and a likelihood per branch, plus square and mul in two
-        assert len(computed) == 12
-        for node in computed:
-            assert node._parents == () and node._backward is None
-            assert not node.grad.any()
+        checked = []
+
+        def detached(computed):
+            # a dense layer and a likelihood per branch, plus square and mul in two
+            assert len(computed) == 12
+            for node in computed:
+                assert node._parents == () and node._backward is None
+                assert not node.grad.any()
+            checked.append(len(computed))
+
+        assert run_fork_model(store, True, check_fork=detached) == run_fork_model(store, False)
+        assert checked == [12]
 
     def test_many_threads_switching_often_match_one_tape(self, monkeypatch):
         # more threads than cores, and the interpreter switching between them
@@ -554,9 +569,9 @@ class TestForkSum:
         v = store.as_values()
         x = np.arange(4.0).reshape(2, 2)
         with pytest.raises(ValueError, match="needs a Value input"):
-            dg.fork_sum(x, [lambda z: dg.vsum(dg.dense(z, v["w0"], v["b0"]))])
+            dg.fork_sum(x, [lambda z: dg.vsum(dg.dense(z, v["w0"], v["b0"]))], grad=1.0)
         with pytest.raises(ValueError, match="must return a Value"):
-            dg.fork_sum(dg.Value(x), [dg.vsum, lambda z: dg.vsum(x)])
+            dg.fork_sum(dg.Value(x), [dg.vsum, lambda z: dg.vsum(x)], grad=1.0)
 
     def test_earliest_branch_error_is_raised(self, monkeypatch):
         monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
@@ -576,7 +591,7 @@ class TestForkSum:
 
         x = dg.Value(np.ones(3))
         with pytest.raises(NumericError, match="branch 1 failed"):
-            dg.fork_sum(x, [lambda z, m=m: branch(m, z) for m in range(5)])
+            dg.fork_sum(x, [lambda z, m=m: branch(m, z) for m in range(5)], grad=1.0)
         assert failed == [3, 1]
 
     def test_threads_only_from_the_row_threshold(self, monkeypatch):
@@ -589,22 +604,76 @@ class TestForkSum:
             return map_in_order(task, items)
 
         monkeypatch.setattr(dg, "_map_in_order", spy)
-        for rows, expected in [(dg.FORK_THREAD_ROWS - 1, []), (dg.FORK_THREAD_ROWS, [3, 3])]:
+        # one map per fork: each branch is built and run backward in one task
+        for rows, expected in [(dg.FORK_THREAD_ROWS - 1, []), (dg.FORK_THREAD_ROWS, [3])]:
             calls.clear()
             x = dg.Value(np.ones((rows, 2)))
-            total, _ = dg.fork_sum(x, [dg.vsum] * 3)
+            total, _ = dg.fork_sum(x, [dg.vsum] * 3, grad=1.0)
             total.backward()
             assert calls == expected
             assert np.array_equal(x.grad, np.full((rows, 2), 3.0))
 
+    @pytest.mark.parametrize("grad,scale", [(-1.0, 1.0), (1.0, 2.0), (0.0, -0.0)])
+    def test_sum_rejects_a_gradient_other_than_grad(self, grad, scale):
+        # 0.0 and -0.0 are equal numbers but not equal bits
+        x = dg.Value(np.ones(3))
+        total, _ = dg.fork_sum(x, [dg.vsum] * 2, grad=grad)
+        loss = dg.mul(total, scale)
+        message = f"differentiated for gradient {grad!r}, but the sum received {scale!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loss.backward()
+        assert not x.grad.any()
+
+    def test_sum_accepts_its_grad_bit_for_bit(self):
+        x = dg.Value(np.ones(3))
+        total, _ = dg.fork_sum(x, [dg.vsum] * 2, grad=-0.0)
+        dg.mul(total, -0.0).backward()
+        assert x.grad.tobytes() == np.full(3, -0.0).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_branch_is_not_differentiated(self, monkeypatch, cpus):
+        monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
+        v = make_store(w0=np.ones(3), w1=[1.0, np.inf, 1.0]).as_values()
+        x = dg.Value(np.ones(3))
+        branches = [lambda z, m=m: dg.vsum(dg.mul(z, v[f"w{m}"])) for m in range(2)]
+        total, parts = dg.fork_sum(x, branches, grad=1.0)
+        assert float(parts[1].data) == math.inf and total.data == math.inf
+        assert np.array_equal(v["w0"].grad, np.ones(3))
+        assert not v["w1"].grad.any()
+        with pytest.raises(ValueError, match="fork branch 1 was not differentiated"):
+            total.backward()
+
     def test_branches_may_not_reach_the_input_or_share_a_node(self):
         v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
         with pytest.raises(ValueError, match="reaches x"):
-            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["x"]))])
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["x"]))], grad=1.0)
         with pytest.raises(ValueError, match="reaches x"):
-            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["w"]))] * 2)
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, v["w"]))] * 2, grad=1.0)
         with pytest.raises(ValueError, match="one shape"):
-            dg.fork_sum(v["x"], [dg.vsum, lambda z: z])
+            dg.fork_sum(v["x"], [dg.vsum, lambda z: z], grad=1.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_branches_may_not_share_a_computed_node(self, monkeypatch, cpus):
+        # branch 1 reads a node branch 0 computed: attached, it is not
+        # derived from branch 1's input; released, it is another branch's
+        monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
+        v = make_store(x=np.ones(3)).as_values()
+        stash = []
+        made = threading.Event()
+
+        def first(z):
+            stash.append(dg.mul(z, 2.0))
+            made.set()
+            return dg.vsum(stash[0])
+
+        def second(z):
+            assert made.wait(timeout=30)
+            return dg.vsum(dg.mul(z, stash[0]))
+
+        with pytest.raises(ValueError, match="not derived from its input|another branch"):
+            dg.fork_sum(v["x"], [first, second], grad=1.0)
 
     def test_branches_may_not_read_a_node_of_the_callers_tape(self):
         # the branch's backward would run the caller's nodes with only its
@@ -612,9 +681,34 @@ class TestForkSum:
         v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
         scaled = dg.mul(v["w"], 2.0)
         with pytest.raises(ValueError, match="not derived from its input"):
-            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, scaled))])
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, scaled))], grad=1.0)
         with pytest.raises(ValueError, match="not derived from its input"):
-            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.add(dg.vsum(z), dg.vsum(scaled)))])
+            dg.fork_sum(
+                v["x"], [lambda z: dg.vsum(dg.add(dg.vsum(z), dg.vsum(scaled)))], grad=1.0
+            )
+
+    def test_contract_errors_fire_when_branches_run_on_threads(self, monkeypatch):
+        monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
+        v = make_store(x=np.ones(3), w=np.ones(3)).as_values()
+        scaled = dg.mul(v["w"], 2.0)
+        cases = [
+            ([lambda z: dg.vsum(dg.mul(z, v["x"])), dg.vsum], "reaches x"),
+            ([dg.vsum, lambda z: dg.vsum(dg.mul(z, v["x"]))], "reaches x"),
+            ([lambda z: dg.vsum(dg.mul(z, v["w"]))] * 3, "another branch's node"),
+            ([dg.vsum, lambda z: z, dg.vsum], "one shape"),
+            ([dg.vsum, lambda z: dg.vsum(dg.mul(z, scaled))], "not derived from its input"),
+        ]
+        for branches, message in cases:
+            with pytest.raises(ValueError, match=message):
+                dg.fork_sum(v["x"], branches, grad=1.0)
+
+    def test_branches_may_not_read_another_forks_branch(self):
+        # an earlier fork's branch output is released when that fork returns
+        v = make_store(x=np.ones(3)).as_values()
+        _, (part,) = dg.fork_sum(v["x"], [dg.vsum], grad=1.0)
+        with pytest.raises(ValueError, match="another branch"):
+            dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, part))], grad=1.0)
 
 
 def textbook_adam(params, moment1, moment2, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

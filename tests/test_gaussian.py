@@ -69,6 +69,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             FullGaussian([0.0, 0.0], np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_full_gaussian_rejects_numerically_singular_cov(self, d):
+        # the smallest eigenvalue must exceed d * eps times the largest; both
+        # stay above the absolute floor
+        eps = np.finfo(np.float64).eps
+        eigs = np.full(d, 1e6)
+        eigs[0] = d * eps * 1e6
+        with pytest.raises(ValueError, match="numerically singular"):
+            FullGaussian(np.zeros(d), np.diag(eigs))
+        eigs[0] = 2 * d * eps * 1e6
+        assert np.array_equal(FullGaussian(np.zeros(d), np.diag(eigs)).cov, np.diag(eigs))
+
+    def test_full_gaussian_one_dimension_is_never_numerically_singular(self):
+        assert FullGaussian([0.0], [[1e-12]]).cov[0, 0] == 1e-12
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_full_gaussian_nonfinite_cov_raises_numeric_error(self, bad):
         with pytest.raises(NumericError):
