@@ -14,9 +14,11 @@ too, read as the mixture of its members.
 For diagonal members the five differ only in a table, `mixing`: which experts
 make each component, with which coefficients, and whether the coefficients
 mix (precision, precision * mean) or (mean, sigma). The standard-normal prior
-is the table's last column. `combine` applies a table with one diffgraph
-primitive, so training graphs, batched evaluation arrays and the
-per-example kernels below share one implementation.
+is the table's last column. `joint` is the one place that appends the prior
+and applies a table, with one diffgraph primitive, so training graphs,
+batched evaluation arrays and `aggregate`, which returns the components of
+one diagonal family as arrays, share one implementation; `poe`, `wb_diag`,
+`mopoe` and `mwb` are typed views of `aggregate`.
 
 `barycenter_objective` states the claim itself on arrays: the weighted
 forward KL, reverse KL or squared 2-Wasserstein distance from M stacked
@@ -123,14 +125,18 @@ def _powerset_table(m: int, natural: bool):
     return weights, rows
 
 
-def combine(rows, natural: bool, mus, sigmas):
-    """The table's components from expert parameters.
+def joint(rows, natural: bool, mus, sigmas, like):
+    """The table's components from M experts and the N(0, I) prior.
 
-    mus and sigmas list M+1 equal-shape n x d entries, the prior last. Raw
-    arrays give arrays, and diffgraph Values, as in training, give tape
-    nodes. Returns (mean, sigma), each (K n) x d with the components stacked
+    mus and sigmas list the M experts' equal-shape n x d entries; the prior,
+    the table's last column, is appended here with the shape and dtype of
+    `like`, so an empty subset's table gives the prior alone. Raw arrays give
+    arrays, and diffgraph Values, as in training, give tape nodes. Returns
+    (mean, sigma), each (K n) x d with the components stacked
     component-major.
     """
+    prior = np.zeros(like.shape, like.dtype)
+    mus, sigmas = [*mus, prior], [*sigmas, np.ones_like(prior)]
     if not natural:
         return dg.mix(rows, mus), dg.mix(rows, sigmas)
     precs = [dg.reciprocal(dg.square(s)) for s in sigmas]
@@ -139,15 +145,33 @@ def combine(rows, natural: bool, mus, sigmas):
     return dg.mul(var, weighted), dg.sqrt(var)
 
 
-def _components(rows, natural: bool, family: WeightedFamily):
-    """The table's components for one example, as DiagGaussians."""
-    members = (*family.members, DiagGaussian(np.zeros(family.dim), np.ones(family.dim)))
-    mean, sigma = combine(
-        rows, natural, [g.mean[None] for g in members], [g.sigma[None] for g in members]
-    )
-    # floored here once, so no component floors its own sigma again
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
-    return tuple(DiagGaussian(mu, s) for mu, s in zip(mean, sigma))
+def _family_joint(family: WeightedFamily, weights, rows, natural: bool):
+    """(weights K, mean K x d, sigma K x d) of a table over one diagonal family."""
+    if not isinstance(family.members[0], DiagGaussian):
+        raise TypeError("expected a diagonal family; wb_full aggregates full covariances")
+    means = [g.mean[None] for g in family.members]
+    mean, sigma = joint(rows, natural, means, [g.sigma[None] for g in family.members], means[0])
+    # floored here once, as a DiagGaussian would floor it
+    return weights, mean, np.maximum(sigma, SIGMA_FLOOR)
+
+
+def aggregate(family: WeightedFamily, method: str):
+    """The joint posterior of a diagonal `family` under `method`, one of METHODS.
+
+    Returns (weights K, mean K x d, sigma K x d): one component for poe and
+    wb, the members with their weights for moe, and for mopoe and mwb one
+    component per subset in ascending bitmask order, the empty subset being
+    the N(0, I) prior. Full-covariance families go to `wb_full`.
+    """
+    return _family_joint(family, *mixing(method, family.weights))
+
+
+def _gaussian(weights, mean, sigma) -> DiagGaussian:
+    return DiagGaussian(mean[0], sigma[0])
+
+
+def _mixture(weights, mean, sigma) -> WeightedFamily:
+    return WeightedFamily(tuple(map(DiagGaussian, mean, sigma)), weights)
 
 
 def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
@@ -157,17 +181,16 @@ def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
     family weights this is the reverse-KL barycenter; unit exponents (the
     default, the `poe` table) give the plain product of experts.
     """
-    _, rows, natural = mixing("poe", family.weights)
-    if exponents is not None:
-        alphas = np.asarray(exponents, dtype=np.float64)
-        if alphas.shape != (family.size,):
-            raise ValueError("exponents length must match family size")
-        if np.any(alphas < 0.0):
-            raise ValueError("exponents must be nonnegative")
-        if not np.any(alphas > 0.0):
-            raise ValueError("at least one exponent must be positive")
-        rows = np.append(alphas, 0.0)[None]
-    return _components(rows, natural, family)[0]
+    if exponents is None:
+        return _gaussian(*aggregate(family, "poe"))
+    alphas = np.asarray(exponents, dtype=np.float64)
+    if alphas.shape != (family.size,):
+        raise ValueError("exponents length must match family size")
+    if np.any(alphas < 0.0):
+        raise ValueError("exponents must be nonnegative")
+    if not np.any(alphas > 0.0):
+        raise ValueError("at least one exponent must be positive")
+    return _gaussian(*_family_joint(family, np.ones(1), np.append(alphas, 0.0)[None], True))
 
 
 def moe(family: WeightedFamily) -> WeightedFamily:
@@ -181,8 +204,17 @@ def wb_diag(family: WeightedFamily) -> DiagGaussian:
     Both the mean and the sigma of the barycenter are the weighted arithmetic
     means of the members' parameters.
     """
-    _, rows, natural = mixing("wb", family.weights)
-    return _components(rows, natural, family)[0]
+    return _gaussian(*aggregate(family, "wb"))
+
+
+def mopoe(family: WeightedFamily) -> WeightedFamily:
+    """Mixture over the modality powerset of unit-exponent subset products."""
+    return _mixture(*aggregate(family, "mopoe"))
+
+
+def mwb(family: WeightedFamily) -> WeightedFamily:
+    """Mixture over the modality powerset of subset Wasserstein barycenters."""
+    return _mixture(*aggregate(family, "mwb"))
 
 
 def wb_full(
@@ -263,48 +295,6 @@ def wb_full(
         residual=residual,
         iterations=max_iter,
     )
-
-
-def _powerset(method: str, family: WeightedFamily) -> WeightedFamily:
-    weights, rows, natural = mixing(method, family.weights)
-    return WeightedFamily(_components(rows, natural, family), weights)
-
-
-def mopoe(family: WeightedFamily) -> WeightedFamily:
-    """Mixture over the modality powerset of unit-exponent subset products."""
-    return _powerset("mopoe", family)
-
-
-def mwb(family: WeightedFamily) -> WeightedFamily:
-    """Mixture over the modality powerset of subset Wasserstein barycenters."""
-    return _powerset("mwb", family)
-
-
-def aggregate(family: WeightedFamily, method: str):
-    """The joint posterior of `family` under `method`, one of METHODS.
-
-    A DiagGaussian for poe and wb, a WeightedFamily for moe, mopoe and mwb,
-    and for a full-covariance family, which supports wb only, the
-    FullGaussian of `wb_full`. The powerset mixtures use the N(0, I) prior
-    for their empty subset. The kernels are called through this
-    module's globals, so a wrapper installed on the module sees every call.
-    """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    if isinstance(family.members[0], FullGaussian):
-        if method != "wb":
-            raise ValueError(
-                f"method {method!r} supports diagonal posteriors only; "
-                "full-covariance inputs support 'wb'"
-            )
-        return wb_full(family)
-    if method == "poe":
-        return poe(family)
-    if method == "moe":
-        return moe(family)
-    if method == "wb":
-        return wb_diag(family)
-    return (mopoe if method == "mopoe" else mwb)(family)
 
 
 DIVERGENCES = ("forward_kl", "reverse_kl", "w2sq")

@@ -26,7 +26,7 @@ from . import barycenter as bc
 from . import data as datamod
 from . import evaluation, mmvae
 from .errors import CheckpointFormatError, ConfigError, IdxFormatError, NumericError
-from .gaussian import DiagGaussian, FullGaussian, WeightedFamily
+from .gaussian import DiagGaussian, FullGaussian
 
 CHECKPOINT_VERSION = 1
 OUT_ENV_VAR = "BARYVAE_OUT"
@@ -97,7 +97,12 @@ def _is_kind(value, kind: str) -> bool:
         return _is_kind(value, _INT) and value >= 0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) if kind == _INT else math.isfinite(value)
+    if kind == _INT:
+        return isinstance(value, int)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _section(section, fields: dict, where: str) -> dict:
@@ -296,11 +301,9 @@ def load_checkpoint(path: str):
         vae = mmvae.MultimodalVae(model_cfg)
         for name in vae.store.names():
             entry = doc["params"][name]
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            arr = _finite_array(entry["data"], f"parameter {name}").reshape(entry["shape"])
             if arr.shape != vae.store.params[name].shape:
                 raise ValueError(f"parameter {name} has wrong shape")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"parameter {name} must be finite, got NaN or Infinity")
             vae.store.params[name] = arr
         step = doc["rng_state"]["adam_step"]
         if not _is_kind(step, _INT) or step < 0:
@@ -330,12 +333,15 @@ def _text_or_bool(value):
 
 def _finite_array(value, where: str) -> np.ndarray:
     """`value` as a float64 array; strings and booleans, which numpy would
-    convert, and NaN and Infinity, which json parses, are rejected."""
+    convert, and NaN, Infinity and integers beyond the float range, which
+    json parses, are rejected."""
     bad = _text_or_bool(value)
     if bad is not None:
         raise ConfigError(f"{where} must hold JSON numbers only, got {json.dumps(bad)}")
     try:
         arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ConfigError(f"{where} must be finite, got a number beyond the float range") from None
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
     if not np.isfinite(arr).all():
@@ -379,23 +385,6 @@ def _parse_posteriors(doc):
     return posteriors, weights
 
 
-def _posterior_to_doc(result, method: str) -> dict:
-    for key, kind in _POSTERIOR_KINDS.items():
-        if isinstance(result, kind):
-            spread = getattr(result, key).tolist()
-            return {"method": method, "mean": result.mean.tolist(), key: spread}
-    if isinstance(result, WeightedFamily):
-        return {
-            "method": method,
-            "weights": result.weights.tolist(),
-            "components": [
-                {"mean": c.mean.tolist(), "sigma": c.sigma.tolist()}
-                for c in result.members
-            ],
-        }
-    raise TypeError(f"unexpected aggregation result {type(result).__name__}")
-
-
 def cmd_aggregate(args) -> int:
     doc = _load_json(args.input)
     posteriors, weights = _parse_posteriors(doc)
@@ -421,13 +410,27 @@ def cmd_aggregate(args) -> int:
             raise ConfigError(f"invalid weights: {err}") from err
 
     method = args.method
+    full = isinstance(posteriors[0], FullGaussian)
+    if full and method != "wb":
+        raise ConfigError(
+            f"method {method!r} supports diagonal posteriors only; "
+            "full-covariance inputs support 'wb'"
+        )
     # Overflow inside a kernel is not reported as a warning: a non-finite
     # result is rejected below, and a finite one is usable.
     with np.errstate(all="ignore"):
-        result = bc.aggregate(family, method)
-
+        if full:
+            result = bc.wb_full(family)
+            doc = {"method": method, "mean": result.mean.tolist(), "cov": result.cov.tolist()}
+        else:
+            weights, mean, sigma = bc.aggregate(family, method)
+            parts = [{"mean": m, "sigma": s} for m, s in zip(mean.tolist(), sigma.tolist())]
+            if method in ("poe", "wb"):
+                doc = {"method": method, **parts[0]}
+            else:
+                doc = {"method": method, "weights": weights.tolist(), "components": parts}
     try:
-        _write_json(args.output, _posterior_to_doc(result, method), allow_nan=False)
+        _write_json(args.output, doc, allow_nan=False)
     except ValueError as err:
         raise NumericError(
             f"{method} aggregation overflowed: the result is not finite; nothing written"

@@ -3,18 +3,19 @@
 One Gaussian encoder and one decoder per modality. The joint posterior is
 formed from the unimodal posteriors by the configured aggregation (poe, moe,
 wb, mopoe, mwb) in one place, `_joint_graph`, which applies the table of
-`barycenter.mixing` through `barycenter.combine` to tape nodes in the
-training graph and to arrays in `aggregate_arrays`. Training maximizes a
-reconstruction term plus a beta-weighted KL term: single-Gaussian
-aggregations use the closed-form KL to the standard-normal prior, mixture
-aggregations use the convex upper bound (weighted component-wise KL) so the
-objective stays a valid bound, with one reparameterized sample per mixture
-component feeding all decoders. The K components of a batch stay stacked as
-one (K B) x d array through the KL, the sampling and the decoders. Each
-modality's decoder and likelihood is one branch of `diffgraph.fork_sum`,
-run backward as soon as it is built, on the calling thread plus one thread
-per further CPU once the K B rows reach `diffgraph.FORK_THREAD_ROWS` (256):
-the mixture aggregations at the shipped batch size, not `poe` and `wb`.
+`barycenter.mixing` through `barycenter.joint` (the kernel that also serves
+`barycenter.aggregate`) to tape nodes in the training graph and to arrays in
+`aggregate_arrays`. Training maximizes a reconstruction term plus a
+beta-weighted KL term: single-Gaussian aggregations use the closed-form KL
+to the standard-normal prior, mixture aggregations use the convex upper
+bound (weighted component-wise KL) so the objective stays a valid bound,
+with one reparameterized sample per mixture component feeding all decoders.
+The K components of a batch stay stacked as one (K B) x d array through the
+KL, the sampling and the decoders. Each modality's decoder and likelihood is
+one branch of `diffgraph.fork_sum`, run backward as soon as it is built, on
+the calling thread plus one thread per further CPU once the K B rows reach
+`diffgraph.FORK_THREAD_ROWS` (256): the mixture aggregations at the shipped
+batch size, not `poe` and `wb`.
 Every training output is the same whatever the CPU count.
 
 The network is defined once, on diffgraph primitives (`_encode_graph`,
@@ -170,21 +171,14 @@ def _joint_graph(config: ModelConfig, encoded, idx):
 
     `encoded` holds one (mu, sigma) pair of b x d entries per modality, tape
     nodes when training and arrays otherwise; only the entries idx selects
-    are read, and the first entry when idx is empty. The N(0, I) prior fills
-    the table's last column as raw arrays in the encodings' dtype. mean and
-    sigma are (K b) x d, nodes or arrays as `encoded` is, the components
-    stacked component-major.
+    are read, and the first entry, for the prior's shape, when idx is empty.
+    mean and sigma are (K b) x d, nodes or arrays as `encoded` is, the
+    components stacked component-major.
     """
     weights, rows, natural = bc.mixing(config.aggregation, _uniform(len(idx)))
-    first = encoded[idx[0] if idx else 0][0]
-    prior_mean = np.zeros((first.shape[0], config.latent_dim), first.dtype)
-    mean, sigma = bc.combine(
-        rows,
-        natural,
-        [encoded[i][0] for i in idx] + [prior_mean],
-        [encoded[i][1] for i in idx] + [np.ones_like(prior_mean)],
-    )
-    return weights, mean, sigma
+    mus, sigmas = [encoded[i][0] for i in idx], [encoded[i][1] for i in idx]
+    like = encoded[idx[0] if idx else 0][0]
+    return (weights, *bc.joint(rows, natural, mus, sigmas, like))
 
 
 def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):

@@ -434,7 +434,7 @@ class TestJensenBound:
 
 
 class TestKernel:
-    """`mixing` + `combine` against the per-subset loops of `oracle_components`."""
+    """`mixing` + `joint` against the per-subset loops of `oracle_components`."""
 
     @pytest.mark.parametrize("method", bc.METHODS)
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -447,9 +447,7 @@ class TestKernel:
         weights = np.full(m, 1.0 / m) if uniform else rng.dirichlet(np.ones(m))
         comp_w, rows, natural = bc.mixing(method, weights)
         assert rows.shape == (len(comp_w), m + 1)
-        mean, sigma = bc.combine(
-            rows, natural, mus + [np.zeros((n, d))], sigmas + [np.ones((n, d))]
-        )
+        mean, sigma = bc.joint(rows, natural, mus, sigmas, np.zeros((n, d)))
         expected = oracle_components(method, mus, sigmas, weights)
         assert np.array_equal(comp_w, [w for w, _, _ in expected])
         k = len(expected)
@@ -500,37 +498,35 @@ class TestKernel:
         rng = np.random.default_rng(7)
         mus = [rng.normal(size=(2, 3)) for _ in range(3)]
         sigmas = [rng.uniform(0.5, 1.5, (2, 3)) for _ in range(3)]
-        prior = [np.zeros((2, 3)), np.ones((2, 3))]
         for method in bc.METHODS:
             _, rows, natural = bc.mixing(method, np.full(3, 1.0 / 3.0))
-            raw = bc.combine(rows, natural, mus + prior[:1], sigmas + prior[1:])
+            raw = bc.joint(rows, natural, mus, sigmas, mus[0])
             leaves = [dg.Value(x) for x in mus], [dg.Value(x) for x in sigmas]
-            graph = bc.combine(rows, natural, leaves[0] + prior[:1], leaves[1] + prior[1:])
+            graph = bc.joint(rows, natural, *leaves, leaves[0][0])
             for r, g in zip(raw, graph):
                 assert type(r) is np.ndarray and isinstance(g, dg.Value)
                 assert r.tobytes() == g.data.tobytes()
 
-    @pytest.mark.parametrize(
-        "method,name",
-        [("poe", "poe"), ("moe", "moe"), ("wb", "wb_diag"), ("mopoe", "mopoe"), ("mwb", "mwb")],
-    )
-    def test_aggregate_reaches_kernels_through_module_globals(self, monkeypatch, method, name):
-        # a wrapper installed on the module after import must see the call
-        calls = []
-        kernel = getattr(bc, name)
-
-        def wrapped(*args):
-            calls.append(name)
-            return kernel(*args)
-
-        monkeypatch.setattr(bc, name, wrapped)
-        fam = WeightedFamily.uniform([g1(0, 1), g1(2, 3)])
-        assert bc.aggregate(fam, method) is not None
-        assert calls == [name]
-
     def test_aggregate_full_family_supports_wb_only(self):
+        # a full-covariance family goes to wb_full; `aggregate` takes diagonal ones
         fam = WeightedFamily.uniform([FullGaussian([0.0], [[2.0]])])
-        assert bc.aggregate(fam, "wb").cov[0, 0] == pytest.approx(2.0)
-        for method in ("poe", "moe", "mopoe", "mwb"):
-            with pytest.raises(ValueError):
+        assert wb_full(fam).cov[0, 0] == pytest.approx(2.0)
+        for method in bc.METHODS:
+            with pytest.raises(TypeError, match="wb_full"):
                 bc.aggregate(fam, method)
+
+    def test_empty_subset_table_gives_the_prior_shaped_like(self):
+        for method in ("mopoe", "mwb"):
+            _, rows, natural = bc.mixing(method, [])
+            like = np.empty((2, 3), np.float32)
+            mean, sigma = bc.joint(rows, natural, [], [], like)
+            assert mean.dtype == sigma.dtype == np.float32
+            assert np.array_equal(mean, np.zeros((2, 3))) and np.array_equal(sigma, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("method", bc.METHODS)
+    def test_aggregate_floors_sigma_once(self, method):
+        # two experts at the floor: the product's sigma falls below it
+        fam = WeightedFamily.uniform([g1(0.0, 0.0), g1(1.0, 1e-6)])
+        weights, mean, sigma = bc.aggregate(fam, method)
+        assert weights.shape == (len(mean),) and mean.shape == sigma.shape == (len(mean), 1)
+        assert sigma.min() == bc.SIGMA_FLOOR

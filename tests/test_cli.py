@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,6 @@ import baryvae
 from baryvae import barycenter as bc
 from baryvae import cli
 from baryvae.cli import main
-from baryvae.gaussian import DiagGaussian, FullGaussian, WeightedFamily
 
 SRC_DIR = os.path.dirname(os.path.dirname(baryvae.__file__))
 
@@ -153,9 +153,14 @@ class TestAggregateCommand:
             tmp_path,
             {"posteriors": [{"mean": [0.0], "cov": [[1.0]]}]},
         )
-        code = run("aggregate", "--input", inp, "--output", str(tmp_path / "o.json"), "--method", "poe")
-        assert code == 2
-        assert capsys.readouterr().err.strip()
+        out = tmp_path / "o.json"
+        for method in ("poe", "moe", "mopoe", "mwb"):
+            assert run("aggregate", "--input", inp, "--output", str(out), "--method", method) == 2
+            assert capsys.readouterr().err == (
+                f"error: method {method!r} supports diagonal posteriors only; "
+                "full-covariance inputs support 'wb'\n"
+            )
+        assert not out.exists()
 
     def test_malformed_file_exits_2_with_diagnostic(self, tmp_path, capsys):
         inp = self.posterior_file(tmp_path, {"posteriors": [{"mean": [0.0]}]})
@@ -277,6 +282,30 @@ class TestAggregateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["mean", "sigma", "cov", "weights"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, field):
+        # json reads 10**400 as an integer that no float holds
+        kind = "cov" if field == "cov" else "sigma"
+        spread = [[1.0, 0.0], [0.0, 1.0]] if kind == "cov" else [1.0, 1.0]
+        posteriors = [{"mean": [0.0, 1.0], kind: spread}, {"mean": [1.0, 0.0], kind: spread}]
+        doc = {"posteriors": posteriors}
+        if field == "weights":
+            doc["weights"] = [10**400, 0.5]
+        elif field == "cov":
+            posteriors[1]["cov"] = [[10**400, 0.0], [0.0, 1.0]]
+        else:
+            posteriors[0][field] = [1.0, 10**400]
+        inp = self.posterior_file(tmp_path, doc)
+        out = tmp_path / "o.json"
+        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
+        where = {"cov": "posteriors[1]: cov", "weights": "weights"}.get(
+            field, f"posteriors[0]: {field}"
+        )
+        assert capsys.readouterr().err == (
+            f"error: {where} must be finite, got a number beyond the float range\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["1", True])
@@ -488,6 +517,66 @@ class TestAggregateCommand:
         assert not out.exists()
 
 
+GOLDEN_FAMILIES = {
+    "one_member": [{"mean": [0.5, -1.25, 3.0], "sigma": [0.8, 1.5, 0.3]}],
+    "three_members": [
+        {"mean": [0.1, -2.3, 1.7, 0.0], "sigma": [0.9, 1.1, 0.4, 2.2]},
+        {"mean": [-1.4, 0.6, 2.5, -0.7], "sigma": [1.3, 0.35, 0.75, 1.9]},
+        {"mean": [2.2, -0.05, -3.1, 1.6], "sigma": [0.45, 2.6, 1.05, 0.6]},
+    ],
+    "sigmas_at_floor": [
+        {"mean": [1.0, -1.0, 0.5], "sigma": [1e-6, 0.0, 2.0]},
+        {"mean": [3.0, 2.0, -0.5], "sigma": [1e-6, 5e-7, 1e-6]},
+    ],
+    "five_members": [
+        {"mean": [0.3, -0.7], "sigma": [0.6, 1.2]},
+        {"mean": [1.8, 2.4], "sigma": [2.1, 0.4]},
+        {"mean": [-2.1, 0.9], "sigma": [0.95, 1.7]},
+        {"mean": [0.05, -1.6], "sigma": [1.35, 0.55]},
+        {"mean": [2.75, 0.15], "sigma": [0.25, 2.8]},
+    ],
+}
+# moe and wb read the five-member family with these weights
+GOLDEN_WEIGHTS = "0.1,0.2,0.3,0.15,0.25"
+# SHA-256 of each output file as the per-method kernels wrote it, before the
+# five methods shared one kernel. Every step is elementwise float64 numpy,
+# so the bytes do not depend on the BLAS build.
+GOLDEN_SHA256 = {
+    "one_member-poe": "ef337e701aae66cda6f2d36d18b0afd1780269a847fe1d6e4fef5931a6b3d8de",
+    "one_member-moe": "38cb00574ce2bf1d8bedc1e948aeed2f0bb8e481ac434d5e8910ff23a1794fb7",
+    "one_member-wb": "28ead8d888f8b722c577bd79f5162bcaabdbfa52484d946d34037de67b6e7039",
+    "one_member-mopoe": "fa999c943ad815eb1e38b251a01e9c82796a447d05884b86ab0a3bcf17725483",
+    "one_member-mwb": "7d6cb3a7b5160e331931d5b533f07166d24f728b9c1112fe504bd32cbc30431e",
+    "three_members-poe": "d569fb3950a0c594400a7a74759a3130065ba0b66aad755fdd3488b01aef293d",
+    "three_members-moe": "b88a30a21327549904930fcfb53bdc6e9afe63a17d355b5685518508611dbf46",
+    "three_members-wb": "62a050c40ea8e2b1e749b88d1b07fad3fdff357240b38f74ac26ebdae85c59a9",
+    "three_members-mopoe": "f108ef0a5ec4462c6500f234e8f3138f13975ab20aa039ea6bb84f59abdd5b4d",
+    "three_members-mwb": "5b64a42b97fdc9ba8f4f94c7b2d4e39b4564eac07aaa2cda4b486396d2c63a6b",
+    "sigmas_at_floor-poe": "22444eb537d8cd65c8871062566b6a9366738e8a3afaf30f305ae76aa6659647",
+    "sigmas_at_floor-moe": "e4795bc287d76f518cb733de232458356561c3e75e6dec53ecafe1d5ee50abe6",
+    "sigmas_at_floor-wb": "a349b06827d53d4b55a6b9f96a1dd8502cf4a9afe41895e71445cd366dde7c90",
+    "sigmas_at_floor-mopoe": "ff4bda75a95337ea64aee2f0ff8bd49cf03f1d1f1e5dbfbb6bddd625260ee22f",
+    "sigmas_at_floor-mwb": "d468a7fe2316597a337d45938955b182fcd851affe4417effcf86646813f4051",
+    "five_members-poe": "c1d01dd56175817a40be4a310f29db1f44ffbd77b67f8c98653655a680242c90",
+    "five_members-moe": "043d0aebfa16a3dd4361213aa4905e9a8ae18488338cac0b905a819c9bf05ce7",
+    "five_members-wb": "0fe52a9aff8377bf4756f8b0a12e28ac789b1a7486ba7c91ee3239c759eeae1c",
+    "five_members-mopoe": "d0f79a876865736f6a5b2131efe3bd8db9815bff86c5955cf99f1fbea14455e9",
+    "five_members-mwb": "9b99ab421221962697af5b75c57748fca003ed0d146fbf8ba50e462804c6de05",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+def test_diagonal_aggregate_golden_bytes(tmp_path, case):
+    family, method = case.split("-")
+    inp, out = tmp_path / "in.json", tmp_path / "o.json"
+    write_json(inp, {"posteriors": GOLDEN_FAMILIES[family]})
+    argv = ["aggregate", "--input", str(inp), "--output", str(out), "--method", method]
+    if family == "five_members" and method in bc.WEIGHTED_METHODS:
+        argv += ["--weights", GOLDEN_WEIGHTS]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
+
+
 def dumps_bytes(obj, allow_nan=True):
     return (json.dumps(obj, indent=2, allow_nan=allow_nan) + "\n").encode()
 
@@ -495,22 +584,29 @@ def dumps_bytes(obj, allow_nan=True):
 class TestWriteJson:
     """`_write_json` writes the bytes of json.dumps(obj, indent=2) plus a newline."""
 
+    def aggregate_bytes(self, tmp_path, posteriors, method):
+        inp, out = tmp_path / "in.json", tmp_path / "o.json"
+        write_json(inp, {"posteriors": posteriors})
+        assert run("aggregate", "--input", str(inp), "--output", str(out), "--method", method) == 0
+        return out.read_bytes()
+
     @pytest.mark.parametrize("method", bc.METHODS)
     def test_aggregate_results(self, tmp_path, method):
         rng = np.random.default_rng(71)
-        members = [DiagGaussian(rng.normal(size=4), rng.uniform(0.2, 2.0, 4)) for _ in range(3)]
-        doc = cli._posterior_to_doc(bc.aggregate(WeightedFamily.uniform(members), method), method)
-        cli._write_json(str(tmp_path / "o.json"), doc, allow_nan=False)
-        assert (tmp_path / "o.json").read_bytes() == dumps_bytes(doc)
+        members = [
+            {"mean": rng.normal(size=4).tolist(), "sigma": rng.uniform(0.2, 2.0, 4).tolist()}
+            for _ in range(3)
+        ]
+        raw = self.aggregate_bytes(tmp_path, members, method)
+        assert raw == dumps_bytes(json.loads(raw))
 
     def test_full_covariance_result(self, tmp_path):
         members = [
-            FullGaussian([0.0, 1.0], [[1.0, 0.2], [0.2, 1.0]]),
-            FullGaussian([2.0, 0.0], [[2.0, -0.1], [-0.1, 1.5]]),
+            {"mean": [0.0, 1.0], "cov": [[1.0, 0.2], [0.2, 1.0]]},
+            {"mean": [2.0, 0.0], "cov": [[2.0, -0.1], [-0.1, 1.5]]},
         ]
-        doc = cli._posterior_to_doc(bc.aggregate(WeightedFamily.uniform(members), "wb"), "wb")
-        cli._write_json(str(tmp_path / "o.json"), doc, allow_nan=False)
-        assert (tmp_path / "o.json").read_bytes() == dumps_bytes(doc)
+        raw = self.aggregate_bytes(tmp_path, members, "wb")
+        assert raw == dumps_bytes(json.loads(raw))
 
     def test_checkpoint_and_report_documents(self, tmp_path, monkeypatch):
         written = {}
@@ -647,10 +743,15 @@ class TestTrainCommand:
                 lambda doc: doc["eval"].update(seed=-1),
                 "field 'seed' in eval section must be an integer >= 0, got -1",
             ),
+            (
+                lambda doc: doc["model"].update(beta=10**400),
+                f"field 'beta' in model section must be a finite number, got {10**400}",
+            ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
              "eval_zero_samples", "hidden_zero", "hidden_negative", "model_seed_negative",
-             "toy_seed_negative", "split_seed_negative", "eval_seed_negative"],
+             "toy_seed_negative", "split_seed_negative", "eval_seed_negative",
+             "beta_beyond_float_range"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -832,6 +933,7 @@ class TestEvalCommand:
             (("config", "data", "toy", "seed"), -1),
             (("config", "split", "seed"), -1),
             (("config", "eval", "seed"), -1),
+            (("config", "model", "beta"), 10**400),
         ],
         ids=[
             "split_list",
@@ -847,6 +949,7 @@ class TestEvalCommand:
             "toy_seed_negative",
             "split_seed_negative",
             "eval_seed_negative",
+            "beta_beyond_float_range",
         ],
     )
     def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):
@@ -872,6 +975,17 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dec1.b0" in err
+
+    def test_parameter_beyond_float_range_exits_4(self, trained, tmp_path, capsys):
+        # json reads 10**400 as an integer that no float holds
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["params"]["dec1.b0"]["data"][0] = 10**400
+        path = tmp_path / "bad.json"
+        write_json(path, doc)
+        assert run("eval", "--checkpoint", str(path), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dec1.b0" in err and "float range" in err
 
     def test_overflowing_parameters_leave_stderr_empty(self, trained, tmp_path):
         doc = json.loads((trained / "checkpoint.json").read_text())

@@ -1,8 +1,12 @@
-"""Property tests of the barycentric objective, beside the fixed-seed tests.
+"""Property tests of the barycentric objective and the aggregators, and a
+fuzz of the `aggregate` command's input boundary, beside the fixed-seed tests.
 
 They need `hypothesis` (the `test` extra) and are skipped without it.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -11,9 +15,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from baryvae.barycenter import DIVERGENCES, barycenter_objective, wb_full  # noqa: E402
+from baryvae import cli  # noqa: E402
+from baryvae import mmvae as mm  # noqa: E402
+from baryvae.barycenter import (  # noqa: E402
+    DIVERGENCES,
+    METHODS,
+    SubsetIndex,
+    aggregate,
+    barycenter_objective,
+    poe,
+    wb_diag,
+    wb_full,
+)
 from baryvae.errors import NumericError  # noqa: E402
-from baryvae.gaussian import FullGaussian, WeightedFamily  # noqa: E402
+from baryvae.gaussian import DiagGaussian, FullGaussian, WeightedFamily  # noqa: E402
 
 # Reordering M <= 6 nonnegative terms moves their sum by at most about
 # (M - 1) * 2.2e-16 of its value.
@@ -124,3 +139,280 @@ def test_wb_full_of_identical_members_scales_by_powers_of_four_exactly(family, m
         scaled_wb_full(means, covs, weights, power) for power in (max(0, -k), max(0, -k) + k)
     )
     assert scaled.tobytes() == base.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the aggregators: one kernel, read through the paper's barycentric claims
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def diag_families(draw, max_members=5, max_dim=6, identical=False):
+    """A diagonal WeightedFamily with sigmas in [0.3, 2.5], far above the floor."""
+    m = draw(st.integers(1, max_members))
+    d = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means, sigmas = rng.uniform(-3.0, 3.0, (m, d)), rng.uniform(0.3, 2.5, (m, d))
+    if identical:
+        means, sigmas = means[:1].repeat(m, axis=0), sigmas[:1].repeat(m, axis=0)
+    weights = rng.uniform(0.05, 1.0, m)
+    return WeightedFamily(tuple(map(DiagGaussian, means, sigmas)), weights / weights.sum())
+
+
+def members_of(family, mask):
+    return [g for i, g in enumerate(family.members) if mask >> i & 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(diag_families(), st.sampled_from(["mopoe", "mwb"]))
+def test_powerset_component_is_the_subset_aggregate(family, method):
+    # bit for bit: both routes fold the same coefficients in the same order
+    weights, mean, sigma = aggregate(family, method)
+    single = poe if method == "mopoe" else wb_diag
+    assert np.array_equal(mean[0], np.zeros(family.dim))
+    assert np.array_equal(sigma[0], np.ones(family.dim))
+    for mask in range(1, len(weights)):
+        got = single(WeightedFamily.uniform(members_of(family, mask)))
+        assert mean[mask].tobytes() == got.mean.tobytes()
+        assert sigma[mask].tobytes() == got.sigma.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(METHODS),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_array_route_equals_one_row_calls(method, m, n, d, seed):
+    # bit for bit: every step is elementwise, so a row does not see the others;
+    # the sigmas stay above the floor, which only the per-family route applies
+    config = mm.ModelConfig(
+        num_modalities=m, input_dims=(1,) * m, latent_dim=d, hidden=(1,), aggregation=method
+    )
+    vae = mm.MultimodalVae(config)
+    rng = np.random.default_rng(seed)
+    encoded = [(rng.uniform(-3.0, 3.0, (n, d)), rng.uniform(0.3, 2.5, (n, d))) for _ in range(m)]
+    for mask in range(1, 1 << m):
+        subset = SubsetIndex(mask, m)
+        weights, mus, sigmas = mm.aggregate_arrays(vae, encoded, subset)
+        for i in range(n):
+            family = WeightedFamily.uniform(
+                [DiagGaussian(encoded[j][0][i], encoded[j][1][i]) for j in subset.members()]
+            )
+            one = aggregate(family, method)
+            assert [a.tobytes() for a in one] == [
+                a.tobytes() for a in (weights, mus[:, i], sigmas[:, i])
+            ]
+
+
+# Reordering the M <= 5 experts reorders each fold of M terms: a sum of
+# positive terms (sigma, precision) moves by at most about (M - 1) eps of its
+# value, and a mean, a convex combination of the member means whose terms may
+# cancel, by at most about 2 (M - 1) eps of the largest member mean.
+AGGREGATOR_PERMUTATION_RTOL = 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(diag_families(), st.sampled_from(METHODS), st.randoms(use_true_random=False))
+def test_expert_permutation_relabels_components(family, method, random):
+    order = list(range(family.size))
+    random.shuffle(order)
+    permuted = WeightedFamily(tuple(family.members[i] for i in order), family.weights[order])
+    base, moved = aggregate(family, method), aggregate(permuted, method)
+    if method == "moe":
+        base = tuple(a[order] for a in base)
+    elif method in ("mopoe", "mwb"):
+        # permuted expert j is expert order[j], so permuted mask S is the old
+        # mask over {order[j] : j in S}
+        old = [sum(1 << order[j] for j in range(family.size) if mask >> j & 1)
+               for mask in range(1 << family.size)]
+        base = tuple(a[old] for a in base)
+    assert np.array_equal(moved[0], base[0])
+    scale = max(float(np.max(np.abs(g.mean))) for g in family.members)
+    np.testing.assert_allclose(
+        moved[1], base[1], rtol=0.0, atol=AGGREGATOR_PERMUTATION_RTOL * scale
+    )
+    np.testing.assert_allclose(moved[2], base[2], rtol=AGGREGATOR_PERMUTATION_RTOL, atol=0.0)
+
+
+# M <= 5 identical members: each result folds M equal terms whose
+# coefficients sum to 1 within rounding, so it lands within about 2 M eps of
+# the closed form, itself rounded once.
+IDENTICAL_MEMBERS_RTOL = 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(diag_families(identical=True))
+def test_identical_members(family):
+    member, m = family.members[0], family.size
+    out = wb_diag(family)
+    np.testing.assert_allclose(out.mean, member.mean, rtol=IDENTICAL_MEMBERS_RTOL, atol=0.0)
+    np.testing.assert_allclose(out.sigma, member.sigma, rtol=IDENTICAL_MEMBERS_RTOL, atol=0.0)
+    out = poe(family)
+    np.testing.assert_allclose(out.mean, member.mean, rtol=IDENTICAL_MEMBERS_RTOL, atol=0.0)
+    np.testing.assert_allclose(
+        out.sigma, member.sigma / math.sqrt(m), rtol=IDENTICAL_MEMBERS_RTOL, atol=0.0
+    )
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the `aggregate` boundary with malformed posterior documents
+# ---------------------------------------------------------------------------
+
+NOT_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.just({}), st.just([]))
+BAD_NUMBERS = st.one_of(
+    NOT_NUMBERS,
+    st.none(),  # numpy reads null as NaN
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(309, 400).map(lambda k: 10**k),  # beyond the float range
+    st.integers(309, 400).map(lambda k: -(10**k)),
+)
+# --weights values that never parse as a usable weight list
+BAD_FLAG_WEIGHTS = ["", "x", "0.5,,0.5", "1;0", "0.5 0.5", "nan", "inf", "-1", "2"]
+
+
+def number_paths(value, path=()):
+    """The paths to every number in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    return [p for key, item in items for p in number_paths(item, (*path, key))]
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def member_of_kind(rng, d, full):
+    mean = rng.uniform(-5.0, 5.0, d).tolist()
+    if full:
+        a = rng.uniform(-1.0, 1.0, (d, d))
+        return {"mean": mean, "cov": (a @ a.T + np.eye(d)).tolist()}
+    return {"mean": mean, "sigma": rng.uniform(0.1, 3.0, d).tolist()}
+
+
+@st.composite
+def malformed_documents(draw):
+    """(document, method, extra argv) that `aggregate` must reject.
+
+    A valid document is drawn, then broken in one of several ways, each of
+    which no valid document shares.
+    """
+    m, d, full = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    posteriors = [member_of_kind(rng, d, full) for _ in range(m)]
+    doc = {"posteriors": posteriors}
+    method = "wb" if full else draw(st.sampled_from(METHODS))
+    if method in ("moe", "wb") and draw(st.booleans()):
+        w = rng.uniform(0.5, 1.5, m)
+        doc["weights"] = (w / w.sum()).tolist()
+    spread = "cov" if full else "sigma"
+    fields = [("posteriors", i, key) for i in range(m) for key in ("mean", spread)]
+    fields += [("weights",)] * ("weights" in doc)
+    argv = []
+    how = draw(st.sampled_from(
+        ["number", "field", "nest", "lengthen", "dims", "mixed", "negative", "weights",
+         "flag", "structure"]
+    ))
+    if how == "number":  # one number becomes text, a boolean, null, NaN, Inf or huge
+        *parent, key = draw(st.sampled_from(number_paths(doc)))
+        at(doc, parent)[key] = draw(BAD_NUMBERS)
+    elif how == "field":  # a whole field becomes a non-number
+        *parent, key = draw(st.sampled_from(fields))
+        at(doc, parent)[key] = draw(NOT_NUMBERS)
+    elif how == "nest":  # one more level of lists
+        *parent, key = draw(st.sampled_from(fields))
+        at(doc, parent)[key] = [at(doc, parent)[key]]
+    elif how == "lengthen":  # a vector, or a covariance row, one entry longer
+        path = draw(st.sampled_from(fields))
+        target = at(doc, path)
+        (target[draw(st.integers(0, d - 1))] if path[-1] == "cov" else target).append(1.0)
+    elif how == "dims":  # one more member, of another dimension
+        posteriors.insert(draw(st.integers(0, m)), member_of_kind(rng, d + 1, full))
+    elif how == "mixed":  # one member of the other kind
+        posteriors.insert(draw(st.integers(0, m)), member_of_kind(rng, d, not full))
+    elif how == "negative":  # a negative sigma, or a negative definite covariance
+        member = posteriors[draw(st.integers(0, m - 1))]
+        if full:
+            member["cov"] = (-np.asarray(member["cov"])).tolist()
+        else:
+            member["sigma"][draw(st.integers(0, d - 1))] = -draw(st.floats(0.5, 3.0))
+    elif how == "weights":  # weights that are negative, off the simplex or unused
+        w = np.full(m, 1.0 / m)
+        bad = draw(st.sampled_from(["negative", "double", "longer", "unused"]))
+        if bad == "negative":
+            w[0] = -0.25
+        elif bad == "double":
+            w = 2.0 * w
+        elif bad == "longer":
+            w = np.append(w, 0.0)
+        else:
+            method = draw(st.sampled_from(["poe", "mopoe", "mwb"]))
+        doc["weights"] = w.tolist()
+    elif how == "flag":
+        argv = ["--weights=" + draw(st.sampled_from(BAD_FLAG_WEIGHTS))]
+        if draw(st.booleans()):
+            # well-formed weights for a method that does not use them
+            argv = ["--weights=" + ",".join(["1"] + ["0"] * (m - 1))]
+            method = draw(st.sampled_from(["poe", "mopoe", "mwb"]))
+    else:  # the document's structure: not an object, no members, bad keys
+        broken = draw(st.sampled_from(
+            ["list", "text", "number", "empty", "members_object", "member_list",
+             "no_mean", "no_spread", "both_spreads", "unknown_key", "unknown_member_key"]
+        ))
+        member = posteriors[0]
+        if broken == "list":
+            doc = [doc]
+        elif broken == "text":
+            doc = "posteriors"
+        elif broken == "number":
+            doc = 1.0
+        elif broken == "empty":
+            doc["posteriors"] = []
+        elif broken == "members_object":
+            doc["posteriors"] = member
+        elif broken == "member_list":
+            posteriors[0] = list(member.values())
+        elif broken == "no_mean":
+            del member["mean"]
+        elif broken == "no_spread":
+            del member[spread]
+        elif broken == "both_spreads":
+            member.update(member_of_kind(rng, d, not full))
+        elif broken == "unknown_key":
+            doc["extra"] = 1
+        else:
+            member["extra"] = 1
+    return doc, method, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(case=malformed_documents())
+def test_malformed_aggregate_documents_exit_2_with_one_error_line(fuzz_dir, case):
+    # each is rejected before a kernel runs; exit 3 is for a finite input
+    # whose result overflows, which none of these reaches
+    doc, method, argv = case
+    inp, out = fuzz_dir / "in.json", fuzz_dir / "out.json"
+    inp.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["aggregate", "--input", str(inp), "--output", str(out), "--method", method, *argv]
+        )
+    text = err.getvalue()
+    assert code == cli.EXIT_INPUT, text
+    assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
+    assert not out.exists()
