@@ -86,7 +86,12 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown field '{unknown[0]}' in {where}")
 
 
-def _is_kind(value, kind: str) -> bool:
+# Integers may size arrays, so they must lie in numpy's signed 64-bit range,
+# unless not `bounded`: seeds and the fields in _ANY_SIZE size nothing.
+_INT64, _ANY_SIZE = range(-(2**63), 2**63), ("epochs",)
+
+
+def _is_kind(value, kind: str, bounded: bool = True) -> bool:
     if kind == _IDS:
         return value is None or _is_kind(value, _INTS)
     if kind == _INTS:
@@ -94,11 +99,11 @@ def _is_kind(value, kind: str) -> bool:
     if kind == _TEXT:
         return isinstance(value, str)
     if kind == _SEED:
-        return _is_kind(value, _INT) and value >= 0
+        return _is_kind(value, _INT, bounded=False) and value >= 0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     if kind == _INT:
-        return isinstance(value, int)
+        return isinstance(value, int) and (value in _INT64 or not bounded)
     try:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
@@ -111,7 +116,7 @@ def _section(section, fields: dict, where: str) -> dict:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(section, fields, where)
     for key, value in section.items():
-        if not _is_kind(value, fields[key]):
+        if not _is_kind(value, fields[key], bounded=key not in _ANY_SIZE):
             raise ConfigError(f"field '{key}' in {where} must be {fields[key]}, got {value!r}")
     return dict(section)
 

@@ -281,6 +281,8 @@ def load_idx(images_path: str, labels_path: str) -> MultimodalDataset:
     n_images = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
+    if n_images == 0:  # nothing to learn from, and rows x cols may pass numpy's limit
+        raise IdxFormatError(f"{images_path}: holds no images")
     expected = 16 + n_images * rows * cols
     if len(img_buf) < expected:
         raise IdxFormatError(

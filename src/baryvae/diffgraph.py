@@ -11,18 +11,18 @@ Value operand returns its raw result, in the operands' dtype. The primitive
 set is the model's: dense (one network layer, h @ w + b with an optional
 tanh), broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum,
 square, mix (stacked fixed linear combinations, the barycentric kernel's one
-primitive) and a fused weighted Bernoulli log-likelihood, bernoulli_loglik.
+primitive) and weighted_loglik, a fused weighted log-likelihood that takes
+the likelihood's elementwise terms and their slope as functions.
 matmul, tanh, exp and concat are unused by the model; they stay because
 perfbench's per-primitive trace patches them by name.
 
 fork_sum sums independent branches of one Value, each run backward on a
 tape of its own as soon as it is built, from the gradient the caller says
-the sum will receive; once the input has FORK_THREAD_ROWS rows, on the
-calling thread plus one thread per further CPU (_map_in_order, which
-evaluation uses too). Its gradients equal those of one tape bit for bit.
-Everything is deterministic, whatever the CPU count; randomness is drawn
-outside the graph from counter-based Philox streams and passed in as raw
-arrays.
+the sum will receive; once the input has FORK_THREAD_ROWS rows, on one
+pool thread per CPU (_map_in_order, which evaluation uses too). Its
+gradients equal those of one tape bit for bit. Everything is
+deterministic, whatever the CPU count; randomness is drawn outside the
+graph from counter-based Philox streams and passed in as raw arrays.
 
 keep_heap_mapped sets glibc's allocator so that the large arrays of one
 training step or evaluation, once freed, stay mapped and serve the next,
@@ -314,11 +314,6 @@ def _sigmoid(x):
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _bernoulli_terms(x, logits):
-    """Elementwise Bernoulli log-likelihood x * logits - softplus(logits)."""
-    return x * logits - _softplus(logits)
-
-
 def softplus(a):
     return _unary(a, _softplus, lambda g, x, y: g * _sigmoid(x))
 
@@ -404,39 +399,38 @@ def sqrt(a):
     return _unary(a, np.sqrt, lambda g, x, y: g * (0.5 / y))
 
 
-def bernoulli_loglik(x, logits, weights):
-    """Weighted Bernoulli log-likelihood sum(weights * (x*logits - softplus(logits))).
+def weighted_loglik(x, out, weights, terms, slope):
+    """Weighted log-likelihood sum(weights * terms(x, out)), as one node.
 
-    `x` and `weights` are data, so the gradient flows into `logits` only.
-    `logits` stacks k blocks of x's rows: x is b x ... and logits (k b) x ...,
-    read as a k x b x ... view, so that one x serves every block without
-    being copied; weights with a row per logits row are read the same way.
-    The sum runs in the flat order of the stacked rows. Backward recomputes
-    exp(-|logits|) for the sigmoid instead of keeping it from forward. Value
-    and gradient equal, bit for bit, those of
-    vsum(mul(add(mul(xk, logits), mul(softplus(logits), -1.0)), weights)),
-    where xk is x tiled k times along its first axis.
+    `terms(x, out)` is the elementwise log density of data x given decoder
+    output out, and `slope(gw, x, out)` its derivative in out times gw, the
+    incoming gradient times the weights. `x` and `weights` are data, so the
+    gradient flows into `out` only. `out` stacks k blocks of x's rows: x is
+    b x ... and out (k b) x ..., read as a k x b x ... view, so that one x
+    serves every block without being copied; weights with a row per out row
+    are read the same way. The sum runs in the flat order of the stacked
+    rows. Backward is slope(g * weights, x, out) on that view, so it keeps
+    nothing from forward but the view.
     """
     if isinstance(x, Value) or isinstance(weights, Value):
-        raise ValueError("bernoulli_loglik differentiates through logits only")
-    (z,), parents = _unwrap((logits,))
+        raise ValueError("weighted_loglik differentiates through out only")
+    (z,), parents = _unwrap((out,))
     x = np.asarray(x)
     weights = np.asarray(weights)
     b = len(x) if x.ndim else 0
     k = len(z) // b if b and z.ndim else 0
     if not x.ndim or z.shape != (k * b, *x.shape[1:]):
-        raise ValueError(f"logits shape {z.shape} is not a stack of x's shape {x.shape}")
+        raise ValueError(f"output shape {z.shape} is not a stack of x's shape {x.shape}")
     stacked = (k, b, *x.shape[1:])
     zk = z.reshape(stacked)
     if weights.ndim == z.ndim and len(weights) == len(z):
         weights = weights.reshape(stacked[:2] + weights.shape[1:])
 
     def backward(g):
-        gw = g * weights
-        grad = _unbroadcast(gw * x - gw * _sigmoid(zk), stacked)
-        logits._accumulate(grad.reshape(z.shape))
+        grad = _unbroadcast(slope(g * weights, x, zk), stacked)
+        out._accumulate(grad.reshape(z.shape))
 
-    return _node(np.sum(_bernoulli_terms(x, zk) * weights), parents, backward)
+    return _node(np.sum(terms(x, zk) * weights), parents, backward)
 
 
 def _cpu_count() -> int:
@@ -448,14 +442,16 @@ def _cpu_count() -> int:
 
 
 def _map_in_order(task, items) -> list:
-    """[task(item) for item in items], on the calling thread plus one pool
-    thread per further CPU; with one CPU no thread is started.
+    """[task(item) for item in items], on a pool of one thread per CPU; with
+    one CPU no thread is started.
 
     numpy releases the interpreter lock in its array loops and BLAS, so the
     threads overlap. Each call runs in its own copy of the caller's context:
-    a new thread does not inherit context variables such as np.errstate. If
-    calls raise, the earliest item's error is raised, as the serial loop
-    would; items after a failed one are not started.
+    a new thread does not inherit context variables such as np.errstate. The
+    pool starts the items in order and, once a call has raised, starts no
+    further call, so the earliest item's error is the one raised, as the
+    serial loop would raise it. On an error or an interrupt, the items not
+    yet started are cancelled and the running ones finish first.
     """
     workers = min(len(items), _cpu_count())
     if workers <= 1:
@@ -463,45 +459,20 @@ def _map_in_order(task, items) -> list:
     # imported here: it costs about 10 ms, which aggregate need not pay
     from concurrent.futures import ThreadPoolExecutor
 
-    contexts = [contextvars.copy_context() for _ in items]
-    results = [None] * len(items)
-    errors = {}
-    lock = threading.Lock()
-    next_item, stop = 0, len(items)
+    failed = threading.Event()
 
-    def drain():
-        nonlocal next_item, stop
-        while True:
-            with lock:
-                i = next_item
-                if i >= stop:
-                    return
-                next_item += 1
-            try:
-                results[i] = contexts[i].run(task, items[i])
-            except Exception as err:  # raised below, in item order
-                with lock:
-                    errors[i] = err
-                    stop = min(stop, i)
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(drain) for _ in range(workers - 1)]
+    def run(context, item):
+        if failed.is_set():
+            return None  # never read: map raises an earlier item's error
         try:
-            drain()
+            return context.run(task, item)
         except BaseException:
-            # interrupted: the workers finish their current item and stop
-            with lock:
-                stop = 0
+            failed.set()
             raise
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
-
-def _map_serial(task, items) -> list:
-    return [task(item) for item in items]
+    contexts = [contextvars.copy_context() for _ in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, contexts, items))
 
 
 def fork_sum(x, branches, grad):
@@ -528,9 +499,8 @@ def fork_sum(x, branches, grad):
     is zeros. Leaves, the private one included, keep their gradients. A
     branch whose output is not finite is not run backward. When x has at
     least FORK_THREAD_ROWS rows, the branches are built and differentiated
-    by _map_in_order, on the calling thread plus one thread per further
-    CPU, so each thread holds one branch at a time; smaller forks run on
-    the calling thread.
+    by _map_in_order, on one pool thread per CPU, so each thread holds one
+    branch at a time; smaller forks run on the calling thread.
 
     The sum's backward checks that the incoming gradient equals `grad` bit
     for bit, and that no branch was skipped, raising ValueError otherwise;
@@ -542,8 +512,6 @@ def fork_sum(x, branches, grad):
     if not isinstance(x, Value):
         raise ValueError("fork_sum needs a Value input")
     grad = float(grad)
-    threaded = x.data.ndim and len(x.data) >= FORK_THREAD_ROWS
-    run = _map_in_order if threaded else _map_serial
 
     def differentiate(branch):
         leaf = Value(x.data)
@@ -572,7 +540,11 @@ def fork_sum(x, branches, grad):
             _run_tape(order, release=True)
         return leaf, out, leaves, finite
 
-    private, outs, leaves, finite = zip(*run(differentiate, list(branches)))
+    if x.data.ndim and len(x.data) >= FORK_THREAD_ROWS:
+        results = _map_in_order(differentiate, list(branches))
+    else:
+        results = [differentiate(branch) for branch in branches]
+    private, outs, leaves, finite = zip(*results)
     seen = set()
     for out, branch_leaves in zip(outs, leaves):
         if out.data.shape != outs[0].data.shape:

@@ -6,9 +6,9 @@ full-batch gradient descent on (up to) 500 aggregated-posterior means; the
 same machinery doubles as the raw-pixel reference classifier used to score
 cross-modal generation coherence.
 
-`evaluate_model` scores the modality subsets independently, on the calling
-thread plus one pool thread per further CPU (`diffgraph._map_in_order`);
-every output is the same whatever the CPU count.
+`evaluate_model` scores the modality subsets independently, on one pool
+thread per CPU (`diffgraph._map_in_order`); every output is the same
+whatever the CPU count.
 """
 
 from __future__ import annotations

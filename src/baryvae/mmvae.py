@@ -13,19 +13,21 @@ with one reparameterized sample per mixture component feeding all decoders.
 The K components of a batch stay stacked as one (K B) x d array through the
 KL, the sampling and the decoders. Each modality's decoder and likelihood is
 one branch of `diffgraph.fork_sum`, run backward as soon as it is built, on
-the calling thread plus one thread per further CPU once the K B rows reach
-`diffgraph.FORK_THREAD_ROWS` (256): the mixture aggregations at the shipped
-batch size, not `poe` and `wb`.
-Every training output is the same whatever the CPU count.
+one pool thread per CPU once the K B rows reach `diffgraph.FORK_THREAD_ROWS`
+(256): the mixture aggregations at the shipped batch size, not `poe` and
+`wb`. Every training output is the same whatever the CPU count.
 
 The network is defined once, on diffgraph primitives (`_encode_graph`,
 `_decode_graph`). Training runs it on tape leaves and gets tape nodes;
 evaluation and generation run it on the store's raw arrays and get arrays,
-with no tape built.
+with no tape built. So is each decoder likelihood, in `DECODER_LIKELIHOODS`:
+training passes it to `diffgraph.weighted_loglik`, and evaluation sums its
+terms.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -37,9 +39,36 @@ from . import diffgraph as dg
 from .errors import NumericError
 from .gaussian import SIGMA_FLOOR
 
-LIKELIHOODS = ("bernoulli", "gaussian")
-
 GAUSSIAN_LIK_SIGMA = 0.75
+_GAUSSIAN_LIK_CONST = -0.5 * math.log(2.0 * math.pi) - math.log(GAUSSIAN_LIK_SIGMA)
+
+# Each decoder likelihood is defined once, here, for training's fused
+# `diffgraph.weighted_loglik`, `modality_log_lik` and `decode_mean`:
+# terms(x, out) is the elementwise log density of data x given decoder
+# output out, slope(gw, x, out) its derivative in out times gw, and mean(out)
+# the mean of x.
+Likelihood = collections.namedtuple("Likelihood", ("terms", "slope", "mean"))
+
+
+def _bernoulli_terms(x, logits):
+    return x * logits - dg._softplus(logits)
+
+
+DECODER_LIKELIHOODS = {
+    "bernoulli": Likelihood(
+        terms=_bernoulli_terms,
+        slope=lambda gw, x, logits: gw * x - gw * dg._sigmoid(logits),
+        mean=dg._sigmoid,
+    ),
+    "gaussian": Likelihood(  # N(out, GAUSSIAN_LIK_SIGMA^2)
+        terms=lambda x, out: (
+            _GAUSSIAN_LIK_CONST - (x - out) ** 2 / (2.0 * GAUSSIAN_LIK_SIGMA**2)
+        ),
+        slope=lambda gw, x, out: gw * (x - out) / GAUSSIAN_LIK_SIGMA**2,
+        mean=lambda out: out,
+    ),
+}
+LIKELIHOODS = tuple(DECODER_LIKELIHOODS)
 
 _TAG_INIT = 21
 _TAG_SHUFFLE = 22
@@ -210,18 +239,11 @@ def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     # the fork, which runs them on several threads when z_all has enough rows.
     z_all = dg.add(mu, dg.mul(sigma, noise.reshape(k * b, d)))
     row_w = comp_w / b
+    lik = DECODER_LIKELIHOODS[config.likelihood]
 
     def recon_graph(m, z):
         out = _decode_graph(values, config, m, z)
-        if config.likelihood == "bernoulli":
-            return dg.bernoulli_loglik(batch[m], out, row_w)
-        x_rep = np.tile(batch[m], (k, 1))
-        sq = dg.square(dg.add(x_rep, dg.mul(out, -1.0)))
-        scale = -0.5 / GAUSSIAN_LIK_SIGMA**2
-        const = -config.input_dims[m] * (
-            math.log(GAUSSIAN_LIK_SIGMA) + 0.5 * math.log(2.0 * math.pi)
-        )
-        return dg.add(dg.vsum(dg.mul(dg.mul(sq, scale), row_w)), const)
+        return dg.weighted_loglik(batch[m], out, row_w, lik.terms, lik.slope)
 
     branches = [functools.partial(recon_graph, m) for m in range(config.num_modalities)]
     # loss = -recon + beta * KL, so recon's gradient is -1: each branch runs
@@ -274,21 +296,14 @@ def decode_array(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
 
 
 def decode_mean(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
-    out = decode_array(vae, m, z)
-    if vae.config.likelihood == "bernoulli":
-        return dg._sigmoid(out)
-    return out
+    return DECODER_LIKELIHOODS[vae.config.likelihood].mean(decode_array(vae, m, z))
 
 
 def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """log p_m(x | z_i) for one observation x against rows z_i."""
     out = decode_array(vae, m, np.atleast_2d(z))
     x = np.asarray(x, dtype=np.float64)
-    if vae.config.likelihood == "bernoulli":
-        return np.sum(dg._bernoulli_terms(x[None, :], out), axis=1)
-    const = -0.5 * math.log(2.0 * math.pi) - math.log(GAUSSIAN_LIK_SIGMA)
-    sq = (x[None, :] - out) ** 2 / (2.0 * GAUSSIAN_LIK_SIGMA**2)
-    return np.sum(const - sq, axis=1)
+    return np.sum(DECODER_LIKELIHOODS[vae.config.likelihood].terms(x[None, :], out), axis=1)
 
 
 def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):

@@ -747,11 +747,27 @@ class TestTrainCommand:
                 lambda doc: doc["model"].update(beta=10**400),
                 f"field 'beta' in model section must be a finite number, got {10**400}",
             ),
+            # integers that may size an array must fit in 64 bits
+            (
+                lambda doc: doc["model"].update(latent_dim=10**400),
+                f"field 'latent_dim' in model section must be an integer, got {10**400}",
+            ),
+            (
+                lambda doc: doc["model"].update(hidden=[16, 10**400]),
+                f"field 'hidden' in model section must be a list of integers, "
+                f"got [16, {10**400}]",
+            ),
+            (
+                lambda doc: doc["data"]["toy"].update(examples_per_class=10**400),
+                f"field 'examples_per_class' in data.toy section must be an integer, "
+                f"got {10**400}",
+            ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
              "eval_zero_samples", "hidden_zero", "hidden_negative", "model_seed_negative",
              "toy_seed_negative", "split_seed_negative", "eval_seed_negative",
-             "beta_beyond_float_range"],
+             "beta_beyond_float_range", "latent_dim_beyond_int64", "hidden_beyond_int64",
+             "toy_count_beyond_int64"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -761,6 +777,14 @@ class TestTrainCommand:
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_seeds_and_epochs_take_any_size(self):
+        # they size no array, so only the other integers are held to 64 bits
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"].update(seed=10**400, epochs=10**400)
+        doc["data"]["toy"]["seed"] = 10**400
+        run_config, _ = cli.parse_run_config(doc)
+        assert run_config.model.seed == run_config.model.epochs == 10**400
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -833,6 +857,27 @@ class TestIdxDataPath:
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,loss,recon_mod0,kl"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("name", ["imgs.idx", "lbls.idx"])
+    @pytest.mark.parametrize("keep", [3, 6, -1], ids=["magic", "count", "body"])
+    def test_truncated_file_exits_2(self, tmp_path, capsys, name, keep):
+        self.write_pair(tmp_path, 40, 4)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:keep])
+        cfg = tmp_path / "config.json"
+        write_json(
+            cfg,
+            {
+                "model": {"latent_dim": 3, "hidden": [8], "epochs": 1, "batch_size": 8},
+                "data": {"idx": {"images": str(tmp_path / "imgs.idx"),
+                                 "labels": str(tmp_path / "lbls.idx")}},
+            },
+        )
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: truncated") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_pixel_images_exit_2(self, tmp_path, capsys):
         img_path, lbl_path = self.write_pair(tmp_path, 20, 0)
@@ -934,6 +979,9 @@ class TestEvalCommand:
             (("config", "split", "seed"), -1),
             (("config", "eval", "seed"), -1),
             (("config", "model", "beta"), 10**400),
+            (("config", "model", "latent_dim"), 10**400),
+            (("config", "model", "hidden"), [10**400]),
+            (("config", "data", "toy", "examples_per_class"), 10**400),
         ],
         ids=[
             "split_list",
@@ -950,6 +998,9 @@ class TestEvalCommand:
             "split_seed_negative",
             "eval_seed_negative",
             "beta_beyond_float_range",
+            "latent_dim_beyond_int64",
+            "hidden_beyond_int64",
+            "toy_count_beyond_int64",
         ],
     )
     def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):

@@ -143,6 +143,23 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("cut", ["images", "labels"])
+    def test_every_strict_prefix_raises(self, tmp_path, cut):
+        images = np.arange(12).reshape(2, 2, 3)
+        img, lbl = write_idx_pair(tmp_path, images, [4, 9])
+        assert load_idx(img, lbl).num_examples == 2
+        path = tmp_path / ("images.idx" if cut == "images" else "labels.idx")
+        whole = path.read_bytes()
+        for size in range(len(whole)):
+            path.write_bytes(whole[:size])
+            with pytest.raises(IdxFormatError, match="truncated"):
+                load_idx(img, lbl)
+
+    def test_no_images(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 2)), [])
+        with pytest.raises(IdxFormatError, match="holds no images"):
+            load_idx(img, lbl)
+
 
 class TestDataset:
     def test_dims_are_array_widths(self):

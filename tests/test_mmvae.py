@@ -270,6 +270,33 @@ class TestNoTapeOutsideTraining:
         assert len({id(v.data) for v in others}) == 1
         assert others[0].shape == (k * 4, config.latent_dim)
 
+    @pytest.mark.parametrize("method", ["wb", "mwb"])
+    def test_each_likelihood_is_one_node_per_modality(self, monkeypatch, method):
+        # the decoder output's one consumer is the fused likelihood node, the
+        # branch's output, so both likelihoods build graphs of one size
+        decoded = []
+        decode = mm._decode_graph
+
+        def recorded(*args):
+            decoded.append(decode(*args))
+            return decoded[-1]
+
+        monkeypatch.setattr(mm, "_decode_graph", recorded)
+        parents = {}
+        built = count_values(monkeypatch, parents)
+        sizes = {}
+        for likelihood in mm.LIKELIHOODS:
+            config = small_config(method, m=3, likelihood=likelihood)
+            values = mm.MultimodalVae(config).store.as_values()
+            built.clear()
+            decoded.clear()
+            mm._elbo_graph(values, config, random_batch(config), noise_for(config, 4))
+            outs = {id(out) for out in decoded}
+            consumers = [v for v in built if outs & {id(p) for p in parents[id(v)]}]
+            assert len(decoded) == len(consumers) == config.num_modalities, likelihood
+            sizes[likelihood] = len(built)
+        assert sizes["gaussian"] == sizes["bernoulli"]
+
 
 class TestAggregate:
     def family(self, count=2):

@@ -8,26 +8,29 @@ import contextlib
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from baryvae import cli  # noqa: E402
 from baryvae import mmvae as mm  # noqa: E402
+from baryvae.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, load_idx  # noqa: E402
 from baryvae.barycenter import (  # noqa: E402
     DIVERGENCES,
     METHODS,
     SubsetIndex,
     aggregate,
     barycenter_objective,
+    WB_FULL_TOL,
     poe,
     wb_diag,
     wb_full,
 )
-from baryvae.errors import NumericError  # noqa: E402
+from baryvae.errors import IdxFormatError, NumericError  # noqa: E402
 from baryvae.gaussian import DiagGaussian, FullGaussian, WeightedFamily  # noqa: E402
 
 # Reordering M <= 6 nonnegative terms moves their sum by at most about
@@ -257,6 +260,47 @@ def test_identical_members(family):
     )
 
 
+# The sigma range of the next test, fixed before it was first run: four
+# decades either side of 1, so the covariances span condition numbers to 1e8.
+DIAGONAL_SIGMA_RANGE = (1e-2, 1e2)
+
+
+@st.composite
+def diagonal_pairs(draw, max_members=5, max_dim=6):
+    """One family twice: as DiagGaussians, and as FullGaussians of the same
+    means whose covariances are diag(sigma^2)."""
+    m = draw(st.integers(1, max_members))
+    d = draw(st.integers(1, max_dim))
+    means = draw(st.lists(st.floats(-10.0, 10.0), min_size=m * d, max_size=m * d))
+    sigmas = draw(st.lists(st.floats(*DIAGONAL_SIGMA_RANGE), min_size=m * d, max_size=m * d))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    means, sigmas = np.reshape(means, (m, d)), np.reshape(sigmas, (m, d))
+    weights = weights / weights.sum()
+    diag = WeightedFamily(tuple(map(DiagGaussian, means, sigmas)), weights)
+    full = [FullGaussian(mean, np.diag(sigma**2)) for mean, sigma in zip(means, sigmas)]
+    return diag, WeightedFamily(tuple(full), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_pairs())
+def test_wb_full_of_a_diagonal_family_is_wb_diag(pair):
+    # Diagonal covariances commute, so the fixed point of
+    # S = sum_m lam_m (S^1/2 S_m S^1/2)^1/2 is diag((sum_m lam_m sigma_m)^2),
+    # wb_diag's sigma squared (Agueh & Carlier 2011). wb_full returns a point
+    # within WB_FULL_TOL of its fixed point on its stopping rule's scale,
+    # 1 + ||S||_F, so every covariance entry is held to WB_FULL_TOL times
+    # that scale: the diagonal to wb_diag's sigma^2, the rest to 0. Both
+    # routes fold the member means by the same weights, so the mean is held
+    # to WB_FULL_TOL times 1 + its largest entry.
+    diag, full = pair
+    expected, out = wb_diag(diag), wb_full(full)
+    target = np.diag(expected.sigma**2)
+    cov_atol = WB_FULL_TOL * (1.0 + np.linalg.norm(target))
+    np.testing.assert_allclose(out.cov, target, rtol=0.0, atol=cov_atol)
+    mean_atol = WB_FULL_TOL * (1.0 + np.max(np.abs(expected.mean)))
+    np.testing.assert_allclose(out.mean, expected.mean, rtol=0.0, atol=mean_atol)
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the `aggregate` boundary with malformed posterior documents
 # ---------------------------------------------------------------------------
@@ -416,3 +460,43 @@ def test_malformed_aggregate_documents_exit_2_with_one_error_line(fuzz_dir, case
     assert code == cli.EXIT_INPUT, text
     assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the IDX loader with drawn headers over short bodies
+# ---------------------------------------------------------------------------
+
+U32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def idx_files(draw):
+    """(image file bytes, label file bytes): a drawn 16-byte image header
+    and 8-byte label header, each over a body of at most 64 bytes."""
+    image_magic = draw(st.one_of(st.just(IDX_IMAGE_MAGIC), U32))
+    label_magic = draw(st.one_of(st.just(IDX_LABEL_MAGIC), U32))
+    n, rows, cols, labels = (draw(U32) for _ in range(4))
+    images = struct.pack(">IIII", image_magic, n, rows, cols) + draw(st.binary(max_size=64))
+    return images, struct.pack(">II", label_magic, labels) + draw(st.binary(max_size=64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(files=idx_files())
+# no images of 2^64 - 2^33 + 1 pixels each: a width numpy cannot reshape to
+@example(
+    files=(
+        struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1),
+        struct.pack(">II", IDX_LABEL_MAGIC, 0),
+    )
+)
+def test_drawn_idx_headers_load_or_raise_idx_format_error(fuzz_dir, files):
+    images, labels = fuzz_dir / "images.idx", fuzz_dir / "labels.idx"
+    images.write_bytes(files[0])
+    labels.write_bytes(files[1])
+    try:
+        dataset = load_idx(str(images), str(labels))
+    except IdxFormatError:
+        return
+    n, rows, cols = struct.unpack_from(">III", files[0], 4)
+    assert dataset.modalities[0].shape == (n, rows * cols)
+
