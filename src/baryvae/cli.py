@@ -91,11 +91,20 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 _INT64, _ANY_SIZE = range(-(2**63), 2**63), ("epochs",)
 
 
+def _shown(value) -> str:
+    """repr(value), but an integer beyond _INT64 by its length in digits."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    if isinstance(value, int) and value not in _INT64:
+        return f"a {len(str(abs(value)))}-digit {'negative ' * (value < 0)}integer"
+    return repr(value)
+
+
 def _is_kind(value, kind: str, bounded: bool = True) -> bool:
     if kind == _IDS:
-        return value is None or _is_kind(value, _INTS)
+        return value is None or _is_kind(value, _INTS, bounded)
     if kind == _INTS:
-        return isinstance(value, list) and all(_is_kind(v, _INT) for v in value)
+        return isinstance(value, list) and all(_is_kind(v, _INT, bounded) for v in value)
     if kind == _TEXT:
         return isinstance(value, str)
     if kind == _SEED:
@@ -116,8 +125,11 @@ def _section(section, fields: dict, where: str) -> dict:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(section, fields, where)
     for key, value in section.items():
-        if not _is_kind(value, fields[key], bounded=key not in _ANY_SIZE):
-            raise ConfigError(f"field '{key}' in {where} must be {fields[key]}, got {value!r}")
+        kind = fields[key]
+        if not _is_kind(value, kind, bounded=key not in _ANY_SIZE):
+            if _is_kind(value, kind, bounded=False):  # of its kind, but too large
+                kind += " in the signed 64-bit range"
+            raise ConfigError(f"field '{key}' in {where} must be {kind}, got {_shown(value)}")
     return dict(section)
 
 
@@ -248,17 +260,12 @@ def _write_json(path: str, obj, allow_nan: bool = True) -> None:
         f.write(text + "\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """Rows of floats, ints and strings: a float's str is its round-trip repr."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def save_checkpoint(path: str, run_config: RunConfig, vae: mmvae.MultimodalVae) -> None:
@@ -300,6 +307,7 @@ def load_checkpoint(path: str):
     except ConfigError as err:
         raise CheckpointFormatError(f"corrupt checkpoint {path}: config: {err}") from err
     try:
+        _reject_unknown(doc, {"format_version", "config", "params", "rng_state"}, "checkpoint")
         model["input_dims"] = tuple(model["input_dims"])
         model["hidden"] = tuple(model["hidden"])
         model_cfg = mmvae.ModelConfig(**model)
@@ -309,8 +317,11 @@ def load_checkpoint(path: str):
             arr = _finite_array(entry["data"], f"parameter {name}").reshape(entry["shape"])
             if arr.shape != vae.store.params[name].shape:
                 raise ValueError(f"parameter {name} has wrong shape")
+            _reject_unknown(entry, {"shape", "data"}, f"parameter {name}")
             vae.store.params[name] = arr
+        _reject_unknown(doc["params"], vae.store.params, "params")
         step = doc["rng_state"]["adam_step"]
+        _reject_unknown(doc["rng_state"], {"seed", "adam_step"}, "rng_state")
         if not _is_kind(step, _INT) or step < 0:
             raise ValueError(f"rng_state.adam_step must be an integer >= 0, got {step!r}")
         vae.store.step = step
@@ -452,11 +463,11 @@ def _resolve_out_dir(args) -> str:
 def cmd_train(args) -> int:
     doc = _load_json(args.config)
     run_config, dataset = parse_run_config(doc, seed_override=args.seed)
-    train_set, _ = datamod.split(
-        dataset, run_config.split_spec["train_fraction"], run_config.split_spec["seed"]
-    )
+    train_set, _ = datamod.split(dataset, **run_config.split_spec)
     try:
-        vae, history = mmvae.train(run_config.model, train_set)
+        # as in eval: overflow on the way to a NumericError is no warning
+        with np.errstate(all="ignore"):
+            vae, history = mmvae.train(run_config.model, train_set)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     out = _resolve_out_dir(args)
@@ -485,35 +496,24 @@ def cmd_eval(args) -> int:
         run_config = RunConfig(
             run_config.model, override.data_spec, override.split_spec, override.eval_spec
         )
-    else:
-        try:
+    try:
+        if args.config is None:
             dataset = build_dataset(run_config.data_spec)
-        except ConfigError as err:
-            raise CheckpointFormatError(
-                f"corrupt checkpoint {args.checkpoint}: config: {err}"
-            ) from err
-    if dataset.dims != list(vae.config.input_dims):
-        raise ConfigError(
-            f"dataset input dims {dataset.dims} do not match the checkpoint's model "
-            f"{list(vae.config.input_dims)}"
-        )
-    train_set, test_set = datamod.split(
-        dataset, run_config.split_spec["train_fraction"], run_config.split_spec["seed"]
-    )
-    ev = run_config.eval_spec
+        if dataset.dims != list(vae.config.input_dims):
+            raise ConfigError(
+                f"dataset input dims {dataset.dims} do not match the checkpoint's model "
+                f"{list(vae.config.input_dims)}"
+            )
+        train_set, test_set = datamod.split(dataset, **run_config.split_spec)
+    except ValueError as err:
+        # without an override, data and split settings at fault are the checkpoint's
+        if args.config is not None or isinstance(err, IdxFormatError):
+            raise
+        raise CheckpointFormatError(f"corrupt checkpoint {args.checkpoint}: config: {err}") from err
     # As in aggregate: overflow is not reported as a warning, and a
     # non-finite log-likelihood raises NumericError inside evaluate_model.
     with np.errstate(all="ignore"):
-        report = evaluation.evaluate_model(
-            vae,
-            train_set,
-            test_set,
-            importance_samples=ev["importance_samples"],
-            probe_samples=ev["probe_samples"],
-            coherence_samples=ev["coherence_samples"],
-            loglik_examples=ev["loglik_examples"],
-            seed=ev["seed"],
-        )
+        report = evaluation.evaluate_model(vae, train_set, test_set, **run_config.eval_spec)
     out = _resolve_out_dir(args)
     m_count = vae.config.num_modalities
 

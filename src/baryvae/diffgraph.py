@@ -1,18 +1,20 @@
 """Reverse-mode autodiff over float64 numpy arrays, plus Adam.
 
 A Value wraps an array and records how it was produced; backward() walks the
-tape in reverse topological order accumulating gradients. A gradient is
-allocated only when the first one arrives: that array is stored as it comes,
-and later ones are added out of place, so arrays shared between nodes are
-never written into. `.grad` reads the stored gradient as a read-only view,
-never a copy. Only what is differentiated is a Value: raw arrays and
-floats handed to a primitive are not parents of its result, and one with no
-Value operand returns its raw result, in the operands' dtype. The primitive
-set is the model's: dense (one network layer, h @ w + b with an optional
-tanh), broadcasting add and multiply, softplus, log, reciprocal, sqrt, sum,
-square, mix (stacked fixed linear combinations, the barycentric kernel's one
-primitive) and weighted_loglik, a fused weighted log-likelihood that takes
-the likelihood's elementwise terms and their slope as functions.
+tape in reverse topological order accumulating gradients, and releases each
+computed node as soon as its own backward has run: afterwards only leaves
+hold gradients, and a second backward through a used node raises ValueError.
+A gradient is allocated only when the first one arrives: that array is
+stored as it comes, and later ones are added out of place, so arrays shared
+between nodes are never written into. `.grad` reads the stored gradient as a
+read-only view, never a copy. Only what is differentiated is a Value: raw
+arrays and floats handed to a primitive are not parents of its result, and
+one with no Value operand returns its raw result, in the operands' dtype.
+The primitive set is the model's: dense (one network layer, h @ w + b with
+an optional tanh), broadcasting add and multiply, softplus, log, reciprocal,
+sqrt, sum, square, mix (stacked fixed linear combinations, the barycentric
+kernel's one primitive) and weighted_loglik, a fused weighted log-likelihood
+that takes the likelihood's elementwise terms and their slope as functions.
 matmul, tanh, exp and concat are unused by the model; they stay because
 perfbench's per-primitive trace patches them by name.
 
@@ -150,15 +152,17 @@ class Value:
         return f"Value(shape={self.data.shape})"
 
     def backward(self):
-        """Accumulate d(self)/d(node) into every node's .grad; self is scalar."""
+        """Accumulate d(self)/d(leaf) into every leaf's .grad, releasing the
+        graph as it runs (_run_tape); self is scalar."""
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
+        order = _tape(self)
         self._grad = np.ones_like(self.data)
-        _run_tape(_tape(self))
+        _run_tape(order)
 
 
 def _tape(root: Value) -> list:
-    """The nodes `root` depends on, each after its parents."""
+    """The nodes `root` depends on, each after its parents; none released."""
     order = []
     visited = set()
     stack = [(root, False)]
@@ -169,6 +173,8 @@ def _tape(root: Value) -> list:
             continue
         if id(node) in visited:
             continue
+        if node._parents is _RELEASED:
+            raise ValueError("backward has already run through a node of this graph")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -185,21 +191,15 @@ class _Released(tuple):
 _RELEASED = _Released()
 
 
-def _run_tape(order: list, release=False) -> None:
+def _run_tape(order: list) -> None:
     """Run the backward of every node in `order` that holds a gradient, last
-    node first.
+    node first, emptying `order` as it runs.
 
-    With `release`, `order` is emptied as it runs: each computed node is
-    popped and, once its backward has run, detached, dropping its gradient,
-    its backward and its parents (set to _RELEASED). The arrays only it
-    kept, its parents' and its own data, are then freed before the nodes
-    before it run. Leaves keep their gradients.
+    Each computed node is popped and, once its backward has run, detached:
+    its gradient and backward are dropped and its parents set to _RELEASED.
+    The arrays only it kept, its parents' and its own data, are then freed
+    before the nodes before it run. Leaves keep their gradients.
     """
-    if not release:
-        for node in reversed(order):
-            if node._backward is not None and node._grad is not None:
-                node._backward(node._grad)
-        return
     while order:
         node = order.pop()
         if node._backward is not None:
@@ -489,17 +489,15 @@ def fork_sum(x, branches, grad):
     that spans two branches is checked once all have run, so leaf gradients
     may have changed by then.
 
-    `grad` is the gradient the sum will receive in backward, in every
-    entry; the caller knows it when the loss is linear in the sum. Each
-    branch's output is seeded with it and its tape run backward at once,
-    each computed node, the output included, detached once its backward
-    has run (_run_tape's release): it drops its gradient, backward and
-    parents, so a branch's activations are freed layer by layer before the
-    next branch starts, and afterwards the node reads as a leaf whose .grad
-    is zeros. Leaves, the private one included, keep their gradients. A
-    branch whose output is not finite is not run backward. When x has at
-    least FORK_THREAD_ROWS rows, the branches are built and differentiated
-    by _map_in_order, on one pool thread per CPU, so each thread holds one
+    `grad` is the gradient the sum will receive in backward, in every entry;
+    the caller knows it when the loss is linear in the sum. Each branch's
+    output is seeded with it and its tape run backward at once, releasing
+    each computed node, the output included, as every backward does, so a
+    branch's activations are freed layer by layer before the next branch
+    starts. Leaves, the private one included, keep their gradients. A branch
+    whose output is not finite is not run backward. When x has at least
+    FORK_THREAD_ROWS rows, the branches are built and differentiated by
+    _map_in_order, on one pool thread per CPU, so each thread holds one
     branch at a time; smaller forks run on the calling thread.
 
     The sum's backward checks that the incoming gradient equals `grad` bit
@@ -524,7 +522,7 @@ def fork_sum(x, branches, grad):
         leaves = []
         derived = {id(leaf)}
         for node in order:
-            if node is x or node._parents is _RELEASED:
+            if node is x:
                 raise ValueError("a fork branch reaches x or another branch's node")
             if node._parents:
                 if not any(id(parent) in derived for parent in node._parents):
@@ -537,7 +535,7 @@ def fork_sum(x, branches, grad):
         finite = bool(np.isfinite(out.data).all())
         if finite:  # else the sum's backward raises
             out._accumulate(np.full(out.data.shape, grad))
-            _run_tape(order, release=True)
+            _run_tape(order)
         return leaf, out, leaves, finite
 
     if x.data.ndim and len(x.data) >= FORK_THREAD_ROWS:

@@ -375,8 +375,8 @@ def conditional_generate(
 def _train_step(vae: MultimodalVae, batch, noise: np.ndarray):
     """One Adam step on (batch, noise); returns (loss, terms) as floats.
 
-    The step's tape lives only in this call, so it is freed before the
-    caller builds the next step's graph.
+    Backward releases the step's tape as it runs; the parameter leaves,
+    which hold the gradients Adam reads, live only in this call.
     """
     values = vae.store.as_values()
     loss, terms = _elbo_graph(values, vae.config, batch, noise)
@@ -417,7 +417,7 @@ def train(config: ModelConfig, dataset):
                 loss, terms = _train_step(vae, batch, noise)
             except NumericError as err:
                 raise NumericError(
-                    f"{err} (epoch {epoch}, step {step})", epoch=epoch, step=step
+                    f"{err} (epoch {epoch}, step {step})", **err.details, epoch=epoch, step=step
                 ) from err
             sums["loss"] = sums.get("loss", 0.0) + loss
             for key, value in terms.items():

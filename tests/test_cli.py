@@ -743,31 +743,38 @@ class TestTrainCommand:
                 lambda doc: doc["eval"].update(seed=-1),
                 "field 'seed' in eval section must be an integer >= 0, got -1",
             ),
+            # an integer beyond the 64-bit range is named by its length
             (
                 lambda doc: doc["model"].update(beta=10**400),
-                f"field 'beta' in model section must be a finite number, got {10**400}",
+                "field 'beta' in model section must be a finite number, got a 401-digit integer",
             ),
             # integers that may size an array must fit in 64 bits
             (
                 lambda doc: doc["model"].update(latent_dim=10**400),
-                f"field 'latent_dim' in model section must be an integer, got {10**400}",
+                "field 'latent_dim' in model section must be an integer in the signed 64-bit "
+                "range, got a 401-digit integer",
             ),
             (
                 lambda doc: doc["model"].update(hidden=[16, 10**400]),
-                f"field 'hidden' in model section must be a list of integers, "
-                f"got [16, {10**400}]",
+                "field 'hidden' in model section must be a list of integers in the signed "
+                "64-bit range, got [16, a 401-digit integer]",
             ),
             (
                 lambda doc: doc["data"]["toy"].update(examples_per_class=10**400),
-                f"field 'examples_per_class' in data.toy section must be an integer, "
-                f"got {10**400}",
+                "field 'examples_per_class' in data.toy section must be an integer in the "
+                "signed 64-bit range, got a 401-digit integer",
+            ),
+            (
+                lambda doc: doc["model"].update(seed=-(10**400)),
+                "field 'seed' in model section must be an integer >= 0, "
+                "got a 401-digit negative integer",
             ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
              "eval_zero_samples", "hidden_zero", "hidden_negative", "model_seed_negative",
              "toy_seed_negative", "split_seed_negative", "eval_seed_negative",
              "beta_beyond_float_range", "latent_dim_beyond_int64", "hidden_beyond_int64",
-             "toy_count_beyond_int64"],
+             "toy_count_beyond_int64", "seed_below_int64"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -818,6 +825,23 @@ class TestTrainCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "epoch" in err
+
+    def test_numeric_failure_prints_one_line(self, tmp_path):
+        # no numpy warning on the way to the error, as in aggregate and eval
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"]["learning_rate"] = 1e300
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryvae.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: non-finite kl in training objective (epoch 0, step 1)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = tmp_path / "config.json"
@@ -982,6 +1006,11 @@ class TestEvalCommand:
             (("config", "model", "latent_dim"), 10**400),
             (("config", "model", "hidden"), [10**400]),
             (("config", "data", "toy", "examples_per_class"), 10**400),
+            # every key the loader does not read is rejected, parameters included
+            (("params", "extra"), {"shape": [1], "data": [0.0]}),
+            (("params", "dec0.b0", "scale"), 1.0),
+            (("rng_state", "epoch"), 0),
+            (("comment",), "x"),
         ],
         ids=[
             "split_list",
@@ -1001,6 +1030,10 @@ class TestEvalCommand:
             "latent_dim_beyond_int64",
             "hidden_beyond_int64",
             "toy_count_beyond_int64",
+            "unknown_parameter",
+            "unknown_parameter_key",
+            "unknown_rng_state_key",
+            "unknown_key",
         ],
     )
     def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):
@@ -1015,6 +1048,32 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert path[-1] in err
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("split", {"train_fraction": 1.5}, "train_fraction must be in (0, 1)"),
+            ("split", {"train_fraction": 0.99}, "leaves the test split empty"),
+            ("data", {"toy": {"resolution": 4}}, "do not match the checkpoint's model"),
+        ],
+        ids=["fraction_beyond_one", "empty_test_split", "data_not_fitting_the_model"],
+    )
+    def test_checkpoint_split_or_data_at_fault_exits_4(
+        self, trained, tmp_path, capsys, section, value, message
+    ):
+        # without an override, the checkpoint's own settings are at fault
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        for key, setting in value.items():
+            if isinstance(setting, dict):
+                doc["config"][section][key].update(setting)
+            else:
+                doc["config"][section][key] = setting
+        bad = tmp_path / "bad.json"
+        write_json(bad, doc)
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt checkpoint {bad}: config: ")
+        assert message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_parameter_exits_4(self, trained, tmp_path, capsys, bad):

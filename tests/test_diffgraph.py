@@ -92,6 +92,44 @@ class TestForwardBackward:
         assert np.array_equal(grads["x"], [7.0])
 
 
+class TestBackwardConsumesGraph:
+    """backward releases every computed node as it runs: only leaves keep
+    gradients, and a second pass through a used node raises."""
+
+    def test_second_backward_raises_and_keeps_leaf_gradients(self):
+        x = dg.Value([1.0, 2.0])
+        loss = dg.vsum(dg.square(dg.mul(x, 2.0)))
+        loss.backward()
+        assert np.array_equal(x.grad, [8.0, 16.0])
+        with pytest.raises(ValueError, match="backward has already run through a node"):
+            loss.backward()
+        assert np.array_equal(x.grad, [8.0, 16.0])
+
+    def test_backward_through_a_used_node_raises(self):
+        x = dg.Value([1.0, 2.0])
+        y = dg.mul(x, 2.0)
+        dg.vsum(dg.square(y)).backward()
+        # the forward still computes on y's data; differentiating it does not
+        reused = dg.vsum(dg.mul(dg.add(y, x), 3.0))
+        assert float(reused.data) == 27.0
+        with pytest.raises(ValueError, match="backward has already run through a node"):
+            reused.backward()
+        assert np.array_equal(x.grad, [8.0, 16.0])
+
+    def test_only_leaves_keep_gradients(self):
+        store = make_store(w=[[1.0, -2.0], [0.5, 3.0]], b=[0.25, -1.0])
+        values = store.as_values()
+        h = dg.dense(np.array([[1.0, 2.0]]), values["w"], values["b"], tanh=True)
+        loss = dg.vsum(dg.mul(dg.softplus(h), dg.square(h)))
+        computed = [node for node in dg._tape(loss) if node._parents]
+        assert len(computed) == 5
+        loss.backward()
+        for node in computed:
+            assert node._parents == () and node._backward is None
+            assert node.grad.shape == node.shape and not node.grad.any()
+        assert values["w"].grad.any() and values["b"].grad.any()
+
+
 class TestPrimitives:
     """Every primitive's backward is covered by the central-difference check."""
 
@@ -202,17 +240,19 @@ class TestTapeDiet:
             def loss(v):
                 operand = dg.Value(x) if wrap else x
                 pair = (operand, v["w"]) if raw_first else (v["w"], operand)
-                outs.append((op(*pair), operand, v["w"]))
-                return dg.vsum(dg.square(dg.tanh(outs[-1][0])))
+                out = op(*pair)
+                # the parents as built: backward releases them
+                outs.append((out._parents, operand, v["w"]))
+                return dg.vsum(dg.square(dg.tanh(out)))
 
             return loss
 
         _, raw_grads = forward_backward(build(False), store)
-        out, _, leaf = outs[-1]
-        assert out._parents == (leaf,)
+        parents, _, leaf = outs[-1]
+        assert parents == (leaf,)
         _, leaf_grads = forward_backward(build(True), store)
-        out, operand, leaf = outs[-1]
-        assert out._parents == ((operand, leaf) if raw_first else (leaf, operand))
+        parents, operand, leaf = outs[-1]
+        assert parents == ((operand, leaf) if raw_first else (leaf, operand))
         assert operand._grad is not None
         assert raw_grads["w"].tobytes() == leaf_grads["w"].tobytes()
 
@@ -233,25 +273,34 @@ class TestTapeDiet:
         values = store.as_values()
         s = dg.add(values["x"], values["y"])
         assert np.array_equal(s.grad, [0.0, 0.0]) and not s.grad.flags.writeable
-        assert s._grad is None
+        assert s._grad is None and values["x"]._grad is None
         dg.vsum(dg.square(s)).backward()
         # add hands x and y the same array; neither may write into it
         assert np.shares_memory(values["x"]._grad, values["y"]._grad)
-        assert_grads_read_only(values["x"], values["y"], s)
+        assert_grads_read_only(values["x"], values["y"])
         with pytest.raises(AttributeError):
             values["x"].grad = np.zeros(2)
         assert np.array_equal(values["x"].grad, [8.0, 12.0])
         assert np.array_equal(values["y"].grad, [8.0, 12.0])
 
     def test_writing_an_intermediate_gradient_keeps_parents(self):
+        # s hands its own gradient array on to x and y; it holds it until its
+        # backward has run, so it is checked there
         store = make_store(x=[1.0, 2.0], y=[3.0, 4.0])
         values = store.as_values()
         s = dg.add(values["x"], values["y"])
+        backward, checked = s._backward, []
+
+        def check_after(g):
+            backward(g)
+            assert_grads_read_only(s, values["x"], values["y"])
+            with pytest.raises(ValueError):
+                s.grad[:] = 0.0
+            checked.append(s.grad.tolist())
+
+        s._backward = check_after
         dg.vsum(dg.mul(s, s)).backward()
-        assert_grads_read_only(s, values["x"], values["y"])
-        with pytest.raises(ValueError):
-            s.grad[:] = 0.0
-        assert np.array_equal(s.grad, [8.0, 12.0])
+        assert checked == [[8.0, 12.0]]
         assert np.array_equal(values["x"].grad, [8.0, 12.0])
         assert np.array_equal(values["y"].grad, [8.0, 12.0])
 
@@ -531,12 +580,20 @@ def run_fork_model(store, fork, count=4, check_fork=None):
     gradients, as exact hex strings and bytes.
 
     The input h also feeds a second consumer, so its gradient sums the
-    branches' share with another one, as z_all's mean and sigma do. A
-    `check_fork` callback receives the branches' computed nodes right after
-    the fork is built, before the loss's backward.
+    branches' share with another one, as z_all's mean and sigma do. h is a
+    computed node, which backward releases, so its gradient is recorded as
+    its backward receives it. A `check_fork` callback receives the branches'
+    computed nodes right after the fork is built, before the loss's backward.
     """
     v = store.as_values()
     h = dg.dense(v["a"], v["w"], v["b"], tanh=True)
+    h_backward, h_grads = h._backward, []
+
+    def record_h(g):
+        h_grads.append(g.tobytes())
+        h_backward(g)
+
+    h._backward = record_h
     computed = []
 
     def recorded(m, z):
@@ -560,7 +617,7 @@ def run_fork_model(store, fork, count=4, check_fork=None):
     return (
         float(loss.data).hex(),
         [float(p.data).hex() for p in parts],
-        h.grad.tobytes(),
+        h_grads,
         {name: v[name].grad.tobytes() for name in store.names()},
     )
 
@@ -703,7 +760,7 @@ class TestForkSum:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_branches_may_not_share_a_computed_node(self, monkeypatch, cpus):
         # branch 1 reads a node branch 0 computed: attached, it is not
-        # derived from branch 1's input; released, it is another branch's
+        # derived from branch 1's input; released, the tape walk refuses it
         monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(dg, "FORK_THREAD_ROWS", 1)
         v = make_store(x=np.ones(3)).as_values()
@@ -719,7 +776,7 @@ class TestForkSum:
             assert made.wait(timeout=30)
             return dg.vsum(dg.mul(z, stash[0]))
 
-        with pytest.raises(ValueError, match="not derived from its input|another branch"):
+        with pytest.raises(ValueError, match="not derived from its input|already run"):
             dg.fork_sum(v["x"], [first, second], grad=1.0)
 
     def test_branches_may_not_read_a_node_of_the_callers_tape(self):
@@ -754,7 +811,7 @@ class TestForkSum:
         # an earlier fork's branch output is released when that fork returns
         v = make_store(x=np.ones(3)).as_values()
         _, (part,) = dg.fork_sum(v["x"], [dg.vsum], grad=1.0)
-        with pytest.raises(ValueError, match="another branch"):
+        with pytest.raises(ValueError, match="backward has already run through a node"):
             dg.fork_sum(v["x"], [lambda z: dg.vsum(dg.mul(z, part))], grad=1.0)
 
 

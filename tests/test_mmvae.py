@@ -425,11 +425,11 @@ class TestElbo:
         run_tape = dg._run_tape
         runs, backward_warnings = [], []
 
-        def spy(order, release=False):
+        def spy(order):
             runs.append(len(order))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run_tape(order, release)
+                run_tape(order)
             backward_warnings.extend(str(w.message) for w in caught)
 
         monkeypatch.setattr(dg, "_run_tape", spy)
@@ -539,6 +539,14 @@ class TestTrain:
         assert len(losses) == 6
         assert all(ref() is None for ref in losses)
 
+    def test_numeric_failure_names_term_epoch_and_step(self):
+        ds = self.toy(per_class=4)
+        config = self.config_for(ds, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            mm.train(config, ds)
+        assert str(err.value) == "non-finite kl in training objective (epoch 0, step 1)"
+        assert err.value.details == {"term": "kl", "epoch": 0, "step": 1}
+
     def test_keeps_the_heap_mapped(self, monkeypatch):
         calls = []
         monkeypatch.setattr(dg, "keep_heap_mapped", lambda: calls.append("train"))
@@ -589,7 +597,8 @@ class TestTrainStepMemory:
 
     def measure_step(self, monkeypatch, cpus):
         """One toy5_mwb step at batch 64, traced from the pre-step baseline:
-        (live after build, step peak, backward peak, live after backward)."""
+        (live after build, step peak, backward peak, live after backward,
+        live with only the loss node held)."""
         monkeypatch.setattr(dg, "_cpu_count", lambda: cpus)
         config, dataset = shipped_config("toy5_mwb")
         vae = mm.MultimodalVae(config)
@@ -606,25 +615,32 @@ class TestTrainStepMemory:
             tracemalloc.reset_peak()
             loss.backward()
             live, backward_peak = tracemalloc.get_traced_memory()
+            del values
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             if not was_tracing:
                 tracemalloc.stop()
         step_peak = max(build_peak, backward_peak)
-        return tuple((m - base) / self.MB for m in (built, step_peak, backward_peak, live))
+        return tuple((m - base) / self.MB for m in (built, step_peak, backward_peak, live, held))
 
     def test_mwb_step_frees_branch_activations_during_backward(self, monkeypatch):
         # one CPU, so the branches run one after another and their peaks
         # do not add up
-        built, step_peak, backward_peak, live = self.measure_step(monkeypatch, 1)
+        built, step_peak, backward_peak, live, held = self.measure_step(monkeypatch, 1)
         # measured: 15.9 MB step peak and 6.1 MB live after build, against
         # 34.1 and 28.9 MB with every branch built before any backward runs
         assert step_peak <= 20.0
         assert built <= 8.0
-        # the loss's backward: measured 9.3 MB peak and 9.3 MB live after
-        # it, against 46.9 and 44.3 MB with a tiled batch, a kept exp(-|z|)
-        # and branches kept whole through backward
+        # the loss's backward: measured 6.6 MB peak (9.3 MB with its tape
+        # kept), against 46.9 MB with a tiled batch, a kept exp(-|z|) and
+        # branches kept whole through it
         assert backward_peak <= 40.0
-        assert live <= 12.0
+        # backward releases every computed node as it runs: measured 2.2 MB
+        # live after it, the leaf gradients Adam reads, against 9.3 MB with
+        # the tape kept; and a loss node held on its own keeps nothing of
+        # the tape, against 8.2 MB
+        assert live <= 3.0
+        assert held <= 0.1
 
     def test_mwb_step_holds_one_branch_per_thread(self, monkeypatch):
         # two CPUs: each thread builds and differentiates one branch at a time

@@ -1,5 +1,6 @@
-"""Property tests of the barycentric objective and the aggregators, and a
-fuzz of the `aggregate` command's input boundary, beside the fixed-seed tests.
+"""Property tests of the barycentric objective and the aggregators, and
+fuzzes of the `aggregate`, `train` and `eval` input boundaries and the IDX
+loader, beside the fixed-seed tests.
 
 They need `hypothesis` (the `test` extra) and are skipped without it.
 """
@@ -500,3 +501,121 @@ def test_drawn_idx_headers_load_or_raise_idx_format_error(fuzz_dir, files):
     n, rows, cols = struct.unpack_from(">III", files[0], 4)
     assert dataset.modalities[0].shape == (n, rows * cols)
 
+
+# ---------------------------------------------------------------------------
+# fuzzing the `train` and `eval` boundaries with mutated config and
+# checkpoint documents
+# ---------------------------------------------------------------------------
+
+FUZZ_CONFIG = {
+    "model": {"latent_dim": 2, "hidden": [4], "aggregation": "wb", "epochs": 1, "seed": 0},
+    "data": {"toy": {"num_modalities": 2, "examples_per_class": 2, "seed": 0}},
+    "split": {"train_fraction": 0.5, "seed": 0},
+    "eval": {
+        "importance_samples": 2,
+        "probe_samples": 4,
+        "coherence_samples": 2,
+        "loglik_examples": 2,
+    },
+}
+# JSON values a field may be replaced with. No drawn integer sizes a real
+# allocation: each is at most 64, or beyond the signed 64-bit range, where
+# the document is rejected before anything is allocated.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-2, 64),
+    st.integers(19, 400).map(lambda k: 10**k),
+    st.integers(19, 400).map(lambda k: -(10**k)),
+    st.floats(),
+    st.lists(st.integers(-2, 64), max_size=3),
+    st.just({}),
+)
+
+
+def mutation_paths(value, path=()):
+    """The paths to every part of a JSON document, the root included; of a
+    list longer than 3, only its first and last items."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+        if len(items) > 3:
+            items = [items[0], items[-1]]
+    else:
+        items = []
+    return [path] + [p for key, item in items for p in mutation_paths(item, (*path, key))]
+
+
+@st.composite
+def mutated(draw, doc, paths):
+    """A deep copy of `doc` with one part replaced by a drawn JSON value,
+    deleted, or given an unknown key."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(paths))
+    how = draw(st.sampled_from(["replace", "delete", "add"]))
+    parent = at(doc, path[:-1])
+    if how == "add" and isinstance(at(doc, path), dict):
+        at(doc, path)["extra"] = draw(JSON_VALUES)
+    elif how == "delete" and path and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif path[-2:] == ("model", "epochs"):
+        # epochs may take any size, and train runs every one of them
+        parent["epochs"] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, int) or v <= 64))
+    elif path:
+        parent[path[-1]] = draw(JSON_VALUES)
+    else:
+        doc = draw(JSON_VALUES)
+    return doc
+
+
+def run_cli(argv):
+    """(exit code, stderr) of an in-process `baryvae` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_error_line(code, text, codes):
+    """Exit 0 with nothing on stderr, or one of `codes` with one error line.
+    Exit 3 is a numeric failure: drawn numbers, such as a learning rate of
+    1e300, may make a valid document's training or evaluation diverge."""
+    if code == cli.EXIT_OK:
+        assert text == "", text
+    else:
+        assert code in (*codes, cli.EXIT_NUMERIC), (code, text)
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated(FUZZ_CONFIG, mutation_paths(FUZZ_CONFIG)))
+def test_mutated_config_documents_train_or_exit_2_with_one_error_line(fuzz_dir, doc):
+    cfg, out = fuzz_dir / "config.json", fuzz_dir / "train"
+    cfg.write_text(json.dumps(doc))
+    code, text = run_cli(["train", "--config", str(cfg), "--out", str(out)])
+    assert_one_error_line(code, text, [cli.EXIT_INPUT])
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A checkpoint document trained on FUZZ_CONFIG."""
+    run = tmp_path_factory.mktemp("fuzz_checkpoint")
+    (run / "config.json").write_text(json.dumps(FUZZ_CONFIG))
+    assert run_cli(["train", "--config", str(run / "config.json"), "--out", str(run)]) == (0, "")
+    return json.loads((run / "checkpoint.json").read_text())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoints_evaluate_or_exit_4_with_one_error_line(
+    fuzz_dir, fuzz_checkpoint, data
+):
+    doc = data.draw(mutated(fuzz_checkpoint, mutation_paths(fuzz_checkpoint)))
+    checkpoint, out = fuzz_dir / "checkpoint.json", fuzz_dir / "eval"
+    checkpoint.write_text(json.dumps(doc))
+    code, text = run_cli(["eval", "--checkpoint", str(checkpoint), "--out", str(out)])
+    assert_one_error_line(code, text, [cli.EXIT_FORMAT])
