@@ -17,8 +17,9 @@ mix (precision, precision * mean) or (mean, sigma). The standard-normal prior
 is the table's last column. `joint` is the one place that appends the prior
 and applies a table, with one diffgraph primitive, so training graphs,
 batched evaluation arrays and `aggregate`, which returns the components of
-one diagonal family as arrays, share one implementation; `poe`, `wb_diag`,
-`mopoe` and `mwb` are typed views of `aggregate`.
+one diagonal family as arrays, share one implementation; `wb_diag`, `mopoe`
+and `mwb` are typed views of `aggregate`, and `poe` applies the `poe` row
+with any nonnegative exponents.
 
 `barycenter_objective` states the claim itself on arrays: the weighted
 forward KL, reverse KL or squared 2-Wasserstein distance from M stacked
@@ -179,11 +180,9 @@ def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
 
     The result is the precision-weighted Gaussian. With exponents equal to the
     family weights this is the reverse-KL barycenter; unit exponents (the
-    default, the `poe` table) give the plain product of experts.
+    default, the `poe` row of `mixing`) give the plain product of experts.
     """
-    if exponents is None:
-        return _gaussian(*aggregate(family, "poe"))
-    alphas = np.asarray(exponents, dtype=np.float64)
+    alphas = np.ones(family.size) if exponents is None else np.asarray(exponents, np.float64)
     if alphas.shape != (family.size,):
         raise ValueError("exponents length must match family size")
     if np.any(alphas < 0.0):

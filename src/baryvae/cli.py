@@ -67,16 +67,16 @@ _TOY_FIELDS = {
     "seed": _SEED,
 }
 _IDX_FIELDS = {"images": _TEXT, "labels": _TEXT}
+_RNG_FIELDS = {"seed": _SEED, "adam_step": _SEED}
 _SPLIT_FIELDS = {"train_fraction": _NUMBER, "seed": _SEED}
 _SPLIT_DEFAULTS = {"train_fraction": 0.8, "seed": 0}
 _EVAL_COUNTS = ("importance_samples", "probe_samples", "coherence_samples", "loglik_examples")
 _EVAL_FIELDS = {**{key: _INT for key in _EVAL_COUNTS}, "seed": _SEED}
+# The eval settings' defaults, stated here only: `evaluation.evaluate_model`
+# takes all five as required keywords.
 _EVAL_DEFAULTS = {
-    "importance_samples": 512,
-    "probe_samples": 500,
-    "coherence_samples": 200,
-    "loglik_examples": 64,
-    "seed": 0,
+    "importance_samples": 512, "probe_samples": 500, "coherence_samples": 200,
+    "loglik_examples": 64, "seed": 0,
 }
 
 
@@ -287,6 +287,30 @@ def save_checkpoint(path: str, run_config: RunConfig, vae: mmvae.MultimodalVae) 
     )
 
 
+def _entry(section: dict, key: str, where: str, kind: type = object):
+    """section[key], checked to be present and, for kind dict, an object."""
+    if key not in section:
+        raise ValueError(f"missing field '{key}' in {where}")
+    if not isinstance(section[key], kind):
+        raise ValueError(f"field '{key}' in {where} must be an object")
+    return section[key]
+
+
+def _parameter(entry: dict, name: str, shape: tuple) -> np.ndarray:
+    """Parameter `name`'s array of `shape`, from its checkpoint entry."""
+    where = f"parameter {name}"
+    given, data = (_entry(entry, key, where) for key in ("shape", "data"))
+    _reject_unknown(entry, {"shape", "data"}, where)
+    if not _is_kind(given, _INTS) or given != list(shape):
+        text = _shown(given)  # a wrong shape may be long: show its start
+        text = text if len(text) <= 40 else text[:36] + " ..."
+        raise ValueError(f"{where} must have shape {list(shape)}, got {text}")
+    data = _finite_array(data, where)
+    if data.shape != (math.prod(shape),):
+        raise ValueError(f"{where} must hold a flat list of {math.prod(shape)} numbers")
+    return data.reshape(shape)
+
+
 def load_checkpoint(path: str):
     """Returns (RunConfig document, MultimodalVae). Raises CheckpointFormatError."""
     try:
@@ -308,24 +332,22 @@ def load_checkpoint(path: str):
         raise CheckpointFormatError(f"corrupt checkpoint {path}: config: {err}") from err
     try:
         _reject_unknown(doc, {"format_version", "config", "params", "rng_state"}, "checkpoint")
-        model["input_dims"] = tuple(model["input_dims"])
-        model["hidden"] = tuple(model["hidden"])
+        for key in ("num_modalities", "input_dims"):
+            _entry(model, key, "config model section")
         model_cfg = mmvae.ModelConfig(**model)
         vae = mmvae.MultimodalVae(model_cfg)
-        for name in vae.store.names():
-            entry = doc["params"][name]
-            arr = _finite_array(entry["data"], f"parameter {name}").reshape(entry["shape"])
-            if arr.shape != vae.store.params[name].shape:
-                raise ValueError(f"parameter {name} has wrong shape")
-            _reject_unknown(entry, {"shape", "data"}, f"parameter {name}")
-            vae.store.params[name] = arr
-        _reject_unknown(doc["params"], vae.store.params, "params")
-        step = doc["rng_state"]["adam_step"]
-        _reject_unknown(doc["rng_state"], {"seed", "adam_step"}, "rng_state")
-        if not _is_kind(step, _INT) or step < 0:
-            raise ValueError(f"rng_state.adam_step must be an integer >= 0, got {step!r}")
-        vae.store.step = step
-    except (KeyError, TypeError, ValueError) as err:
+        params = _entry(doc, "params", "checkpoint", dict)
+        for name, like in vae.store.params.items():
+            entry = _entry(params, name, "params", dict)
+            vae.store.params[name] = _parameter(entry, name, like.shape)
+        _reject_unknown(params, vae.store.params, "params")
+        rng_state = _section(_entry(doc, "rng_state", "checkpoint"), _RNG_FIELDS, "rng_state")
+        seed, vae.store.step = (_entry(rng_state, key, "rng_state") for key in _RNG_FIELDS)
+        if seed != model_cfg.seed:
+            raise ValueError(
+                f"rng_state.seed must be the model seed {model_cfg.seed}, got {_shown(seed)}"
+            )
+    except (MemoryError, ValueError) as err:  # a model too large to allocate is its fault
         raise CheckpointFormatError(f"corrupt checkpoint {path}: {err}") from err
     return RunConfig(model_cfg, doc["config"]["data"], split_spec, eval_spec), vae
 
@@ -523,7 +545,7 @@ def cmd_eval(args) -> int:
     _write_json(
         os.path.join(out, "report.json"),
         {
-            "importance_samples": report.importance_samples,
+            "importance_samples": run_config.eval_spec["importance_samples"],
             "latent_accuracy": {
                 subset_name(mask): acc for mask, acc in report.latent_accuracy.items()
             },
@@ -559,7 +581,7 @@ def cmd_eval(args) -> int:
         os.path.join(out, "loglik.csv"),
         ["subset", "log_likelihood", "importance_samples"],
         [
-            [subset_name(mask), ll, report.importance_samples]
+            [subset_name(mask), ll, run_config.eval_spec["importance_samples"]]
             for mask, ll in report.log_likelihood.items()
         ],
     )
@@ -578,9 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg = sub.add_parser("aggregate", help="aggregate posteriors from a JSON file")
     p_agg.add_argument("--input", required=True, help="input posterior JSON")
     p_agg.add_argument("--output", required=True, help="output posterior JSON")
-    p_agg.add_argument(
-        "--method", required=True, choices=bc.METHODS
-    )
+    p_agg.add_argument("--method", required=True, choices=bc.METHODS)
     p_agg.add_argument("--weights", default=None, help="comma-separated weights")
     p_agg.set_defaults(func=cmd_aggregate)
 
@@ -612,6 +632,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ConfigError, IdxFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:  # sizes in the config or data that cannot be allocated
+        print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
 

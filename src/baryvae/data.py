@@ -8,6 +8,7 @@ of digit-over-background benchmarks at desk scale with zero external data.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -268,44 +269,31 @@ def load_idx(images_path: str, labels_path: str) -> MultimodalDataset:
     (count, rows, cols, then raw bytes) and 0x00000801 for labels (count,
     then raw bytes). Pixels are rescaled to [0, 1].
     """
-    with open(images_path, "rb") as f:
-        img_buf = f.read()
-    with open(labels_path, "rb") as f:
-        lbl_buf = f.read()
-
-    magic = _read_be_u32(img_buf, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    n_images = _read_be_u32(img_buf, 4, images_path)
-    rows = _read_be_u32(img_buf, 8, images_path)
-    cols = _read_be_u32(img_buf, 12, images_path)
-    if n_images == 0:  # nothing to learn from, and rows x cols may pass numpy's limit
-        raise IdxFormatError(f"{images_path}: holds no images")
-    expected = 16 + n_images * rows * cols
-    if len(img_buf) < expected:
-        raise IdxFormatError(
-            f"{images_path}: truncated file ({len(img_buf)} bytes, expected {expected})"
-        )
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
-
-    magic = _read_be_u32(lbl_buf, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    n_labels = _read_be_u32(lbl_buf, 4, labels_path)
-    if len(lbl_buf) < 8 + n_labels:
-        raise IdxFormatError(
-            f"{labels_path}: truncated file ({len(lbl_buf)} bytes, expected {8 + n_labels})"
-        )
+    files = [(images_path, IDX_IMAGE_MAGIC, 3), (labels_path, IDX_LABEL_MAGIC, 1)]
+    bufs = []
+    for path, _, _ in files:
+        with open(path, "rb") as f:
+            bufs.append(f.read())
+    arrays = []
+    for (path, magic, dims), buf in zip(files, bufs):
+        found = _read_be_u32(buf, 0, path)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        shape = [_read_be_u32(buf, 4 * i, path) for i in range(1, dims + 1)]
+        if magic == IDX_IMAGE_MAGIC and shape[0] == 0:
+            # nothing to learn from, and rows x cols may pass numpy's limit
+            raise IdxFormatError(f"{path}: holds no images")
+        offset, size = 4 + 4 * dims, math.prod(shape)
+        if len(buf) < offset + size:
+            raise IdxFormatError(
+                f"{path}: truncated file ({len(buf)} bytes, expected {offset + size})"
+            )
+        arrays.append((np.frombuffer(buf, dtype=np.uint8, count=size, offset=offset), shape))
+    (pixels, (n_images, rows, cols)), (labels, (n_labels,)) = arrays
     if n_images != n_labels:
         raise IdxFormatError(
             f"image/label count mismatch: {n_images} images vs {n_labels} labels"
         )
-    labels = np.frombuffer(lbl_buf, dtype=np.uint8, count=n_labels, offset=8)
-
     data = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     return MultimodalDataset([data], labels.astype(np.int64))
 

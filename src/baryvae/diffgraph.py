@@ -604,9 +604,10 @@ class ParamStore:
         return {name: Value(arr) for name, arr in self.params.items()}
 
 
-def adam_step(store: ParamStore, gradients: dict, lr: float = 1e-3) -> ParamStore:
-    """Bias-corrected Adam update applied in place, with ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPS; returns the store."""
+def adam_step(store: ParamStore, gradients: dict, lr: float) -> ParamStore:
+    """Bias-corrected Adam update applied in place, with step size lr
+    (training passes `ModelConfig.learning_rate`), ADAM_BETA1, ADAM_BETA2
+    and ADAM_EPS; returns the store."""
     for name in store.names():
         if name not in gradients:
             raise ValueError(f"missing gradient for parameter {name!r}")

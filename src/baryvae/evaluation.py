@@ -2,9 +2,9 @@
 importance-sampled test log-likelihood.
 
 The probe is a multinomial logistic regression trained by deterministic
-full-batch gradient descent on (up to) 500 aggregated-posterior means; the
-same machinery doubles as the raw-pixel reference classifier used to score
-cross-modal generation coherence.
+full-batch gradient descent on (up to) `probe_samples` aggregated-posterior
+means; the same machinery doubles as the raw-pixel reference classifier used
+to score cross-modal generation coherence.
 
 `evaluate_model` scores the modality subsets independently, on one pool
 thread per CPU (`diffgraph._map_in_order`); every output is the same
@@ -27,9 +27,6 @@ from .gaussian import mixture_log_density
 PROBE_L2 = 1e-3
 PROBE_ITERS = 500
 PROBE_LR = 0.5
-PROBE_TRAIN_SAMPLES = 500
-
-DEFAULT_IS_SAMPLES = 512
 
 _TAG_PROBE = 31
 _TAG_COHERENCE = 32
@@ -200,29 +197,29 @@ class EvalReport:
     latent_accuracy: dict = field()
     coherence: dict = field()
     log_likelihood: dict = field()
-    importance_samples: int = DEFAULT_IS_SAMPLES
     probe_train_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for value in self.latent_accuracy.values():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("accuracies must lie in [0, 1]")
-        for value in self.coherence.values():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("coherences must lie in [0, 1]")
+        for name in ("latent_accuracy", "coherence"):
+            if not all(0.0 <= value <= 1.0 for value in getattr(self, name).values()):
+                raise ValueError(f"{name} values must lie in [0, 1]")
 
 
 def evaluate_model(
     vae,
     train_set,
     test_set,
-    importance_samples: int = DEFAULT_IS_SAMPLES,
-    probe_samples: int = PROBE_TRAIN_SAMPLES,
-    coherence_samples: int = 200,
-    loglik_examples: int = 64,
-    seed: int = 0,
+    *,
+    importance_samples: int,
+    probe_samples: int,
+    coherence_samples: int,
+    loglik_examples: int,
+    seed: int,
 ) -> EvalReport:
     """Run all three protocols over every non-empty modality subset.
+
+    The five settings are the `eval` section of a run config, whose schema
+    in `baryvae.cli` holds their defaults.
 
     Calls `diffgraph.keep_heap_mapped`, for the whole process, so that the
     importance sampler's large arrays are not faulted in afresh each time.
@@ -272,6 +269,5 @@ def evaluate_model(
         latent_accuracy=accuracy,
         coherence=coh,
         log_likelihood=loglik,
-        importance_samples=importance_samples,
         probe_train_counts=counts,
     )

@@ -130,11 +130,10 @@ def num_mixture_components(config: ModelConfig) -> int:
 @dataclass
 class MultimodalVae:
     config: ModelConfig
-    store: dg.ParamStore = field(default=None)
+    store: dg.ParamStore = field(init=False)
 
     def __post_init__(self):
-        if self.store is None:
-            self.store = _init_params(self.config)
+        self.store = _init_params(self.config)
 
 
 def _init_params(config: ModelConfig) -> dg.ParamStore:
@@ -332,19 +331,20 @@ def conditional_generate(
     available: bc.SubsetIndex,
     target: int,
     noise: np.ndarray,
-    component_u: np.ndarray = None,
+    component_u: np.ndarray,
 ) -> np.ndarray:
     """Generate the target modality from the available ones.
 
     `encoded` is the output of encode_arrays; only the entries selected by
     `available` are read, so absent slots may be None. Aggregates the
-    available posteriors, draws z = mu + sigma * noise (for mixtures the
-    component of each example is picked from `component_u` by inverse
-    transform on the mixture weights), and decodes the target. The
-    powerset methods sample only their data-conditioned components: the prior
-    component exists to make the mixture a complete posterior, but drawing
-    unconditional z would decouple the generation from the given inputs.
-    Fully deterministic given the injected noise.
+    available posteriors, picks each example's component from `component_u`
+    by inverse transform on the mixture weights (the one component of poe
+    and wb for every draw), draws z = mu + sigma * noise from it, and
+    decodes the target. The powerset methods sample only their
+    data-conditioned components: the prior component exists to make the
+    mixture a complete posterior, but drawing unconditional z would
+    decouple the generation from the given inputs. Fully deterministic
+    given the injected noise.
     """
     if available.is_empty:
         raise ValueError("available subset must be non-empty")
@@ -358,17 +358,12 @@ def conditional_generate(
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != (b, vae.config.latent_dim):
         raise ValueError(f"noise shape {noise.shape} != {(b, vae.config.latent_dim)}")
-    if len(weights) == 1:
-        z = mus[0] + sigmas[0] * noise
-    else:
-        if component_u is None:
-            raise ValueError("mixture aggregation needs component_u values")
-        component_u = np.asarray(component_u, dtype=np.float64)
-        if component_u.shape != (b,):
-            raise ValueError(f"component_u shape {component_u.shape} != ({b},)")
-        choice = pick_components(weights, component_u)
-        rows = np.arange(b)
-        z = mus[choice, rows] + sigmas[choice, rows] * noise
+    component_u = np.asarray(component_u, dtype=np.float64)
+    if component_u.shape != (b,):
+        raise ValueError(f"component_u shape {component_u.shape} != ({b},)")
+    choice = pick_components(weights, component_u)
+    rows = np.arange(b)
+    z = mus[choice, rows] + sigmas[choice, rows] * noise
     return decode_mean(vae, target, z)
 
 
@@ -419,15 +414,10 @@ def train(config: ModelConfig, dataset):
                 raise NumericError(
                     f"{err} (epoch {epoch}, step {step})", **err.details, epoch=epoch, step=step
                 ) from err
-            sums["loss"] = sums.get("loss", 0.0) + loss
-            for key, value in terms.items():
+            for key, value in [("loss", loss), *terms.items()]:
                 sums[key] = sums.get(key, 0.0) + value
             count += 1
-        row = {"epoch": epoch, "loss": sums["loss"] / count}
-        for m in range(config.num_modalities):
-            row[f"recon_mod{m}"] = sums[f"recon_mod{m}"] / count
-        row["kl"] = sums["kl"] / count
-        history.append(row)
+        history.append({"epoch": epoch, **{key: total / count for key, total in sums.items()}})
     return vae, history
 
 

@@ -826,6 +826,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "epoch" in err
 
+    def test_unallocatable_hidden_size_exits_2(self, tmp_path, capsys):
+        # 2**45 hidden units ask for a 16 PiB weight matrix, past any address
+        # space, so the allocation fails at once whatever the overcommit policy
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"]["hidden"] = [2**45]
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_failure_prints_one_line(self, tmp_path):
         # no numpy warning on the way to the error, as in aggregate and eval
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -998,6 +1010,9 @@ class TestEvalCommand:
             (("config", "model", "hidden"), [0]),
             (("config", "model", "input_dims"), [64, 0]),
             (("rng_state", "adam_step"), 1.7),
+            (("params",), 3),
+            (("rng_state", "seed"), "x"),
+            (("rng_state", "seed"), TOY_CONFIG["model"]["seed"] + 1),
             (("config", "model", "seed"), -1),
             (("config", "data", "toy", "seed"), -1),
             (("config", "split", "seed"), -1),
@@ -1022,6 +1037,9 @@ class TestEvalCommand:
             "hidden_zero",
             "input_dims_zero",
             "adam_step_fraction",
+            "params_number",
+            "rng_seed_text",
+            "rng_seed_not_the_model_seed",
             "model_seed_negative",
             "toy_seed_negative",
             "split_seed_negative",
@@ -1074,6 +1092,65 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt checkpoint {bad}: config: ")
         assert message in err and err.count("\n") == 1
+
+    def test_parameter_without_data_exits_4(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        del doc["params"]["dec1.b0"]["data"]
+        bad = tmp_path / "bad.json"
+        write_json(bad, doc)
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: corrupt checkpoint {bad}: missing field 'data' in parameter dec1.b0\n"
+
+    def test_wrong_shape_is_shown_by_its_start(self, trained, tmp_path, capsys):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["params"]["dec1.b0"]["shape"] = [100000] * 40
+        bad = tmp_path / "bad.json"
+        write_json(bad, doc)
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        prefix = f"error: corrupt checkpoint {bad}: parameter dec1.b0 must have shape [16], got "
+        assert err.startswith(prefix + "[100000, 100000, ") and err.count("\n") == 1
+        assert len(err) <= len(prefix) + 41
+
+    def test_unallocatable_checkpoint_model_exits_4(self, trained, tmp_path, capsys):
+        # as at train, 2**45 hidden units ask for 16 PiB and fail at once
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["config"]["model"]["hidden"] = [2**45]
+        bad = tmp_path / "bad.json"
+        write_json(bad, doc)
+        assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt checkpoint {bad}: ") and err.count("\n") == 1
+
+    def test_importance_samples_written_from_the_eval_section(self, trained, tmp_path):
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["eval"]["importance_samples"] = 5
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        checkpoint = str(trained / "checkpoint.json")
+        for override, count in (([], 8), (["--config", str(cfg)], 5)):
+            out = tmp_path / f"eval{count}"
+            assert run("eval", "--checkpoint", checkpoint, *override, "--out", str(out)) == 0
+            assert json.loads((out / "report.json").read_text())["importance_samples"] == count
+            rows = (out / "loglik.csv").read_text().strip().split("\n")[1:]
+            assert [row.rsplit(",", 1)[1] for row in rows] == [str(count)] * 3
+
+    def test_unallocatable_importance_samples_exit_2(self, trained, tmp_path, capsys):
+        # 2**46 draws ask for 512 TiB at once, past any address space
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["eval"]["importance_samples"] = 2**46
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        out = tmp_path / "eval"
+        code = run(
+            "eval", "--checkpoint", str(trained / "checkpoint.json"),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_parameter_exits_4(self, trained, tmp_path, capsys, bad):

@@ -889,7 +889,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         store = make_store(w=[1.0, -2.0])
         before = store["w"].copy()
-        dg.adam_step(store, {"w": np.zeros(2)})
+        dg.adam_step(store, {"w": np.zeros(2)}, lr=1e-3)
         assert np.array_equal(store["w"], before)
         assert store.step == 1
 
@@ -920,7 +920,7 @@ class TestAdam:
     def test_missing_gradient_rejected(self):
         store = make_store(w=[1.0], b=[1.0])
         with pytest.raises(ValueError):
-            dg.adam_step(store, {"w": np.array([0.1])})
+            dg.adam_step(store, {"w": np.array([0.1])}, lr=1e-3)
 
 
 class TestGradCheck:

@@ -658,9 +658,30 @@ class TestConditionalGenerate:
         _, mus, _ = mm.aggregate_arrays(vae, encoded, full)
         expected = mm.decode_mean(vae, 1, mus[0])
         out = mm.conditional_generate(
-            vae, encoded, full, 1, np.zeros((3, config.latent_dim))
+            vae, encoded, full, 1, np.zeros((3, config.latent_dim)), np.full(3, 0.5)
         )
-        assert np.allclose(out, expected, atol=1e-12)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_joint_sampled_one_way(self, method):
+        """Each example decodes mu + sigma * noise of the component its draw
+        picks, byte for byte; with one component, that is the joint itself."""
+        config = small_config(method, m=3)
+        vae = mm.MultimodalVae(config)
+        full = mm.encode_arrays(vae, random_batch(config, b=6, seed=2))
+        rng = np.random.default_rng(4)
+        noise, u = rng.standard_normal((6, config.latent_dim)), rng.random(6)
+        for subset in subsets(3)[1:]:
+            weights, mus, sigmas = mm.aggregate_arrays(vae, full, subset)
+            if method in ("mopoe", "mwb"):  # the prior component is never drawn
+                weights, mus, sigmas = weights[1:] / weights[1:].sum(), mus[1:], sigmas[1:]
+            picks = mm.pick_components(weights, u)
+            z = np.stack([mus[k, i] + sigmas[k, i] * noise[i] for i, k in enumerate(picks)])
+            if len(weights) == 1:
+                assert z.tobytes() == (mus[0] + sigmas[0] * noise).tobytes()
+            for target in range(3):
+                out = mm.conditional_generate(vae, full, subset, target, noise, u)
+                assert out.tobytes() == mm.decode_mean(vae, target, z).tobytes()
 
     def test_single_modality_self_reconstruction(self):
         config = small_config("wb", m=1)
@@ -672,18 +693,23 @@ class TestConditionalGenerate:
             SubsetIndex(0b1, 1),
             0,
             np.zeros((2, config.latent_dim)),
+            np.zeros(2),
         )
         assert out.shape == (2, 5)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_mixture_requires_component_noise(self):
-        config = small_config("mwb")
-        vae = mm.MultimodalVae(config)
-        encoded = mm.encode_arrays(vae, random_batch(config, b=2))
-        with pytest.raises(ValueError):
-            mm.conditional_generate(
-                vae, encoded, SubsetIndex(0b11, 2), 0, np.zeros((2, config.latent_dim))
-            )
+        # every method draws its component from component_u, one joint
+        # component or many: it is required, and its shape is checked
+        for method in METHODS:
+            config = small_config(method)
+            vae = mm.MultimodalVae(config)
+            encoded = mm.encode_arrays(vae, random_batch(config, b=2))
+            args = (vae, encoded, SubsetIndex(0b11, 2), 0, np.zeros((2, config.latent_dim)))
+            with pytest.raises(TypeError, match="component_u"):
+                mm.conditional_generate(*args)
+            with pytest.raises(ValueError, match=r"component_u shape \(3,\) != \(2,\)"):
+                mm.conditional_generate(*args, np.zeros(3))
 
     def test_mixture_generation_skips_prior_component(self):
         config = small_config("mwb")
@@ -702,7 +728,7 @@ class TestConditionalGenerate:
             component_u=np.zeros(2),
         )
         mu = encoded[0][0]
-        assert np.allclose(out, mm.decode_mean(vae, 1, mu), atol=1e-12)
+        assert out.tobytes() == mm.decode_mean(vae, 1, mu).tobytes()
 
     def test_bad_target_rejected(self):
         config = small_config("wb")
@@ -710,7 +736,8 @@ class TestConditionalGenerate:
         encoded = mm.encode_arrays(vae, random_batch(config, b=2))
         with pytest.raises(ValueError):
             mm.conditional_generate(
-                vae, encoded, SubsetIndex(0b11, 2), 5, np.zeros((2, config.latent_dim))
+                vae, encoded, SubsetIndex(0b11, 2), 5, np.zeros((2, config.latent_dim)),
+                np.zeros(2),
             )
 
     def test_missing_modalities_never_touched(self):
