@@ -454,19 +454,16 @@ def cmd_aggregate(args) -> int:
             f"method {method!r} supports diagonal posteriors only; "
             "full-covariance inputs support 'wb'"
         )
-    # Overflow inside a kernel is not reported as a warning: a non-finite
-    # result is rejected below, and a finite one is usable.
-    with np.errstate(all="ignore"):
-        if full:
-            result = bc.wb_full(family)
-            doc = {"method": method, "mean": result.mean.tolist(), "cov": result.cov.tolist()}
+    if full:
+        result = bc.wb_full(family)
+        doc = {"method": method, "mean": result.mean.tolist(), "cov": result.cov.tolist()}
+    else:
+        weights, mean, sigma = bc.aggregate(family, method)
+        parts = [{"mean": m, "sigma": s} for m, s in zip(mean.tolist(), sigma.tolist())]
+        if method in ("poe", "wb"):
+            doc = {"method": method, **parts[0]}
         else:
-            weights, mean, sigma = bc.aggregate(family, method)
-            parts = [{"mean": m, "sigma": s} for m, s in zip(mean.tolist(), sigma.tolist())]
-            if method in ("poe", "wb"):
-                doc = {"method": method, **parts[0]}
-            else:
-                doc = {"method": method, "weights": weights.tolist(), "components": parts}
+            doc = {"method": method, "weights": weights.tolist(), "components": parts}
     try:
         _write_json(args.output, doc, allow_nan=False)
     except ValueError as err:
@@ -486,12 +483,7 @@ def cmd_train(args) -> int:
     doc = _load_json(args.config)
     run_config, dataset = parse_run_config(doc, seed_override=args.seed)
     train_set, _ = datamod.split(dataset, **run_config.split_spec)
-    try:
-        # as in eval: overflow on the way to a NumericError is no warning
-        with np.errstate(all="ignore"):
-            vae, history = mmvae.train(run_config.model, train_set)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    vae, history = mmvae.train(run_config.model, train_set)
     out = _resolve_out_dir(args)
     save_checkpoint(os.path.join(out, "checkpoint.json"), run_config, vae)
     header = ["epoch", "loss"]
@@ -532,58 +524,39 @@ def cmd_eval(args) -> int:
         if args.config is not None or isinstance(err, IdxFormatError):
             raise
         raise CheckpointFormatError(f"corrupt checkpoint {args.checkpoint}: config: {err}") from err
-    # As in aggregate: overflow is not reported as a warning, and a
-    # non-finite log-likelihood raises NumericError inside evaluate_model.
-    with np.errstate(all="ignore"):
-        report = evaluation.evaluate_model(vae, train_set, test_set, **run_config.eval_spec)
+    report = evaluation.evaluate_model(vae, train_set, test_set, **run_config.eval_spec)
     out = _resolve_out_dir(args)
+    samples = run_config.eval_spec["importance_samples"]
     m_count = vae.config.num_modalities
-
-    def subset_name(mask: int) -> str:
-        return "+".join(str(i) for i in range(m_count) if mask >> i & 1)
-
+    names = {s.mask: "+".join(map(str, s.members())) for s in bc.subsets(m_count)}
+    counts = report.probe_train_counts
     _write_json(
         os.path.join(out, "report.json"),
         {
-            "importance_samples": run_config.eval_spec["importance_samples"],
-            "latent_accuracy": {
-                subset_name(mask): acc for mask, acc in report.latent_accuracy.items()
-            },
+            "importance_samples": samples,
+            "latent_accuracy": {names[mask]: acc for mask, acc in report.latent_accuracy.items()},
             "coherence": {
-                f"{subset_name(mask)}->{target}": value
+                f"{names[mask]}->{target}": value
                 for (mask, target), value in report.coherence.items()
             },
-            "log_likelihood": {
-                subset_name(mask): ll for mask, ll in report.log_likelihood.items()
-            },
-            "probe_train_counts": {
-                subset_name(mask): n for mask, n in report.probe_train_counts.items()
-            },
+            "log_likelihood": {names[mask]: ll for mask, ll in report.log_likelihood.items()},
+            "probe_train_counts": {names[mask]: n for mask, n in counts.items()},
         },
     )
     _write_csv(
         os.path.join(out, "accuracy.csv"),
         ["subset", "accuracy", "probe_train_count"],
-        [
-            [subset_name(mask), acc, report.probe_train_counts[mask]]
-            for mask, acc in report.latent_accuracy.items()
-        ],
+        [[names[mask], acc, counts[mask]] for mask, acc in report.latent_accuracy.items()],
     )
     _write_csv(
         os.path.join(out, "coherence.csv"),
         ["source_subset", "target_modality", "coherence"],
-        [
-            [subset_name(mask), target, value]
-            for (mask, target), value in report.coherence.items()
-        ],
+        [[names[mask], target, value] for (mask, target), value in report.coherence.items()],
     )
     _write_csv(
         os.path.join(out, "loglik.csv"),
         ["subset", "log_likelihood", "importance_samples"],
-        [
-            [subset_name(mask), ll, run_config.eval_spec["importance_samples"]]
-            for mask, ll in report.log_likelihood.items()
-        ],
+        [[names[mask], ll, samples] for mask, ll in report.log_likelihood.items()],
     )
     return EXIT_OK
 
@@ -623,14 +596,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow on the way to a result is no warning: a non-finite result
+        # raises NumericError (exit 3), and a finite one is usable.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CheckpointFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FORMAT
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, IdxFormatError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as err:  # sizes in the config or data that cannot be allocated

@@ -204,8 +204,6 @@ def glyph(digit: int, resolution: int = 8) -> np.ndarray:
     """The class glyph as a resolution x resolution float image in {0, 1}."""
     rows = _GLYPHS[digit]
     base = np.array([[1.0 if ch == "#" else 0.0 for ch in row] for row in rows])
-    if resolution == 8:
-        return base
     idx = (np.arange(resolution) * 8) // resolution
     return base[np.ix_(idx, idx)]
 

@@ -66,7 +66,8 @@ def fit_linear_probe(latents: np.ndarray, labels: np.ndarray) -> LinearProbe:
     Features are standardized internally and the learned map is folded back
     into raw coordinates, so the returned probe applies directly to new data.
     Deterministic: zero initialization, fixed step PROBE_LR, PROBE_ITERS
-    updates with L2 penalty PROBE_L2.
+    updates with L2 penalty PROBE_L2. Raises NumericError if the fit is not
+    finite (latents that overflow it, say).
     """
     x = np.asarray(latents, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -95,6 +96,8 @@ def fit_linear_probe(latents: np.ndarray, labels: np.ndarray) -> LinearProbe:
 
     w_raw = w / scale[None, :]
     b_raw = b - w_raw @ mean
+    if not (np.isfinite(w_raw).all() and np.isfinite(b_raw).all()):
+        raise NumericError("linear probe fit is not finite")
     return LinearProbe(w_raw, b_raw, trained_on=n)
 
 

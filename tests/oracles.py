@@ -385,3 +385,93 @@ def numpy_log_lik(out, x, likelihood, sigma):
         return np.sum(x[None, :] * out - softplus, axis=1)
     const = -0.5 * math.log(2.0 * math.pi) - math.log(sigma)
     return np.sum(const - (x[None, :] - out) ** 2 / (2.0 * sigma**2), axis=1)
+
+
+def linear_gaussian_pair(aggregation, sigma_enc_scale=1.3, seed=11):
+    """A conjugate 2-modality model whose joint marginal is known in closed form.
+
+    Latent z ~ N(0, I_2), x_m = z W_m + b_m + N(0, s^2 I) for input dims 2
+    and 3, with linear Gaussian decoders, so X = (x_0, x_1) ~ N(b, W^T W +
+    s^2 I) for W = [W_0 W_1] and b = [b_0 b_1]. Each affine encoder holds the
+    exact posterior mean given its own modality and that posterior's
+    marginal sigmas inflated by `sigma_enc_scale`. Returns (vae, W, b).
+    """
+    import baryvae.mmvae as mm
+
+    dims, d = (2, 3), 2
+    config = mm.ModelConfig(
+        num_modalities=2,
+        input_dims=dims,
+        latent_dim=d,
+        hidden=(),
+        likelihood="gaussian",
+        aggregation=aggregation,
+        seed=5,
+    )
+    vae = mm.MultimodalVae(config)
+    params = vae.store.params
+    rng = np.random.default_rng(seed)
+    s2 = mm.GAUSSIAN_LIK_SIGMA**2
+    for m, dim in enumerate(dims):
+        w = rng.normal(0.0, 1.0, (d, dim))
+        b = rng.normal(0.0, 0.5, dim)
+        cov = np.linalg.inv(np.eye(d) + w @ w.T / s2)
+        params[f"dec{m}.out_w"][:] = w
+        params[f"dec{m}.out_b"][:] = b
+        params[f"enc{m}.mu_w"][:] = w.T @ cov / s2
+        params[f"enc{m}.mu_b"][:] = -b @ (w.T @ cov / s2)
+        params[f"enc{m}.sigma_w"][:] = 0.0
+        sig = np.sqrt(np.diag(cov)) * sigma_enc_scale
+        params[f"enc{m}.sigma_b"][:] = softplus_inv(sig - SIGMA_FLOOR)
+    w = np.concatenate([params["dec0.out_w"], params["dec1.out_w"]], axis=1)
+    b = np.concatenate([params["dec0.out_b"], params["dec1.out_b"]])
+    return vae, w, b
+
+
+def linear_gaussian_log_marginal(w, b, sigma, x):
+    """log N(x; b, W^T W + sigma^2 I) for each row of x, by a Cholesky factor."""
+    cov = w.T @ w + sigma**2 * np.eye(w.shape[1])
+    chol = np.linalg.cholesky(cov)
+    white = np.linalg.solve(chol, (x - b).T)
+    return (
+        -0.5 * np.sum(white**2, axis=0)
+        - np.sum(np.log(np.diag(chol)))
+        - 0.5 * w.shape[1] * math.log(2.0 * math.pi)
+    )
+
+
+def importance_weight_cv(vae, batch, members, samples, rng):
+    """Per-example coefficient of variation std(w) / mean(w) of the weights
+    w = p(X, z) / q(z) with z ~ q, the `members` subset's joint posterior.
+
+    Everything is restated here: the encoders by `numpy_encode`, q by
+    `oracle_components` (uniform weights over the members) and
+    `proposal_log_density`, p(X | z) by `numpy_decode` and `numpy_log_lik`,
+    each over `samples` draws from `rng`. The delta method then gives the
+    standard error of log(mean w) over K draws as cv / sqrt(K) (Owen,
+    Monte Carlo theory, ch. 9), and its downward bias as about cv^2 / (2 K).
+    """
+    import baryvae.mmvae as mm
+
+    config, params = vae.config, vae.store.params
+    encoded = [numpy_encode(params, config, m, batch[m]) for m in members]
+    lams = np.full(len(members), 1.0 / len(members))
+    comps = oracle_components(
+        config.aggregation, [e[0] for e in encoded], [e[1] for e in encoded], lams
+    )
+    weights = np.array([c[0] for c in comps])
+    d = config.latent_dim
+    cvs = []
+    for i in range(batch[0].shape[0]):
+        means = np.stack([c[1][i] for c in comps])
+        sigmas = np.stack([c[2][i] for c in comps])
+        pick = rng.choice(len(weights), size=samples, p=weights)
+        z = means[pick] + sigmas[pick] * rng.standard_normal((samples, d))
+        log_w = -0.5 * np.sum(z * z, axis=1) - 0.5 * d * math.log(2.0 * math.pi)
+        log_w -= proposal_log_density(weights, means, sigmas, z)
+        for m, x in enumerate(batch):
+            out = numpy_decode(params, config, m, z)
+            log_w += numpy_log_lik(out, x[i], config.likelihood, mm.GAUSSIAN_LIK_SIGMA)
+        w = np.exp(log_w - log_w.max())
+        cvs.append(np.std(w) / np.mean(w))
+    return np.array(cvs)

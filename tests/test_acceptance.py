@@ -40,6 +40,9 @@ from baryvae.linalg import sqrtm_psd
 
 from gradcheck import grad_check
 from oracles import (
+    importance_weight_cv,
+    linear_gaussian_log_marginal,
+    linear_gaussian_pair,
     linear_gaussian_vae,
     objective_arrays,
     quad_kl_1d,
@@ -298,6 +301,32 @@ def test_criterion_8_analytic_log_likelihood():
     )
     gap = abs(estimate - closed)
     criterion(8, gap <= 0.05, f"|estimate - closed form| = {gap:.4f} nat")
+
+
+def test_multimodal_log_likelihood_closed_form():
+    # Criterion 8's check on two modalities, for every aggregator and every
+    # proposal subset: the estimate always targets the joint log p(x_0, x_1).
+    _, w, b = linear_gaussian_pair("wb")
+    rng = np.random.default_rng(108)
+    n, samples, z_max = 16, 4096, 4.0
+    x = rng.standard_normal((n, 2)) @ w + b
+    x += mm.GAUSSIAN_LIK_SIGMA * rng.standard_normal(x.shape)
+    batch = [x[:, :2], x[:, 2:]]
+    closed = float(np.mean(linear_gaussian_log_marginal(w, b, mm.GAUSSIAN_LIK_SIGMA, x)))
+    worst = 0.0
+    for method in ("poe", "moe", "wb", "mopoe", "mwb"):
+        vae, _, _ = linear_gaussian_pair(method)
+        for subset in subsets(2)[1:]:
+            estimate = importance_log_likelihood(vae, batch, subset, samples, seed=0)
+            cv = importance_weight_cv(
+                vae, batch, subset.members(), samples, np.random.default_rng(subset.mask)
+            )
+            se = math.sqrt(np.sum(cv**2 / samples)) / n
+            bias = float(np.mean(cv**2)) / (2 * samples)  # the estimate's O(1/K) shortfall
+            gap = estimate - closed
+            assert -(z_max * se + bias) <= gap <= z_max * se, (method, subset.mask, gap, se)
+            worst = max(worst, abs(gap) / se)
+    print(f"multimodal log-likelihood: worst |estimate - closed form| = {worst:.2f} SE")
 
 
 @pytest.fixture(scope="module")

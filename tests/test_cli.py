@@ -10,7 +10,7 @@ import pytest
 
 import baryvae
 from baryvae import barycenter as bc
-from baryvae import cli
+from baryvae import cli, evaluation
 from baryvae.cli import main
 
 SRC_DIR = os.path.dirname(os.path.dirname(baryvae.__file__))
@@ -950,6 +950,98 @@ class TestEvalCommand:
         acc_rows = (out / "accuracy.csv").read_text().strip().split("\n")
         assert len(acc_rows) == 4  # header + 3 subsets
         assert all(math.isfinite(v) for v in report["log_likelihood"].values())
+
+    def test_report_files_bytes(self, tmp_path, monkeypatch):
+        # The four files of a hand-built report on a 3-modality checkpoint,
+        # spelled out: subset names, key order and shortest round-trip floats.
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"]["epochs"] = 1
+        doc["data"]["toy"]["num_modalities"] = 3
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+        report = evaluation.EvalReport(
+            latent_accuracy={1: 0.1 + 0.2, 5: 0.5, 7: 1.0},
+            coherence={(1, 1): 1 / 3, (5, 1): 0.0, (6, 0): 0.75},
+            log_likelihood={1: -123.456, 5: -1e16, 7: -1e-05},
+            probe_train_counts={1: 60, 5: 59, 7: 7},
+        )
+        calls = []
+
+        def fake_evaluate_model(vae, train_set, test_set, **settings):
+            calls.append(settings)
+            return report
+
+        monkeypatch.setattr(evaluation, "evaluate_model", fake_evaluate_model)
+        out = tmp_path / "eval"
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        assert run("eval", "--checkpoint", str(checkpoint), "--out", str(out)) == 0
+        assert calls == [{**TOY_CONFIG["eval"], "seed": 0}]
+        assert (out / "report.json").read_text() == (
+            "{\n"
+            '  "importance_samples": 8,\n'
+            '  "latent_accuracy": {\n'
+            '    "0": 0.30000000000000004,\n'
+            '    "0+2": 0.5,\n'
+            '    "0+1+2": 1.0\n'
+            "  },\n"
+            '  "coherence": {\n'
+            '    "0->1": 0.3333333333333333,\n'
+            '    "0+2->1": 0.0,\n'
+            '    "1+2->0": 0.75\n'
+            "  },\n"
+            '  "log_likelihood": {\n'
+            '    "0": -123.456,\n'
+            '    "0+2": -1e+16,\n'
+            '    "0+1+2": -1e-05\n'
+            "  },\n"
+            '  "probe_train_counts": {\n'
+            '    "0": 60,\n'
+            '    "0+2": 59,\n'
+            '    "0+1+2": 7\n'
+            "  }\n"
+            "}\n"
+        )
+        assert (out / "accuracy.csv").read_text() == (
+            "subset,accuracy,probe_train_count\n"
+            "0,0.30000000000000004,60\n"
+            "0+2,0.5,59\n"
+            "0+1+2,1.0,7\n"
+        )
+        assert (out / "coherence.csv").read_text() == (
+            "source_subset,target_modality,coherence\n"
+            "0,1,0.3333333333333333\n"
+            "0+2,1,0.0\n"
+            "1+2,0,0.75\n"
+        )
+        assert (out / "loglik.csv").read_text() == (
+            "subset,log_likelihood,importance_samples\n"
+            "0,-123.456,8\n"
+            "0+2,-1e+16,8\n"
+            "0+1+2,-1e-05,8\n"
+        )
+
+    def test_non_finite_probe_fit_exits_3(self, tmp_path):
+        # A learning rate of 1e307 leaves finite parameters near 1e307, whose
+        # latents overflow the probe fit: a numeric failure, not an input error.
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["model"].update(
+            hidden=[4], latent_dim=2, batch_size=1000, epochs=1, learning_rate=1e307
+        )
+        cfg = tmp_path / "config.json"
+        write_json(cfg, doc)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "run")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryvae.cli", "eval",
+             "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+             "--out", str(tmp_path / "eval")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: linear probe fit is not finite\n"
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("fraction,side", [(0.1, "train"), (0.9, "test")])
     def test_empty_split_exits_2(self, trained, tmp_path, capsys, fraction, side):
