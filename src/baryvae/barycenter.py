@@ -227,23 +227,30 @@ def wb_full(
     arithmetic mean of the member covariances, each step applies the update of
     Alvarez-Esteban, del Barrio, Cuesta-Albertos & Matran (2016),
     S <- S^{-1/2} T(S)^2 S^{-1/2}, which is unit-step gradient descent on the
-    Bures-Wasserstein objective (Chewi et al., 2020). It stops at the first S
-    whose residual ||T(S) - S||_F is at most 0.05 * tol * (1 + ||S||_F), or,
-    after max_iter updates, at most tol * (1 + ||S||_F).
+    Bures-Wasserstein objective (Chewi et al., 2020). Both stopping tiers
+    measure the residual ||T(S) - S||_F against the iterate's own norm: it
+    stops at the first S whose residual is at most 0.05 * tol * ||S||_F, or,
+    after max_iter updates, at most tol * ||S||_F. tol must be finite and
+    positive, and max_iter an integer of at least 0 (ValueError otherwise).
 
     The barycenter is 1-homogeneous in the covariances, so the iteration runs
     on them divided by s, the largest power of four at most their largest
     absolute entry, and returns s * S, so that no product overflows. Scaling
     by a power of four commutes with every rounding, square roots included,
-    so the result is that of iterating on the covariances themselves.
+    and the stopping rule has no unit of its own, so the result scales
+    exactly with the covariances: multiplying every member covariance by 4^k
+    multiplies the barycenter by 4^k, byte for byte, while both stay within
+    the float range and above FullGaussian's eigenvalue floor.
 
     Ill-conditioned members can defeat the iteration in rounding: an iterate
     that turns indefinite, or a result below FullGaussian's eigenvalue
     floor, raises NumericError naming the iteration, as do a singular
     iterate and no convergence within max_iter.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
     covs = [m.cov for m in family.members]
     lams = family.weights
     mean = np.zeros(family.dim)
@@ -268,12 +275,11 @@ def wb_full(
                 f"barycenter iteration {iteration}: {err}", iterations=iteration
             ) from err
         residual = float(np.linalg.norm(mapped - cov))
-        # the stopping rules' 1 + ||S||_F, in units of s
-        scale = 1.0 / s + float(np.linalg.norm(cov))
+        norm = float(np.linalg.norm(cov))
         # iterate well past tol so the returned point, not just its residual,
         # sits within tol of the fixed point
-        if residual <= 0.05 * tol * scale or (
-            iteration == max_iter and residual <= tol * scale
+        if residual <= 0.05 * tol * norm or (
+            iteration == max_iter and residual <= tol * norm
         ):
             try:
                 return FullGaussian(mean, s * cov)

@@ -52,7 +52,11 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root R with R @ R == a.
 
     Eigenvalues in [PSD_EIG_TOL, 0) are treated as rounding noise and clamped
-    to zero; anything below PSD_EIG_TOL raises NotPsdError. R is returned as
+    to zero; anything below PSD_EIG_TOL raises NotPsdError. PSD_EIG_TOL
+    (-1e-10) is absolute, not relative to the matrix's scale: it suits
+    matrices whose largest entry is near 1, as `wb_full` passes them. On a
+    1e-12 scale it clamps an eigenvalue 50 times the positive one, and on a
+    1e10 scale it rejects a rounding-level -1e-4. R is returned as
     (R + R^T)/2, so r[i, j] == r[j, i] exactly: it feeds later arithmetic.
     """
     w, v = sym_eig(a)

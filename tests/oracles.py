@@ -212,13 +212,13 @@ def plain_wb_fixed_point(covs, weights):
 
     T(S) = sum_m w_m (S^{1/2} S_m S^{1/2})^{1/2}, with every root taken from
     numpy.linalg.eigh. Iterates from the arithmetic mean until
-    ||T(S) - S||_F <= 1e-12 * (1 + ||S||_F) and returns T(S).
+    ||T(S) - S||_F <= 1e-12 * ||S||_F and returns T(S).
     """
     s = sum(w * c for w, c in zip(weights, covs))
     for _ in range(10_000):
         root = _eigh_sqrt(s)
         nxt = sum(w * _eigh_sqrt(root @ c @ root) for w, c in zip(weights, covs))
-        if np.linalg.norm(nxt - s) <= 1e-12 * (1.0 + np.linalg.norm(s)):
+        if np.linalg.norm(nxt - s) <= 1e-12 * np.linalg.norm(s):
             return nxt
         s = (nxt + nxt.T) / 2.0
     raise OracleError("plain barycenter map did not settle in 10000 iterations")

@@ -263,7 +263,7 @@ class TestWbFull:
                 for lam, mm in zip(fam.weights, fam.members)
             )
             residual = np.linalg.norm(out.cov - mapped)
-            assert residual <= 1e-9 * (1.0 + np.linalg.norm(out.cov))
+            assert residual <= 1e-9 * np.linalg.norm(out.cov)
 
     def test_matches_plain_map_oracle(self):
         # Two routes to the same fixed point: the Alvarez-Esteban update in
@@ -279,23 +279,28 @@ class TestWbFull:
             fam = WeightedFamily(tuple(FullGaussian(np.zeros(d), c) for c in covs), w)
             out = wb_full(fam).cov
             expected = plain_wb_fixed_point(covs, w)
-            assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
+            assert np.linalg.norm(out - expected) <= 1e-8 * np.linalg.norm(out)
 
     def test_commuting_members_closed_form(self):
         # Members Q diag(e_m) Q^T share eigenvectors, so the barycenter is
-        # Q diag((sum_m lam_m sqrt(e_m))^2) Q^T.
+        # Q diag((sum_m lam_m sqrt(e_m))^2) Q^T. It is 1-homogeneous, so the
+        # members scaled by 4^k are held to the closed form times 4^k, with
+        # a tolerance relative to it; at k = -18 the smallest eigenvalue,
+        # 0.3 * 4^-18, still clears the 1e-12 floor.
         rng = np.random.default_rng(39)
         for d, m in [(3, 2), (8, 5), (32, 8)]:
             q = np.linalg.qr(rng.standard_normal((d, d)))[0]
             eigs = rng.uniform(0.3, 3.0, (m, d))
             w = rng.uniform(0.2, 1.0, m)
             w /= w.sum()
-            fam = WeightedFamily(
-                tuple(FullGaussian(np.zeros(d), (q * e) @ q.T) for e in eigs), w
-            )
-            out = wb_full(fam).cov
-            expected = (q * (w @ np.sqrt(eigs)) ** 2) @ q.T
-            assert np.linalg.norm(out - expected) <= 1e-8 * (1.0 + np.linalg.norm(out))
+            for k in (-18, -10, 0, 10):
+                scale = math.ldexp(1.0, 2 * k)
+                fam = WeightedFamily(
+                    tuple(FullGaussian(np.zeros(d), scale * (q * e) @ q.T) for e in eigs), w
+                )
+                out = wb_full(fam).cov
+                expected = scale * (q * (w @ np.sqrt(eigs)) ** 2) @ q.T
+                assert np.linalg.norm(out - expected) <= 1e-8 * np.linalg.norm(expected), k
 
     def test_converges_in_15_iterations_on_criterion_4_corpus(self):
         # The plain map S <- T(S) takes up to 38 iterations on these families.
@@ -313,8 +318,16 @@ class TestWbFull:
 
     def test_tol_validated(self):
         fam = WeightedFamily.uniform([FullGaussian([0.0], [[1.0]])])
-        with pytest.raises(ValueError):
-            wb_full(fam, tol=0.0)
+        for kwargs in (
+            {"tol": 0.0},
+            {"tol": -1e-9},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"max_iter": -1},
+            {"max_iter": 1.5},
+        ):
+            with pytest.raises(ValueError):
+                wb_full(fam, **kwargs)
 
 
 class TestPowersetMixtures:

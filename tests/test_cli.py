@@ -122,6 +122,26 @@ class TestAggregateCommand:
         cov = np.asarray(doc["cov"])
         assert cov.shape == (2, 2) and np.array_equal(cov, cov.T)
 
+    def test_small_full_posteriors_get_the_diagonal_barycenter(self, tmp_path):
+        # Posteriors on a 1e-5 scale, as sigma and as cov = diag(sigma^2)
+        # documents: the diagonal wb barycenter is the closed form, and the
+        # fixed point must reach it at this scale too, not stop at its
+        # starting point, the mean of the member covariances (54% off).
+        sigmas = [[2e-5, 2e-5], [3e-6, 1.2e-5], [3e-6, 1.8e-5], [1.3e-5, 1e-5]]
+        documents = {
+            "sigma": [{"mean": [0.0, 0.0], "sigma": s} for s in sigmas],
+            "cov": [{"mean": [0.0, 0.0], "cov": np.diag(np.square(s)).tolist()} for s in sigmas],
+        }
+        results = {}
+        for key, posteriors in documents.items():
+            inp = self.posterior_file(tmp_path, {"posteriors": posteriors})
+            out = tmp_path / f"{key}.json"
+            assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 0
+            results[key] = json.loads(out.read_text())[key]
+        np.testing.assert_allclose(
+            np.diag(results["cov"]), np.square(results["sigma"]), rtol=1e-9, atol=0.0
+        )
+
     @pytest.mark.parametrize("cov", [[[2.0, 0.3], [0.3, 0.7]], [[8e307]]])
     def test_one_full_member_is_its_own_barycenter(self, tmp_path, cov):
         mean = [0.5] * len(cov)

@@ -12,6 +12,7 @@ import baryvae.mmvae as mm
 from baryvae.errors import NumericError
 
 from gradcheck import forward_backward, grad_check
+from oracles import masked_sigmoid
 
 
 BERN_X = (np.random.default_rng(59).uniform(size=(4, 3)) < 0.5).astype(np.float64)
@@ -177,16 +178,6 @@ class TestPrimitives:
             row=rng.standard_normal(3),
         )
         assert grad_check(build, store, 1e-5) < 1e-6
-
-
-def masked_sigmoid(x):
-    """The logistic function by boolean masks, one exp per branch."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def composed_bernoulli(x, logits, weights):

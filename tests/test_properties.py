@@ -122,8 +122,9 @@ def scaled_wb_full(means, covs, weights, power, **kwargs):
 @settings(max_examples=60, deadline=None)
 @given(full_families(), st.integers(-100, 100), st.integers(0, 20))
 def test_wb_full_iterates_scale_by_powers_of_four_exactly(family, k, max_iter):
-    # a tol this small stops only at an exact fixed point, so both scales
-    # take the same steps; the default rule's 1 + ||S|| is not homogeneous
+    # a tol this small stops only at an exact fixed point, so most draws
+    # run out of iterations: this pins every iterate and the residual the
+    # failure reports, where the test below pins the default stop
     means, covs, weights = family
     # start high enough that both families clear the eigenvalue floor
     base, scaled = (
@@ -134,15 +135,32 @@ def test_wb_full_iterates_scale_by_powers_of_four_exactly(family, k, max_iter):
 
 
 @settings(max_examples=60, deadline=None)
-@given(full_families(max_members=1), st.integers(2, 4), st.integers(-100, 100))
-def test_wb_full_of_identical_members_scales_by_powers_of_four_exactly(family, m, k):
-    means, covs, _ = family
-    means, covs = np.repeat(means, m, axis=0), np.repeat(covs, m, axis=0)
-    weights = np.full(m, 1.0 / m)
+@given(full_families(), st.integers(-100, 100))
+@example(  # identical members
+    (np.zeros((3, 2)), np.repeat([[[2.0, 0.6], [0.6, 0.5]]], 3, axis=0), np.full(3, 1 / 3)), -7
+)
+@example(  # 4 iterations at 4^0 and 5 at 4^1 under a rule with an absolute term
+    (
+        np.array([[0.84669916, 0.13551229], [-0.79339111, 0.228044]]),
+        np.array(
+            [
+                [[1.33960527, -0.74472581], [-0.74472581, 0.57577834]],
+                [[5.79519353, -2.73888736], [-2.73888736, 1.55406187]],
+            ]
+        ),
+        np.array([0.61917147, 0.38082853]),
+    ),
+    1,
+)
+def test_wb_full_scales_by_powers_of_four_exactly(family, k):
+    # at the default tolerance: the stopping rule is relative to ||S||_F,
+    # so both scales take the same steps
+    means, covs, weights = family
+    # start high enough that both families clear the eigenvalue floor
     base, scaled = (
         scaled_wb_full(means, covs, weights, power) for power in (max(0, -k), max(0, -k) + k)
     )
-    assert scaled.tobytes() == base.tobytes()
+    assert np.asarray(scaled).tobytes() == np.asarray(base).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +306,15 @@ def test_wb_full_of_a_diagonal_family_is_wb_diag(pair):
     # Diagonal covariances commute, so the fixed point of
     # S = sum_m lam_m (S^1/2 S_m S^1/2)^1/2 is diag((sum_m lam_m sigma_m)^2),
     # wb_diag's sigma squared (Agueh & Carlier 2011). wb_full returns a point
-    # within WB_FULL_TOL of its fixed point on its stopping rule's scale,
-    # 1 + ||S||_F, so every covariance entry is held to WB_FULL_TOL times
+    # within WB_FULL_TOL of its fixed point relative to its stopping rule's
+    # scale, ||S||_F, so every covariance entry is held to WB_FULL_TOL times
     # that scale: the diagonal to wb_diag's sigma^2, the rest to 0. Both
     # routes fold the member means by the same weights, so the mean is held
     # to WB_FULL_TOL times 1 + its largest entry.
     diag, full = pair
     expected, out = wb_diag(diag), wb_full(full)
     target = np.diag(expected.sigma**2)
-    cov_atol = WB_FULL_TOL * (1.0 + np.linalg.norm(target))
+    cov_atol = WB_FULL_TOL * np.linalg.norm(target)
     np.testing.assert_allclose(out.cov, target, rtol=0.0, atol=cov_atol)
     mean_atol = WB_FULL_TOL * (1.0 + np.max(np.abs(expected.mean)))
     np.testing.assert_allclose(out.mean, expected.mean, rtol=0.0, atol=mean_atol)
