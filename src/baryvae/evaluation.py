@@ -73,6 +73,8 @@ def fit_linear_probe(latents: np.ndarray, labels: np.ndarray) -> LinearProbe:
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("latents must be (n, d) with one label per row")
+    if np.any(y < 0):
+        raise ValueError("labels must be >= 0")
     classes = int(y.max()) + 1
     if np.unique(y).size < 2:
         raise ValueError("need at least two distinct labels to fit a probe")
@@ -165,32 +167,48 @@ def _log_likelihood(
     vae, encoded, batch, subset: SubsetIndex, num_samples: int, seed: int
 ) -> float:
     """test_log_likelihood of `batch`, whose mmvae.encode_arrays output is
-    `encoded`."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    config = vae.config
-    d = config.latent_dim
-    weights, mus, sigmas = mmvae.aggregate_arrays(vae, encoded, subset)
-    prior = np.ones(1), np.zeros((1, d)), np.ones((1, d))
-    rng = rng_stream(seed, _TAG_LOGLIK, subset.mask)
-    n = mus.shape[1]
-    estimates = np.empty(n)
-    for i in range(n):
-        comp = mmvae.pick_components(weights, rng.random(num_samples))
-        eps = rng.standard_normal((num_samples, d))
-        z = mus[comp, i] + sigmas[comp, i] * eps
-        log_q = mixture_log_density(weights, mus[:, i], sigmas[:, i], z)
-        log_prior = mixture_log_density(*prior, z)
-        log_lik = np.zeros(num_samples)
-        for m in range(config.num_modalities):
-            log_lik += mmvae.modality_log_lik(vae, m, batch[m][i], z)
-        logs = log_lik + log_prior - log_q
-        peak = logs.max()
-        estimates[i] = peak + math.log(np.mean(np.exp(logs - peak)))
+    `encoded`: each row of `_log_weights` reduced by log-mean-exp, then
+    averaged over the rows."""
+    logs = _log_weights(vae, encoded, batch, subset, num_samples, seed)
+    peak = logs.max(axis=1, keepdims=True)
+    means = np.mean(np.exp(logs - peak), axis=1)
+    # math.log (libm), not numpy's SIMD log, which differs from it in the
+    # last bit on some inputs above 1/8
+    estimates = peak[:, 0] + [math.log(v) for v in means]
     result = float(np.mean(estimates))
     if not math.isfinite(result):
         raise NumericError("importance-sampled log-likelihood is not finite")
     return result
+
+
+def _log_weights(
+    vae, encoded, batch, subset: SubsetIndex, num_samples: int, seed: int
+) -> np.ndarray:
+    """The n x num_samples importance log weights of `batch`, whose
+    mmvae.encode_arrays output is `encoded`: row i holds
+    log p(X_i|z) + log p(z) - log q(z) at num_samples draws z from q, the
+    subset-aggregated posterior of example i, and log p(X_i|z) sums each
+    modality's `DECODER_LIKELIHOODS` terms in modality order."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    config = vae.config
+    d = config.latent_dim
+    lik = mmvae.DECODER_LIKELIHOODS[config.likelihood]
+    weights, mus, sigmas = mmvae.aggregate_arrays(vae, encoded, subset)
+    prior = np.ones(1), np.zeros((1, d)), np.ones((1, d))
+    rng = rng_stream(seed, _TAG_LOGLIK, subset.mask)
+    logs = np.empty((mus.shape[1], num_samples))
+    for i, row in enumerate(logs):
+        comp = mmvae.pick_components(weights, rng.random(num_samples))
+        eps = rng.standard_normal((num_samples, d))
+        z = mus[comp, i] + sigmas[comp, i] * eps
+        log_lik = sum(
+            lik.terms(x[i], mmvae.decode_array(vae, m, z)).sum(axis=1)
+            for m, x in enumerate(batch)
+        )
+        log_q = mixture_log_density(weights, mus[:, i], sigmas[:, i], z)
+        row[:] = log_lik + mixture_log_density(*prior, z) - log_q
+    return logs
 
 
 @dataclass

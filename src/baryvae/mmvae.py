@@ -43,7 +43,8 @@ GAUSSIAN_LIK_SIGMA = 0.75
 _GAUSSIAN_LIK_CONST = -0.5 * math.log(2.0 * math.pi) - math.log(GAUSSIAN_LIK_SIGMA)
 
 # Each decoder likelihood is defined once, here, for training's fused
-# `diffgraph.weighted_loglik`, `modality_log_lik` and `decode_mean`:
+# `diffgraph.weighted_loglik`, the importance sampler's log weights
+# (`evaluation._log_weights`) and `decode_mean`:
 # terms(x, out) is the elementwise log density of data x given decoder
 # output out, slope(gw, x, out) its derivative in out times gw, and mean(out)
 # the mean of x.
@@ -194,6 +195,13 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
     return dg.dense(h, values[f"dec{m}.out_w"], values[f"dec{m}.out_b"])
 
 
+def _encode_batch(values, config: ModelConfig, batch):
+    """_encode_graph of each modality's array in `batch`, one per modality."""
+    if len(batch) != config.num_modalities:
+        raise ValueError(f"batch must provide one array per modality, not {len(batch)}")
+    return [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
+
+
 def _joint_graph(config: ModelConfig, encoded, idx):
     """The joint posterior of the modalities in idx: (weights K, mean, sigma).
 
@@ -212,9 +220,7 @@ def _joint_graph(config: ModelConfig, encoded, idx):
 def _elbo_graph(values, config: ModelConfig, batch, noise: np.ndarray):
     """Scalar training loss (negative bound) plus reported term values."""
     batch = [np.asarray(x, dtype=np.float64) for x in batch]
-    if len(batch) != config.num_modalities:
-        raise ValueError("batch must provide one array per modality")
-    encoded = [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
+    encoded = _encode_batch(values, config, batch)
     b = batch[0].shape[0]
     d = config.latent_dim
     weights, mu, sigma = _joint_graph(config, encoded, range(config.num_modalities))
@@ -286,7 +292,7 @@ def elbo_builder(vae: MultimodalVae, batch, noise: np.ndarray):
 
 def encode_arrays(vae: MultimodalVae, batch):
     """Per-modality posterior parameter arrays [(mu B x d, sigma B x d)]."""
-    return [_encode_graph(vae.store.params, vae.config, m, x) for m, x in enumerate(batch)]
+    return _encode_batch(vae.store.params, vae.config, batch)
 
 
 def decode_array(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
@@ -298,19 +304,15 @@ def decode_mean(vae: MultimodalVae, m: int, z: np.ndarray) -> np.ndarray:
     return DECODER_LIKELIHOODS[vae.config.likelihood].mean(decode_array(vae, m, z))
 
 
-def modality_log_lik(vae: MultimodalVae, m: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log p_m(x | z_i) for one observation x against rows z_i."""
-    out = decode_array(vae, m, np.atleast_2d(z))
-    x = np.asarray(x, dtype=np.float64)
-    return np.sum(DECODER_LIKELIHOODS[vae.config.likelihood].terms(x[None, :], out), axis=1)
-
-
 def aggregate_arrays(vae: MultimodalVae, encoded, subset: bc.SubsetIndex):
     """Batched aggregation: (weights K, mu K x B x d, sigma K x B x d).
 
     encoded is the output of encode_arrays; only the entries selected by
-    `subset` are read.
+    `subset` are read. `subset` must be over the model's modalities.
     """
+    m = vae.config.num_modalities
+    if subset.num_modalities != m:
+        raise ValueError(f"subset over {subset.num_modalities} modalities for a model of {m}")
     weights, mu, sigma = _joint_graph(vae.config, encoded, subset.members())
     shape = (len(weights), -1, vae.config.latent_dim)
     return weights, mu.reshape(shape), sigma.reshape(shape)

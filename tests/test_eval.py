@@ -64,6 +64,12 @@ class TestLinearProbe:
         with pytest.raises(ValueError):
             fit_linear_probe(x, np.zeros(10, dtype=int))
 
+    def test_negative_labels_rejected(self):
+        # a label of -1 would index the last class's one-hot column
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match=">= 0"):
+            fit_linear_probe(x, np.array([-1, -1, 1, 1]))
+
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(ValueError):
             LinearProbe(np.array([[np.inf, 0.0]]), np.zeros(1))
@@ -171,7 +177,8 @@ class TestCoherence:
 class TestImportanceLogLikelihood:
     def test_k_equals_one_with_exact_posterior_is_the_marginal(self):
         # with q equal to the true posterior the weight log p(x|z) + log p(z)
-        # - log q(z) is constant in z, so a single sample already gives log p(x)
+        # - log q(z) is constant in z, so a single sample already gives log p(x),
+        # and every entry of the log-weight matrix is its row's log p(x)
         vae, mean, var = linear_gaussian_vae(sigma_enc_scale=1.0)
         x = np.array([[0.4]])
         closed = float(
@@ -182,6 +189,13 @@ class TestImportanceLogLikelihood:
                 vae, [x], SubsetIndex(0b1, 1), num_samples=1, seed=seed
             )
             assert est == pytest.approx(closed, abs=1e-9)
+        xs = np.array([[-1.5], [0.4], [2.2]])
+        rows = -0.5 * (xs - mean) ** 2 / var - 0.5 * math.log(2 * math.pi * var)
+        logs = ev._log_weights(
+            vae, mm.encode_arrays(vae, [xs]), [xs], SubsetIndex(0b1, 1), num_samples=64, seed=7
+        )
+        assert logs.shape == (3, 64)
+        np.testing.assert_allclose(logs, np.broadcast_to(rows, (3, 64)), rtol=0, atol=1e-9)
 
     def test_estimate_grows_with_sample_count(self):
         vae, mean, var = linear_gaussian_vae(sigma_enc_scale=1.6)

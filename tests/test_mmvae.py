@@ -15,6 +15,7 @@ from baryvae.barycenter import METHODS, SubsetIndex, WeightedFamily, aggregate, 
 from baryvae.cli import parse_run_config
 from baryvae.data import MultimodalDataset, ToyConfig, gen_toy
 from baryvae.errors import NumericError
+from baryvae.evaluation import _log_weights
 from baryvae.evaluation import test_log_likelihood as importance_log_likelihood
 from baryvae.gaussian import DiagGaussian
 
@@ -117,6 +118,11 @@ class TestEncode:
         vae = mm.MultimodalVae(config)
         with pytest.raises(ValueError):
             mm.encode_arrays(vae, [np.zeros((3, 5)), np.zeros((3, 9))])
+        # one array per modality, no more and no fewer
+        batch = random_batch(config, b=3)
+        for wrong in (batch[:1], [*batch, np.zeros((3, 4))]):
+            with pytest.raises(ValueError, match="one array per modality"):
+                mm.encode_arrays(vae, wrong)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 48, 150])
     @pytest.mark.parametrize("pick", ["first", "random"])
@@ -160,7 +166,8 @@ class TestArrayForward:
             assert np.array_equal(mm.decode_mean(vae, m, z), mean)
             x = batch[m][0]
             want = numpy_log_lik(out, x, likelihood, mm.GAUSSIAN_LIK_SIGMA)
-            assert np.array_equal(mm.modality_log_lik(vae, m, x, z), want)
+            terms = mm.DECODER_LIKELIHOODS[likelihood].terms(x, mm.decode_array(vae, m, z))
+            assert np.array_equal(np.sum(terms, axis=1), want)
 
     def test_decode_mean_saturates_without_overflow(self):
         config = small_config(hidden=())
@@ -241,6 +248,7 @@ class TestNoTapeOutsideTraining:
                 vae, encoded, full, 0, noise, u
             ),
             "barycenter.aggregate": lambda: aggregate(family, method),
+            "_log_weights": lambda: _log_weights(vae, encoded, batch, full, 8, 0),
         }
         built = count_values(monkeypatch)
         counts = {}
@@ -326,6 +334,14 @@ class TestAggregate:
         for method in ("poe", "wb", "moe"):
             with pytest.raises(ValueError):
                 self.empty_subset(method)
+
+    def test_subset_over_another_modality_count_rejected(self):
+        config = small_config()
+        vae = mm.MultimodalVae(config)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=3))
+        for subset in (SubsetIndex(0b1, 3), SubsetIndex(0b111, 3), SubsetIndex(0b1, 1)):
+            with pytest.raises(ValueError, match="modalities"):
+                mm.aggregate_arrays(vae, encoded, subset)
 
     def test_empty_subset_powerset_returns_prior(self):
         weights, mus, sigmas = self.empty_subset("mwb")
