@@ -8,7 +8,8 @@ to score cross-modal generation coherence.
 
 `evaluate_model` scores the modality subsets independently, on one pool
 thread per CPU (`diffgraph._map_in_order`); every output is the same
-whatever the CPU count.
+whatever the CPU count. Each subset's joint posterior is aggregated once
+per example set, and every protocol reads rows of it.
 """
 
 from __future__ import annotations
@@ -114,16 +115,16 @@ def latent_accuracy(probe: LinearProbe, latents: np.ndarray, labels: np.ndarray)
     return float(np.mean(probe.predict(latents) == labels))
 
 
-def latent_means(vae, encoded, subset: SubsetIndex) -> np.ndarray:
-    """Aggregated-posterior mean per example (weighted over mixture parts) of
-    `encoded`, the output of mmvae.encode_arrays."""
-    weights, mus, _ = mmvae.aggregate_arrays(vae, encoded, subset)
+def latent_means(joint) -> np.ndarray:
+    """Posterior mean per example (weighted over mixture parts) of `joint`,
+    the output of mmvae.aggregate_arrays."""
+    weights, mus, _ = joint
     return np.tensordot(weights, mus, axes=(0, 0))
 
 
 def coherence(
     vae,
-    encoded,
+    joint,
     labels: np.ndarray,
     reference_classifiers,
     source: SubsetIndex,
@@ -133,20 +134,26 @@ def coherence(
 ) -> float:
     """Fraction of generated target samples classified as the source's label.
 
-    `encoded` is the output of mmvae.encode_arrays for the examples that
-    `labels` labels; generation runs on a seeded draw of its rows.
+    `joint` is the output of mmvae.aggregate_arrays for `source` on the
+    examples that `labels` labels, one label per row; generation runs on a
+    seeded draw of its rows.
     """
     if source.is_empty:
         raise ValueError("source subset must be non-empty")
     if target not in reference_classifiers:
         raise ValueError(f"no reference classifier for modality {target}")
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    weights, mus, sigmas = joint
+    if len(labels) != mus.shape[1]:
+        raise ValueError(f"{len(labels)} labels for a joint of {mus.shape[1]} rows")
     rng = rng_stream(seed, _TAG_COHERENCE, source.mask, target)
     n = min(num_samples, len(labels))
     idx = rng.choice(len(labels), size=n, replace=False)
-    rows = [(mu[idx], sigma[idx]) for mu, sigma in encoded]
     eps = rng.standard_normal((n, vae.config.latent_dim))
     comp_u = rng.random(n)
-    generated = mmvae.conditional_generate(vae, rows, source, target, eps, component_u=comp_u)
+    rows = weights, mus[:, idx], sigmas[:, idx]
+    generated = mmvae.conditional_generate(vae, rows, target, eps, component_u=comp_u)
     predictions = reference_classifiers[target].predict(generated)
     return float(np.mean(predictions == labels[idx]))
 
@@ -158,18 +165,17 @@ def test_log_likelihood(vae, batch, subset: SubsetIndex, num_samples: int, seed:
     posterior and log p(X) is estimated as
     logsumexp(log p(X|z) + log p(z) - log q(z)) - log(num_samples).
     """
-    return _log_likelihood(
-        vae, mmvae.encode_arrays(vae, batch), batch, subset, num_samples, seed
-    )
+    joint = mmvae.aggregate_arrays(vae, mmvae.encode_arrays(vae, batch), subset)
+    return _log_likelihood(vae, joint, batch, subset, num_samples, seed)
 
 
 def _log_likelihood(
-    vae, encoded, batch, subset: SubsetIndex, num_samples: int, seed: int
+    vae, joint, batch, subset: SubsetIndex, num_samples: int, seed: int
 ) -> float:
-    """test_log_likelihood of `batch`, whose mmvae.encode_arrays output is
-    `encoded`: each row of `_log_weights` reduced by log-mean-exp, then
+    """test_log_likelihood of `batch`, whose subset-aggregated posterior is
+    `joint`: each row of `_log_weights` reduced by log-mean-exp, then
     averaged over the rows."""
-    logs = _log_weights(vae, encoded, batch, subset, num_samples, seed)
+    logs = _log_weights(vae, joint, batch, subset, num_samples, seed)
     peak = logs.max(axis=1, keepdims=True)
     means = np.mean(np.exp(logs - peak), axis=1)
     # math.log (libm), not numpy's SIMD log, which differs from it in the
@@ -182,19 +188,19 @@ def _log_likelihood(
 
 
 def _log_weights(
-    vae, encoded, batch, subset: SubsetIndex, num_samples: int, seed: int
+    vae, joint, batch, subset: SubsetIndex, num_samples: int, seed: int
 ) -> np.ndarray:
     """The n x num_samples importance log weights of `batch`, whose
-    mmvae.encode_arrays output is `encoded`: row i holds
-    log p(X_i|z) + log p(z) - log q(z) at num_samples draws z from q, the
-    subset-aggregated posterior of example i, and log p(X_i|z) sums each
-    modality's `DECODER_LIKELIHOODS` terms in modality order."""
+    subset-aggregated posterior (mmvae.aggregate_arrays output) is `joint`:
+    row i holds log p(X_i|z) + log p(z) - log q(z) at num_samples draws z
+    from q, the joint's row i, and log p(X_i|z) sums each modality's
+    `DECODER_LIKELIHOODS` terms in modality order."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     config = vae.config
     d = config.latent_dim
     lik = mmvae.DECODER_LIKELIHOODS[config.likelihood]
-    weights, mus, sigmas = mmvae.aggregate_arrays(vae, encoded, subset)
+    weights, mus, sigmas = joint
     prior = np.ones(1), np.zeros((1, d)), np.ones((1, d))
     rng = rng_stream(seed, _TAG_LOGLIK, subset.mask)
     logs = np.empty((mus.shape[1], num_samples))
@@ -265,20 +271,25 @@ def evaluate_model(
 
     n_ll = min(loglik_examples, test_set.num_examples)
     ll_batch = [mod[:n_ll] for mod in test_set.modalities]
-    ll_encoded = [(mu[:n_ll], sigma[:n_ll]) for mu, sigma in test_encoded]
 
     def score(subset):
-        probe = fit_linear_probe(latent_means(vae, probe_encoded, subset), probe_labels)
-        acc = latent_accuracy(probe, latent_means(vae, test_encoded, subset), test_set.labels)
-        ll = _log_likelihood(vae, ll_encoded, ll_batch, subset, importance_samples, seed)
+        probe_means = latent_means(mmvae.aggregate_arrays(vae, probe_encoded, subset))
+        probe = fit_linear_probe(probe_means, probe_labels)
+        weights, mus, sigmas = joint = mmvae.aggregate_arrays(vae, test_encoded, subset)
+        acc = latent_accuracy(probe, latent_means(joint), test_set.labels)
         by_target = {
             target: coherence(
-                vae, test_encoded, test_set.labels, reference, subset, target,
+                vae, joint, test_set.labels, reference, subset, target,
                 coherence_samples, seed,
             )
             for target in range(m_count)
             if not subset.mask >> target & 1
         }
+        # the sampler runs longest, so it holds a copy of its rows, not the
+        # whole joint, which each pool thread would otherwise keep alive
+        ll_joint = weights, mus[:, :n_ll].copy(), sigmas[:, :n_ll].copy()
+        del joint, mus, sigmas
+        ll = _log_likelihood(vae, ll_joint, ll_batch, subset, importance_samples, seed)
         return probe.trained_on, acc, ll, by_target
 
     accuracy, counts, loglik, coh = {}, {}, {}, {}

@@ -196,9 +196,13 @@ def _decode_graph(values, config: ModelConfig, m: int, z):
 
 
 def _encode_batch(values, config: ModelConfig, batch):
-    """_encode_graph of each modality's array in `batch`, one per modality."""
+    """_encode_graph of each modality's array in `batch`: one array per
+    modality, all of one row count."""
     if len(batch) != config.num_modalities:
         raise ValueError(f"batch must provide one array per modality, not {len(batch)}")
+    rows = [len(x) for x in batch]
+    if len(set(rows)) > 1:
+        raise ValueError(f"batch modalities must have one row count, not {rows}")
     return [_encode_graph(values, config, m, x) for m, x in enumerate(batch)]
 
 
@@ -329,37 +333,40 @@ def pick_components(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def conditional_generate(
     vae: MultimodalVae,
-    encoded,
-    available: bc.SubsetIndex,
+    joint,
     target: int,
     noise: np.ndarray,
     component_u: np.ndarray,
 ) -> np.ndarray:
-    """Generate the target modality from the available ones.
+    """Generate the target modality from a joint posterior.
 
-    `encoded` is the output of encode_arrays; only the entries selected by
-    `available` are read, so absent slots may be None. Aggregates the
-    available posteriors, picks each example's component from `component_u`
-    by inverse transform on the mixture weights (the one component of poe
-    and wb for every draw), draws z = mu + sigma * noise from it, and
-    decodes the target. The powerset methods sample only their
-    data-conditioned components: the prior component exists to make the
-    mixture a complete posterior, but drawing unconditional z would
-    decouple the generation from the given inputs. Fully deterministic
-    given the injected noise.
+    `joint` is the output of aggregate_arrays for the available modalities:
+    weights (K,), mus and sigmas K x b x latent_dim. Picks each example's
+    component from `component_u` by inverse transform on the mixture
+    weights (the one component of poe and wb for every draw), draws
+    z = mu + sigma * noise from it, and decodes the target. The powerset
+    methods sample only their data-conditioned components: the prior
+    component exists to make the mixture a complete posterior, but drawing
+    unconditional z would decouple the generation from the given inputs, so
+    the empty subset's joint, the prior alone, is rejected. Fully
+    deterministic given the injected noise.
     """
-    if available.is_empty:
-        raise ValueError("available subset must be non-empty")
     if not 0 <= target < vae.config.num_modalities:
         raise ValueError(f"target modality {target} not in model")
-    weights, mus, sigmas = aggregate_arrays(vae, encoded, available)
+    weights, mus, sigmas = joint
+    d = vae.config.latent_dim
+    k, b = np.size(weights), (np.shape(mus)[1] if np.ndim(mus) == 3 else -1)
+    shapes = np.shape(weights), np.shape(mus), np.shape(sigmas)
+    if shapes != ((k,), (k, b, d), (k, b, d)):
+        raise ValueError(f"joint must be weights (K,), mus and sigmas K x b x {d}, not {shapes}")
     if vae.config.aggregation in ("mopoe", "mwb"):
         weights, mus, sigmas = weights[1:], mus[1:], sigmas[1:]
+        if not len(weights):
+            raise ValueError("the empty subset's joint is the prior alone: nothing to condition on")
         weights = weights / weights.sum()
-    b = mus.shape[1]
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (b, vae.config.latent_dim):
-        raise ValueError(f"noise shape {noise.shape} != {(b, vae.config.latent_dim)}")
+    if noise.shape != (b, d):
+        raise ValueError(f"noise shape {noise.shape} != {(b, d)}")
     component_u = np.asarray(component_u, dtype=np.float64)
     if component_u.shape != (b,):
         raise ValueError(f"component_u shape {component_u.shape} != ({b},)")

@@ -360,9 +360,10 @@ def accuracy_by_subset_size(vae, train_set, test_set, probe_samples=500):
     for subset in subsets(vae.config.num_modalities):
         if subset.is_empty:
             continue
-        probe = fit_linear_probe(latent_means(vae, probe_encoded, subset), probe_labels)
+        probe_joint = mm.aggregate_arrays(vae, probe_encoded, subset)
+        probe = fit_linear_probe(latent_means(probe_joint), probe_labels)
         acc = latent_accuracy(
-            probe, latent_means(vae, test_encoded, subset), test_set.labels
+            probe, latent_means(mm.aggregate_arrays(vae, test_encoded, subset)), test_set.labels
         )
         by_size.setdefault(subset.size, []).append(acc)
     return {size: float(np.mean(values)) for size, values in sorted(by_size.items())}
@@ -396,15 +397,16 @@ def test_criterion_10_coherence(shipped_runs):
 
     def cross_values(model):
         encoded = mm.encode_arrays(model, test_set.modalities)
-        return [
-            coherence(
-                model, encoded, test_set.labels, reference, SubsetIndex(1 << s, m_count),
-                t, samples, 0,
-            )
-            for s in range(m_count)
-            for t in range(m_count)
-            if s != t
-        ]
+        values = []
+        for s in range(m_count):
+            source = SubsetIndex(1 << s, m_count)
+            joint = mm.aggregate_arrays(model, encoded, source)
+            values += [
+                coherence(model, joint, test_set.labels, reference, source, t, samples, 0)
+                for t in range(m_count)
+                if s != t
+            ]
+        return values
 
     trained = cross_values(vae)
     untrained = cross_values(mm.MultimodalVae(vae.config))

@@ -132,12 +132,13 @@ class TestCoherence:
     def test_oracle_classifier_gives_one(self):
         vae, _, test_set = tiny_vae_and_data()
         only_class_3 = test_set.take(np.flatnonzero(test_set.labels == 3))
+        source = SubsetIndex(0b01, 2)
         value = coherence(
             vae,
-            mm.encode_arrays(vae, only_class_3.modalities),
+            mm.aggregate_arrays(vae, mm.encode_arrays(vae, only_class_3.modalities), source),
             only_class_3.labels,
             {1: ConstantClassifier(3)},
-            SubsetIndex(0b01, 2),
+            source,
             target=1,
             num_samples=10,
             seed=0,
@@ -150,13 +151,14 @@ class TestCoherence:
             m: fit_linear_probe(train_set.modalities[m], train_set.labels)
             for m in range(2)
         }
-        encoded = mm.encode_arrays(vae, test_set.modalities)
+        source = SubsetIndex(0b01, 2)
+        joint = mm.aggregate_arrays(vae, mm.encode_arrays(vae, test_set.modalities), source)
         value = coherence(
             vae,
-            encoded,
+            joint,
             test_set.labels,
             ref,
-            SubsetIndex(0b01, 2),
+            source,
             target=1,
             num_samples=60,
             seed=0,
@@ -165,13 +167,21 @@ class TestCoherence:
 
     def test_range_and_missing_classifier(self):
         vae, _, test_set = tiny_vae_and_data()
-        encoded, labels = mm.encode_arrays(vae, test_set.modalities), test_set.labels
+        source, labels = SubsetIndex(0b01, 2), test_set.labels
+        joint = mm.aggregate_arrays(vae, mm.encode_arrays(vae, test_set.modalities), source)
         with pytest.raises(ValueError):
-            coherence(vae, encoded, labels, {}, SubsetIndex(0b01, 2), 1, 10, 0)
-        value = coherence(
-            vae, encoded, labels, {1: ConstantClassifier(0)}, SubsetIndex(0b01, 2), 1, 10, 0
-        )
+            coherence(vae, joint, labels, {}, source, 1, 10, 0)
+        reference = {1: ConstantClassifier(0)}
+        value = coherence(vae, joint, labels, reference, source, 1, 10, 0)
         assert 0.0 <= value <= 1.0
+        # at least one draw, and one label per row of the joint
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="num_samples must be >= 1"):
+                coherence(vae, joint, labels, reference, source, 1, count, 0)
+        weights, mus, sigmas = joint
+        six = weights, mus[:, :6], sigmas[:, :6]
+        with pytest.raises(ValueError, match="4 labels for a joint of 6 rows"):
+            coherence(vae, six, labels[:4], reference, source, 1, 10, 0)
 
 
 class TestImportanceLogLikelihood:
@@ -191,9 +201,9 @@ class TestImportanceLogLikelihood:
             assert est == pytest.approx(closed, abs=1e-9)
         xs = np.array([[-1.5], [0.4], [2.2]])
         rows = -0.5 * (xs - mean) ** 2 / var - 0.5 * math.log(2 * math.pi * var)
-        logs = ev._log_weights(
-            vae, mm.encode_arrays(vae, [xs]), [xs], SubsetIndex(0b1, 1), num_samples=64, seed=7
-        )
+        subset = SubsetIndex(0b1, 1)
+        joint = mm.aggregate_arrays(vae, mm.encode_arrays(vae, [xs]), subset)
+        logs = ev._log_weights(vae, joint, [xs], subset, num_samples=64, seed=7)
         assert logs.shape == (3, 64)
         np.testing.assert_allclose(logs, np.broadcast_to(rows, (3, 64)), rtol=0, atol=1e-9)
 
@@ -257,6 +267,7 @@ class TestEvalReport:
         vae, train_set, test_set = tiny_vae_and_data(method="mwb")
         original, rows = mm.encode_arrays, []
         original_graph, graph_calls = mm._encode_graph, []
+        original_aggregate, aggregated = mm.aggregate_arrays, []
 
         def counting(vae, batch):
             rows.append(len(batch[0]))
@@ -266,8 +277,13 @@ class TestEvalReport:
             graph_calls.append(m)
             return original_graph(values, config, m, x)
 
+        def counting_aggregate(vae, encoded, subset):
+            aggregated.append(subset.mask)
+            return original_aggregate(vae, encoded, subset)
+
         monkeypatch.setattr(mm, "encode_arrays", counting)
         monkeypatch.setattr(mm, "_encode_graph", counting_graph)
+        monkeypatch.setattr(mm, "aggregate_arrays", counting_aggregate)
         evaluate_model(
             vae,
             train_set,
@@ -284,14 +300,16 @@ class TestEvalReport:
         # the encoder runs only through encode_arrays, once per modality per
         # batch: coherence generates from the test set's encoding
         assert len(graph_calls) == 2 * 2
+        # each subset's joint is built once per example set, and every
+        # protocol reads rows of it
+        assert sorted(aggregated) == [1, 1, 2, 2, 3, 3]
 
     def test_latent_means_weighted_over_components(self):
         vae, train_set, _ = tiny_vae_and_data(method="mwb")
         batch = [m[:3] for m in train_set.modalities]
         subset = SubsetIndex(0b11, 2)
-        encoded = mm.encode_arrays(vae, batch)
-        reps = latent_means(vae, encoded, subset)
-        weights, mus, _ = mm.aggregate_arrays(vae, encoded, subset)
+        joint = weights, mus, _ = mm.aggregate_arrays(vae, mm.encode_arrays(vae, batch), subset)
+        reps = latent_means(joint)
         expected = sum(w * mus[k] for k, w in enumerate(weights))
         assert np.allclose(reps, expected, atol=1e-12)
 
@@ -344,12 +362,12 @@ class TestSubsetThreads:
         original = ev._log_likelihood
         reached = []
 
-        def held(vae, encoded, batch, subset, num_samples, seed):
+        def held(vae, joint, batch, subset, num_samples, seed):
             reached.append(subset.mask)
             if subset.mask in (1, 2):
                 barrier.wait()
                 on_arrival(subset.mask)
-            return original(vae, encoded, batch, subset, num_samples, seed)
+            return original(vae, joint, batch, subset, num_samples, seed)
 
         monkeypatch.setattr(dg, "_cpu_count", lambda: 2)
         monkeypatch.setattr(ev, "_log_likelihood", held)

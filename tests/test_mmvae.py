@@ -123,15 +123,22 @@ class TestEncode:
         for wrong in (batch[:1], [*batch, np.zeros((3, 4))]):
             with pytest.raises(ValueError, match="one array per modality"):
                 mm.encode_arrays(vae, wrong)
+        # one row count across the modalities
+        ragged = [batch[0], random_batch(config, b=5)[1]]
+        with pytest.raises(ValueError, match=r"one row count, not \[3, 5\]"):
+            mm.encode_arrays(vae, ragged)
+        with pytest.raises(ValueError, match=r"one row count, not \[3, 5\]"):
+            mm.elbo(vae, ragged, noise_for(config, 3))
 
     @pytest.mark.parametrize("n", [2, 3, 17, 48, 150])
     @pytest.mark.parametrize("pick", ["first", "random"])
     def test_encoding_rows_equals_slicing_the_encoding(self, n, pick):
-        # Evaluation encodes each example set once and generates from rows
-        # sliced out of that encoding, so encoding the rows alone must give
-        # the same bits. One row is left out: numpy runs a one-row matmul
+        # Evaluation encodes each example set once, aggregates each subset's
+        # joint once and generates from rows sliced out of that joint, so
+        # encoding the rows alone must give the same bits, and so must
+        # aggregating them. One row is left out: numpy runs a one-row matmul
         # through BLAS gemv instead of gemm, which may differ in the last bit.
-        config = small_config(input_dims=(64, 48), latent_dim=16, hidden=(128, 128))
+        config = small_config(m=3, input_dims=(64, 48, 32), latent_dim=16, hidden=(128, 128))
         vae = mm.MultimodalVae(config)
         batch = random_batch(config, b=240, seed=5)
         whole = mm.encode_arrays(vae, batch)
@@ -141,6 +148,15 @@ class TestEncode:
         for (mu, sigma), (mu_rows, sigma_rows) in zip(whole, rows):
             assert np.array_equal(mu[idx], mu_rows)
             assert np.array_equal(sigma[idx], sigma_rows)
+        sliced = [(mu[idx], sigma[idx]) for mu, sigma in whole]
+        for method in METHODS:
+            model = mm.MultimodalVae(mm.config_with(config, aggregation=method))
+            for subset in subsets(3)[1:]:
+                weights, mus, sigmas = mm.aggregate_arrays(model, whole, subset)
+                joint_rows = mm.aggregate_arrays(model, sliced, subset)
+                assert joint_rows[0].tobytes() == weights.tobytes()
+                assert joint_rows[1].tobytes() == mus[:, idx].tobytes(), (method, subset)
+                assert joint_rows[2].tobytes() == sigmas[:, idx].tobytes(), (method, subset)
 
 
 class TestArrayForward:
@@ -239,16 +255,15 @@ class TestNoTapeOutsideTraining:
         rng = np.random.default_rng(5)
         noise, u = rng.standard_normal((4, config.latent_dim)), rng.uniform(size=4)
         encoded = mm.encode_arrays(vae, batch)
+        joint = mm.aggregate_arrays(vae, encoded, full)
         family = WeightedFamily.uniform([DiagGaussian(mu[0], s[0]) for mu, s in encoded])
         calls = {
             "encode_arrays": lambda: mm.encode_arrays(vae, batch),
             "decode_array": lambda: mm.decode_array(vae, 2, noise),
             "aggregate_arrays": lambda: mm.aggregate_arrays(vae, encoded, full),
-            "conditional_generate": lambda: mm.conditional_generate(
-                vae, encoded, full, 0, noise, u
-            ),
+            "conditional_generate": lambda: mm.conditional_generate(vae, joint, 0, noise, u),
             "barycenter.aggregate": lambda: aggregate(family, method),
-            "_log_weights": lambda: _log_weights(vae, encoded, batch, full, 8, 0),
+            "_log_weights": lambda: _log_weights(vae, joint, batch, full, 8, 0),
         }
         built = count_values(monkeypatch)
         counts = {}
@@ -669,12 +684,10 @@ class TestConditionalGenerate:
         config = small_config("wb")
         vae = mm.MultimodalVae(config)
         batch = random_batch(config, b=3)
-        full = SubsetIndex(0b11, 2)
-        encoded = mm.encode_arrays(vae, batch)
-        _, mus, _ = mm.aggregate_arrays(vae, encoded, full)
-        expected = mm.decode_mean(vae, 1, mus[0])
+        joint = mm.aggregate_arrays(vae, mm.encode_arrays(vae, batch), SubsetIndex(0b11, 2))
+        expected = mm.decode_mean(vae, 1, joint[1][0])
         out = mm.conditional_generate(
-            vae, encoded, full, 1, np.zeros((3, config.latent_dim)), np.full(3, 0.5)
+            vae, joint, 1, np.zeros((3, config.latent_dim)), np.full(3, 0.5)
         )
         assert out.tobytes() == expected.tobytes()
 
@@ -688,7 +701,7 @@ class TestConditionalGenerate:
         rng = np.random.default_rng(4)
         noise, u = rng.standard_normal((6, config.latent_dim)), rng.random(6)
         for subset in subsets(3)[1:]:
-            weights, mus, sigmas = mm.aggregate_arrays(vae, full, subset)
+            joint = weights, mus, sigmas = mm.aggregate_arrays(vae, full, subset)
             if method in ("mopoe", "mwb"):  # the prior component is never drawn
                 weights, mus, sigmas = weights[1:] / weights[1:].sum(), mus[1:], sigmas[1:]
             picks = mm.pick_components(weights, u)
@@ -696,7 +709,7 @@ class TestConditionalGenerate:
             if len(weights) == 1:
                 assert z.tobytes() == (mus[0] + sigmas[0] * noise).tobytes()
             for target in range(3):
-                out = mm.conditional_generate(vae, full, subset, target, noise, u)
+                out = mm.conditional_generate(vae, joint, target, noise, u)
                 assert out.tobytes() == mm.decode_mean(vae, target, z).tobytes()
 
     def test_single_modality_self_reconstruction(self):
@@ -705,8 +718,7 @@ class TestConditionalGenerate:
         x = np.random.default_rng(0).random((2, 5))
         out = mm.conditional_generate(
             vae,
-            mm.encode_arrays(vae, [x]),
-            SubsetIndex(0b1, 1),
+            mm.aggregate_arrays(vae, mm.encode_arrays(vae, [x]), SubsetIndex(0b1, 1)),
             0,
             np.zeros((2, config.latent_dim)),
             np.zeros(2),
@@ -721,7 +733,8 @@ class TestConditionalGenerate:
             config = small_config(method)
             vae = mm.MultimodalVae(config)
             encoded = mm.encode_arrays(vae, random_batch(config, b=2))
-            args = (vae, encoded, SubsetIndex(0b11, 2), 0, np.zeros((2, config.latent_dim)))
+            joint = mm.aggregate_arrays(vae, encoded, SubsetIndex(0b11, 2))
+            args = (vae, joint, 0, np.zeros((2, config.latent_dim)))
             with pytest.raises(TypeError, match="component_u"):
                 mm.conditional_generate(*args)
             with pytest.raises(ValueError, match=r"component_u shape \(3,\) != \(2,\)"):
@@ -731,14 +744,13 @@ class TestConditionalGenerate:
         config = small_config("mwb")
         vae = mm.MultimodalVae(config)
         batch = random_batch(config, b=2)
-        subset = SubsetIndex(0b01, 2)
         encoded = [mm.encode_arrays(vae, batch)[0], None]
+        joint = mm.aggregate_arrays(vae, encoded, SubsetIndex(0b01, 2))
         # u = 0 selects the first sampled component; with the prior excluded
         # that is the single-modality posterior itself
         out = mm.conditional_generate(
             vae,
-            encoded,
-            subset,
+            joint,
             1,
             np.zeros((2, config.latent_dim)),
             component_u=np.zeros(2),
@@ -752,11 +764,35 @@ class TestConditionalGenerate:
         encoded = mm.encode_arrays(vae, random_batch(config, b=2))
         with pytest.raises(ValueError):
             mm.conditional_generate(
-                vae, encoded, SubsetIndex(0b11, 2), 5, np.zeros((2, config.latent_dim)),
-                np.zeros(2),
+                vae, mm.aggregate_arrays(vae, encoded, SubsetIndex(0b11, 2)), 5,
+                np.zeros((2, config.latent_dim)), np.zeros(2),
             )
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_malformed_joint_rejected(self, method):
+        config = small_config(method)
+        vae = mm.MultimodalVae(config)
+        encoded = mm.encode_arrays(vae, random_batch(config, b=2))
+        weights, mus, sigmas = mm.aggregate_arrays(vae, encoded, SubsetIndex(0b11, 2))
+        args = (0, np.zeros((2, config.latent_dim)), np.zeros(2))
+        for joint in (
+            (weights[:-1], mus, sigmas),  # one weight short
+            (weights, mus[:, :, :2], sigmas[:, :, :2]),  # not latent_dim wide
+            (weights, mus, sigmas[:, :1]),  # sigmas of other rows
+            (weights, mus[0], sigmas[0]),  # one component unstacked
+        ):
+            with pytest.raises(ValueError, match="joint must be weights"):
+                mm.conditional_generate(vae, joint, *args)
+        if method in ("mopoe", "mwb"):
+            # the empty subset's joint is the prior alone: nothing to draw
+            prior = mm.aggregate_arrays(vae, encoded, SubsetIndex(0, 2))
+            assert len(prior[0]) == 1
+            with pytest.raises(ValueError, match="prior alone"):
+                mm.conditional_generate(vae, prior, *args)
+
     def test_missing_modalities_never_touched(self):
+        # aggregate_arrays reads only the subset's slots; the joint it
+        # returns is all that generation reads
         config = small_config("mwb", m=3)
         vae = mm.MultimodalVae(config)
         full = mm.encode_arrays(vae, random_batch(config, b=2, seed=1))
@@ -766,8 +802,7 @@ class TestConditionalGenerate:
             encoded = [e if (subset.mask >> i & 1) else None for i, e in enumerate(full)]
             out = mm.conditional_generate(
                 vae,
-                encoded,
-                subset,
+                mm.aggregate_arrays(vae, encoded, subset),
                 0,
                 np.zeros((2, config.latent_dim)),
                 component_u=np.full(2, 0.99),
