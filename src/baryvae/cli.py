@@ -36,13 +36,19 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_FORMAT = 4
 
-# Field kinds of the config sections; `_section` checks each present field.
+# Field kinds of the JSON sections; `_section` checks each present field.
+# _ANY leaves a field to the code that reads it: `_parameter` and
+# `_parse_posteriors` check those fields as they convert them.
 _INT = "an integer"
 _SEED = "an integer >= 0"
+_COUNT = "an integer >= 1"
+_VERSION = f"the integer {CHECKPOINT_VERSION}"
 _NUMBER = "a finite number"
 _TEXT = "a string"
 _INTS = "a list of integers"
 _IDS = "a list of integers or null"
+_OBJECT = "a JSON object"
+_ANY = "any JSON value"
 
 _MODEL_FIELDS = {
     "num_modalities": _INT,
@@ -66,24 +72,26 @@ _TOY_FIELDS = {
     "noise_level": _NUMBER,
     "seed": _SEED,
 }
-_IDX_FIELDS = {"images": _TEXT, "labels": _TEXT}
-_RNG_FIELDS = {"seed": _SEED, "adam_step": _SEED}
+# A data section names one source: its fields and the ones it requires.
+_SOURCES = {
+    "toy": (_TOY_FIELDS, ("num_modalities", "examples_per_class")),
+    "idx": ({"images": _TEXT, "labels": _TEXT}, ("images", "labels")),
+}
+_CONFIG_FIELDS = {"model": _OBJECT, "data": _OBJECT, "split": _OBJECT, "eval": _OBJECT}
 _SPLIT_FIELDS = {"train_fraction": _NUMBER, "seed": _SEED}
 _SPLIT_DEFAULTS = {"train_fraction": 0.8, "seed": 0}
-_EVAL_COUNTS = ("importance_samples", "probe_samples", "coherence_samples", "loglik_examples")
-_EVAL_FIELDS = {**{key: _INT for key in _EVAL_COUNTS}, "seed": _SEED}
 # The eval settings' defaults, stated here only: `evaluation.evaluate_model`
 # takes all five as required keywords.
 _EVAL_DEFAULTS = {
     "importance_samples": 512, "probe_samples": 500, "coherence_samples": 200,
     "loglik_examples": 64, "seed": 0,
 }
-
-
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field '{unknown[0]}' in {where}")
+_EVAL_FIELDS = {**dict.fromkeys(_EVAL_DEFAULTS, _COUNT), "seed": _SEED}
+_CHECKPOINT_FIELDS = {
+    "format_version": _VERSION, "config": _OBJECT, "params": _OBJECT, "rng_state": _OBJECT,
+}
+_PARAMETER_FIELDS = {"shape": _ANY, "data": _ANY}
+_RNG_FIELDS = {"seed": _SEED, "adam_step": _SEED}
 
 
 # Integers may size arrays, so they must lie in numpy's signed 64-bit range,
@@ -92,15 +100,22 @@ _INT64, _ANY_SIZE = range(-(2**63), 2**63), ("epochs",)
 
 
 def _shown(value) -> str:
-    """repr(value), but an integer beyond _INT64 by its length in digits."""
+    """repr(value), but an integer beyond _INT64 by its length in digits, and
+    a text over 40 characters, such as a long list's, by its first 36."""
     if isinstance(value, list):
-        return "[" + ", ".join(map(_shown, value)) + "]"
-    if isinstance(value, int) and value not in _INT64:
-        return f"a {len(str(abs(value)))}-digit {'negative ' * (value < 0)}integer"
-    return repr(value)
+        text = "[" + ", ".join(map(_shown, value)) + "]"
+    elif isinstance(value, int) and value not in _INT64:
+        text = f"a {len(str(abs(value)))}-digit {'negative ' * (value < 0)}integer"
+    else:
+        text = repr(value)
+    return text if len(text) <= 40 else text[:36] + " ..."
 
 
 def _is_kind(value, kind: str, bounded: bool = True) -> bool:
+    if kind == _ANY:
+        return True
+    if kind == _OBJECT:
+        return isinstance(value, dict)
     if kind == _IDS:
         return value is None or _is_kind(value, _INTS, bounded)
     if kind == _INTS:
@@ -109,6 +124,10 @@ def _is_kind(value, kind: str, bounded: bool = True) -> bool:
         return isinstance(value, str)
     if kind == _SEED:
         return _is_kind(value, _INT, bounded=False) and value >= 0
+    if kind == _COUNT:
+        return _is_kind(value, _INT, bounded) and value >= 1
+    if kind == _VERSION:
+        return _is_kind(value, _INT) and value == CHECKPOINT_VERSION
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     if kind == _INT:
@@ -119,11 +138,21 @@ def _is_kind(value, kind: str, bounded: bool = True) -> bool:
         return False
 
 
-def _section(section, fields: dict, where: str) -> dict:
-    """A copy of `section`, checked to be an object of known fields of their kinds."""
+def _section(section, fields: dict, where: str, required=()) -> dict:
+    """A copy of `section`, the JSON object named `where` in messages.
+
+    Checked in this order: it is an object, it has no key outside `fields`,
+    it holds every key in `required`, and each field is of its kind in
+    `fields`. The first fault raises ConfigError.
+    """
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(section, fields, where)
+        raise ConfigError(f"{where} must be {_OBJECT}")
+    unknown = sorted(set(section) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown field '{unknown[0]}' in {where}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigError(f"missing field '{missing[0]}' in {where}")
     for key, value in section.items():
         kind = fields[key]
         if not _is_kind(value, kind, bounded=key not in _ANY_SIZE):
@@ -150,57 +179,41 @@ class RunConfig:
 
 
 def build_dataset(data_spec: dict) -> datamod.MultimodalDataset:
-    if "toy" in data_spec:
-        toy = _section(data_spec["toy"], _TOY_FIELDS, "data.toy section")
-        for required in ("num_modalities", "examples_per_class"):
-            if required not in toy:
-                raise ConfigError(f"missing required field 'data.toy.{required}'")
-        try:
-            config = datamod.ToyConfig(**toy)
-        except ValueError as err:
-            raise ConfigError(f"invalid data.toy section: {err}") from err
-        return datamod.gen_toy(config)
+    """The dataset of a data section that `_check_document` has checked."""
     if "idx" in data_spec:
-        idx = _section(data_spec["idx"], _IDX_FIELDS, "data.idx section")
-        for required in ("images", "labels"):
-            if required not in idx:
-                raise ConfigError(f"missing required field 'data.idx.{required}'")
-        return datamod.load_idx(idx["images"], idx["labels"])
-    raise ConfigError("data section must contain either 'toy' or 'idx'")
+        return datamod.load_idx(data_spec["idx"]["images"], data_spec["idx"]["labels"])
+    try:
+        config = datamod.ToyConfig(**data_spec["toy"])
+    except ValueError as err:
+        raise ConfigError(f"invalid data.toy section: {err}") from err
+    return datamod.gen_toy(config)
 
 
-def _check_document(doc) -> tuple:
-    """Check a config document's shape; returns (model fields, split spec, eval spec).
+def _check_document(doc, model_required=()) -> tuple:
+    """Check a whole config document; returns (model fields, split spec, eval spec).
 
-    Every section must be an object of known fields of their kinds, and the
-    eval counts must be >= 1. The data section is only checked to be an
-    object naming known sources: reading them is `build_dataset`'s job.
+    Every section is read by `_section`. The data section is required and
+    names exactly one source, `toy` or `idx`, whose section must hold that
+    source's required fields; the model section must hold `model_required`.
+    Split and eval fields left out take their defaults.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _reject_unknown(doc, {"model", "data", "split", "eval"}, "config")
-    if "data" not in doc:
-        raise ConfigError("missing required field 'data'")
-    if not isinstance(doc["data"], dict):
-        raise ConfigError("data section must be an object")
-    _reject_unknown(doc["data"], {"toy", "idx"}, "data section")
-    model = _section(doc.get("model", {}), _MODEL_FIELDS, "model section")
+    doc = _section(doc, _CONFIG_FIELDS, "config", required=("data",))
+    data = _section(doc["data"], dict.fromkeys(_SOURCES, _OBJECT), "data section")
+    if len(data) != 1:
+        raise ConfigError("data section must name exactly one of 'toy' and 'idx'")
+    for source, spec in data.items():  # the one source
+        fields, required = _SOURCES[source]
+        _section(spec, fields, f"data.{source} section", required)
+    model = _section(doc.get("model", {}), _MODEL_FIELDS, "model section", model_required)
     split = _section(doc.get("split", {}), _SPLIT_FIELDS, "split section")
     evals = _section(doc.get("eval", {}), _EVAL_FIELDS, "eval section")
-    split_spec, eval_spec = {**_SPLIT_DEFAULTS, **split}, {**_EVAL_DEFAULTS, **evals}
-    for key in _EVAL_COUNTS:
-        if eval_spec[key] < 1:
-            raise ConfigError(
-                f"field '{key}' in eval section must be >= 1, got {eval_spec[key]!r}"
-            )
-    return model, split_spec, eval_spec
+    return model, {**_SPLIT_DEFAULTS, **split}, {**_EVAL_DEFAULTS, **evals}
 
 
 def parse_run_config(doc, seed_override: int = None) -> tuple:
     """Validate the config document; returns (RunConfig, dataset)."""
     model, split_spec, eval_spec = _check_document(doc)
-    data_spec = doc["data"]
-    dataset = build_dataset(data_spec)
+    dataset = build_dataset(doc["data"])
 
     derived_m, derived_dims = dataset.num_modalities, dataset.dims
     if model.get("num_modalities", derived_m) != derived_m:
@@ -221,7 +234,7 @@ def parse_run_config(doc, seed_override: int = None) -> tuple:
         model_cfg = mmvae.ModelConfig(**model)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid model section: {err}") from err
-    return RunConfig(model_cfg, data_spec, split_spec, eval_spec), dataset
+    return RunConfig(model_cfg, doc["data"], split_spec, eval_spec), dataset
 
 
 def _load_json(path: str):
@@ -287,24 +300,13 @@ def save_checkpoint(path: str, run_config: RunConfig, vae: mmvae.MultimodalVae) 
     )
 
 
-def _entry(section: dict, key: str, where: str, kind: type = object):
-    """section[key], checked to be present and, for kind dict, an object."""
-    if key not in section:
-        raise ValueError(f"missing field '{key}' in {where}")
-    if not isinstance(section[key], kind):
-        raise ValueError(f"field '{key}' in {where} must be an object")
-    return section[key]
-
-
 def _parameter(entry: dict, name: str, shape: tuple) -> np.ndarray:
     """Parameter `name`'s array of `shape`, from its checkpoint entry."""
     where = f"parameter {name}"
-    given, data = (_entry(entry, key, where) for key in ("shape", "data"))
-    _reject_unknown(entry, {"shape", "data"}, where)
+    entry = _section(entry, _PARAMETER_FIELDS, where, required=_PARAMETER_FIELDS)
+    given, data = entry["shape"], entry["data"]
     if not _is_kind(given, _INTS) or given != list(shape):
-        text = _shown(given)  # a wrong shape may be long: show its start
-        text = text if len(text) <= 40 else text[:36] + " ..."
-        raise ValueError(f"{where} must have shape {list(shape)}, got {text}")
+        raise ValueError(f"{where} must have shape {list(shape)}, got {_shown(given)}")
     data = _finite_array(data, where)
     if data.shape != (math.prod(shape),):
         raise ValueError(f"{where} must hold a flat list of {math.prod(shape)} numbers")
@@ -317,32 +319,22 @@ def load_checkpoint(path: str):
         doc = _load_json(path)
     except (OSError, ValueError) as err:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {err}") from err
-    if not isinstance(doc, dict):
-        raise CheckpointFormatError(
-            f"checkpoint {path} must hold a JSON object, not a {type(doc).__name__}"
-        )
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
     try:
-        model, split_spec, eval_spec = _check_document(doc.get("config"))
-    except ConfigError as err:
-        raise CheckpointFormatError(f"corrupt checkpoint {path}: config: {err}") from err
-    try:
-        _reject_unknown(doc, {"format_version", "config", "params", "rng_state"}, "checkpoint")
-        for key in ("num_modalities", "input_dims"):
-            _entry(model, key, "config model section")
+        _section(doc, _CHECKPOINT_FIELDS, "checkpoint", required=_CHECKPOINT_FIELDS)
+        try:  # train derives the model's sizes, so its checkpoint must state them
+            model, split_spec, eval_spec = _check_document(
+                doc["config"], model_required=("num_modalities", "input_dims")
+            )
+        except ConfigError as err:
+            raise ConfigError(f"config: {err}") from err
         model_cfg = mmvae.ModelConfig(**model)
         vae = mmvae.MultimodalVae(model_cfg)
-        params = _entry(doc, "params", "checkpoint", dict)
-        for name, like in vae.store.params.items():
-            entry = _entry(params, name, "params", dict)
-            vae.store.params[name] = _parameter(entry, name, like.shape)
-        _reject_unknown(params, vae.store.params, "params")
-        rng_state = _section(_entry(doc, "rng_state", "checkpoint"), _RNG_FIELDS, "rng_state")
-        seed, vae.store.step = (_entry(rng_state, key, "rng_state") for key in _RNG_FIELDS)
+        arrays = vae.store.params
+        params = _section(doc["params"], dict.fromkeys(arrays, _OBJECT), "params", arrays)
+        for name, entry in params.items():
+            arrays[name] = _parameter(entry, name, arrays[name].shape)
+        rng_state = _section(doc["rng_state"], _RNG_FIELDS, "rng_state", required=_RNG_FIELDS)
+        seed, vae.store.step = rng_state["seed"], rng_state["adam_step"]
         if seed != model_cfg.seed:
             raise ValueError(
                 f"rng_state.seed must be the model seed {model_cfg.seed}, got {_shown(seed)}"
@@ -387,52 +379,45 @@ def _finite_array(value, where: str) -> np.ndarray:
     return arr
 
 
-# A posterior document's spread key and the type it builds; "sigma" is tried
-# first, so an entry with both keys is rejected for its unknown 'cov'.
+# A posterior entry's spread key and the type it builds.
 _POSTERIOR_KINDS = {"sigma": DiagGaussian, "cov": FullGaussian}
+_ENTRY_FIELDS = {"mean": _ANY, "sigma": _ANY, "cov": _ANY}
 
 
 def _parse_posteriors(doc):
-    if not isinstance(doc, dict) or "posteriors" not in doc:
-        raise ConfigError("input document must contain a 'posteriors' list")
+    """(posteriors, weights) of a whole posterior document: its weights are
+    checked even where --weights overrides them, and are None if it has none."""
+    doc = _section(doc, {"posteriors": _ANY, "weights": _ANY}, "input document", ("posteriors",))
     entries = doc["posteriors"]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("'posteriors' must be a non-empty list")
-    kinds = set()
     posteriors = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "mean" not in entry:
-            raise ConfigError(f"posteriors[{i}] must be an object with a 'mean'")
-        key = next((k for k in _POSTERIOR_KINDS if k in entry), None)
-        if key is None:
-            raise ConfigError(f"posteriors[{i}] needs 'sigma' or 'cov'")
-        _reject_unknown(entry, {"mean", key}, f"posteriors[{i}]")
-        kinds.add(key)
+        entry = _section(entry, _ENTRY_FIELDS, f"posteriors[{i}]", required=("mean",))
+        if len(entry) != 2:
+            raise ConfigError(f"posteriors[{i}] must hold exactly one of 'sigma' and 'cov'")
+        key = "sigma" if "sigma" in entry else "cov"
         try:
-            posteriors.append(
-                _POSTERIOR_KINDS[key](
-                    _finite_array(entry["mean"], "mean"), _finite_array(entry[key], key)
-                )
-            )
+            mean, spread = (_finite_array(entry[k], k) for k in ("mean", key))
+            posteriors.append(_POSTERIOR_KINDS[key](mean, spread))
         except ValueError as err:
             raise ConfigError(f"posteriors[{i}]: {err}") from err
-    if len(kinds) != 1:
+    if len(set(map(type, posteriors))) != 1:
         raise ConfigError("posteriors must be all diagonal or all full-covariance")
     weights = doc.get("weights")
-    _reject_unknown(doc, {"posteriors", "weights"}, "input document")
-    return posteriors, weights
+    return posteriors, None if weights is None else _finite_array(weights, "weights")
 
 
 def cmd_aggregate(args) -> int:
-    doc = _load_json(args.input)
-    posteriors, weights = _parse_posteriors(doc)
+    posteriors, weights = _parse_posteriors(_load_json(args.input))
     if args.weights is not None:
         try:
-            weights = [float(w) for w in args.weights.split(",")]
+            flag = [float(w) for w in args.weights.split(",")]
         except ValueError as err:
             raise ConfigError(
                 f"--weights must be comma-separated numbers, got {args.weights!r}"
             ) from err
+        weights = _finite_array(flag, "weights")
     if weights is not None and args.method not in bc.WEIGHTED_METHODS:
         raise ConfigError(
             f"method {args.method!r} does not use weights; "
@@ -441,7 +426,6 @@ def cmd_aggregate(args) -> int:
     if weights is None:
         family = bc.WeightedFamily.uniform(posteriors)
     else:
-        weights = _finite_array(weights, "weights")
         try:
             family = bc.WeightedFamily(tuple(posteriors), weights)
         except ValueError as err:

@@ -201,6 +201,9 @@ def _log_weights(
     d = config.latent_dim
     lik = mmvae.DECODER_LIKELIHOODS[config.likelihood]
     weights, mus, sigmas = joint
+    for x in batch:
+        if len(x) != mus.shape[1]:
+            raise ValueError(f"batch has {len(x)} rows, but the joint has {mus.shape[1]}")
     prior = np.ones(1), np.zeros((1, d)), np.ones((1, d))
     rng = rng_stream(seed, _TAG_LOGLIK, subset.mask)
     logs = np.empty((mus.shape[1], num_samples))

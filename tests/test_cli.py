@@ -329,25 +329,28 @@ class TestAggregateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["1", True])
-    @pytest.mark.parametrize("field", ["mean", "sigma", "cov", "weights"])
+    @pytest.mark.parametrize("field", ["mean", "sigma", "cov", "weights", "weights_under_flag"])
     def test_text_or_bool_number_exits_2(self, tmp_path, capsys, field, bad):
         # numpy would read "1" and true as 1.0; the config parser rejects both too
         kind = "cov" if field == "cov" else "sigma"
         spread = [[1.0, 0.0], [0.0, 1.0]] if kind == "cov" else [1.0, 1.0]
         posteriors = [{"mean": [0.0, 1.0], kind: spread}, {"mean": [1.0, 0.0], kind: spread}]
-        doc = {"posteriors": posteriors}
+        doc, argv = {"posteriors": posteriors}, []
         if field == "mean":
             posteriors[1]["mean"] = [0.0, bad]
         elif field == "sigma":
             posteriors[1]["sigma"] = [bad, 1.0]
         elif field == "cov":
             posteriors[1]["cov"] = [[bad, 0.0], [0.0, 1.0]]
-        else:
+        elif field == "weights":
             doc["weights"] = [bad, 0.0]
+        else:  # the document's weights are checked though the flag overrides them
+            doc["weights"], argv = bad, ["--weights", "0.3,0.7"]
         inp = self.posterior_file(tmp_path, doc)
         out = tmp_path / "o.json"
-        assert run("aggregate", "--input", inp, "--output", str(out), "--method", "wb") == 2
-        where = "weights" if field == "weights" else f"posteriors[1]: {field}"
+        code = run("aggregate", "--input", inp, "--output", str(out), "--method", "wb", *argv)
+        assert code == 2
+        where = f"posteriors[1]: {field}" if field in ("mean", "sigma", "cov") else "weights"
         assert capsys.readouterr().err == (
             f"error: {where} must hold JSON numbers only, got {json.dumps(bad)}\n"
         )
@@ -722,7 +725,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda doc: doc.update(model=5), "model section must be an object"),
+            (
+                lambda doc: doc.update(model=5),
+                "field 'model' in config must be a JSON object, got 5",
+            ),
             (
                 lambda doc: doc.update(split={"train_fraction": "x"}),
                 "field 'train_fraction' in split section must be a finite number, got 'x'",
@@ -737,7 +743,7 @@ class TestTrainCommand:
             ),
             (
                 lambda doc: doc["eval"].update(importance_samples=0),
-                "field 'importance_samples' in eval section must be >= 1, got 0",
+                "field 'importance_samples' in eval section must be an integer >= 1, got 0",
             ),
             (
                 lambda doc: doc["model"].update(hidden=[0]),
@@ -789,12 +795,23 @@ class TestTrainCommand:
                 "field 'seed' in model section must be an integer >= 0, "
                 "got a 401-digit negative integer",
             ),
+            (
+                lambda doc: doc["data"].update(idx={"images": 5}),
+                "data section must name exactly one of 'toy' and 'idx'",
+            ),
+            # a long value is shown by its first 36 characters
+            (
+                lambda doc: doc["model"].update(hidden=["a"] * 20),
+                "field 'hidden' in model section must be a list of integers, "
+                "got ['a', 'a', 'a', 'a', 'a', 'a', 'a',  ...",
+            ),
         ],
         ids=["model_not_object", "split_fraction_text", "toy_count_text", "epochs_float",
              "eval_zero_samples", "hidden_zero", "hidden_negative", "model_seed_negative",
              "toy_seed_negative", "split_seed_negative", "eval_seed_negative",
              "beta_beyond_float_range", "latent_dim_beyond_int64", "hidden_beyond_int64",
-             "toy_count_beyond_int64", "seed_below_int64"],
+             "toy_count_beyond_int64", "seed_below_int64", "data_both_sources",
+             "long_value_cut"],
     )
     def test_malformed_field_exits_2_at_train(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(TOY_CONFIG))
@@ -1102,9 +1119,11 @@ class TestEvalCommand:
         assert "[64, 64]" in err and "do not match" in err
         assert not out.exists()
 
-    def test_tampered_version_exits_4(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [99, True, 1.0])
+    def test_tampered_version_exits_4(self, trained, tmp_path, capsys, version):
+        # only the JSON integer 1 is version 1
         doc = json.loads((trained / "checkpoint.json").read_text())
-        doc["format_version"] = 99
+        doc["format_version"] = version
         bad = tmp_path / "bad.json"
         write_json(bad, doc)
         assert run("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")) == 4
@@ -1138,6 +1157,7 @@ class TestEvalCommand:
             (("params", "dec0.b0", "scale"), 1.0),
             (("rng_state", "epoch"), 0),
             (("comment",), "x"),
+            (("config", "data", "idx"), {"images": 5}),
         ],
         ids=[
             "split_list",
@@ -1164,6 +1184,7 @@ class TestEvalCommand:
             "unknown_parameter_key",
             "unknown_rng_state_key",
             "unknown_key",
+            "data_both_sources",
         ],
     )
     def test_malformed_checkpoint_field_exits_4(self, trained, tmp_path, capsys, path, value):

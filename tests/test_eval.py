@@ -234,6 +234,16 @@ class TestImportanceLogLikelihood:
         vae, _, _ = linear_gaussian_vae()
         with pytest.raises(ValueError):
             importance_log_likelihood(vae, [np.zeros((1, 1))], SubsetIndex(0b1, 1), 0, 0)
+        # the batch must have the joint's row count, in either direction
+        vae, _, test_set = tiny_vae_and_data(method="mwb")
+        subset = SubsetIndex(0b11, 2)
+        for joint_rows, batch_rows in ((2, 6), (6, 2)):
+            rows = test_set.take(np.arange(joint_rows)).modalities
+            joint = mm.aggregate_arrays(vae, mm.encode_arrays(vae, rows), subset)
+            batch = test_set.take(np.arange(batch_rows)).modalities
+            message = f"batch has {batch_rows} rows, but the joint has {joint_rows}"
+            with pytest.raises(ValueError, match=message):
+                ev._log_likelihood(vae, joint, batch, subset, 4, 0)
 
 
 class TestEvalReport:
