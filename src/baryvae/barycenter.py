@@ -16,10 +16,11 @@ make each component, with which coefficients, and whether the coefficients
 mix (precision, precision * mean) or (mean, sigma). The standard-normal prior
 is the table's last column. `joint` is the one place that appends the prior
 and applies a table, with one diffgraph primitive, so training graphs,
-batched evaluation arrays and `aggregate`, which returns the components of
-one diagonal family as arrays, share one implementation; `wb_diag`, `mopoe`
-and `mwb` are typed views of `aggregate`, and `poe` applies the `poe` row
-with any nonnegative exponents.
+batched evaluation arrays and `aggregate` share one implementation.
+`aggregate`, the one call for every family, returns the components as
+arrays, from `wb_full` for a full-covariance family under `wb`; `wb_diag`,
+`mopoe` and `mwb` are typed views of the table on diagonal families, and
+`poe` applies the `poe` row with any nonnegative exponents.
 
 `barycenter_objective` states the claim itself on arrays: the weighted
 forward KL, reverse KL or squared 2-Wasserstein distance from M stacked
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffgraph as dg
-from .errors import NotPsdError, NumericError
+from .errors import NumericError
 from .gaussian import SIGMA_FLOOR, DiagGaussian, FullGaussian, WeightedFamily
 from .linalg import sqrtm_psd
 
@@ -157,13 +158,22 @@ def _family_joint(family: WeightedFamily, weights, rows, natural: bool):
 
 
 def aggregate(family: WeightedFamily, method: str):
-    """The joint posterior of a diagonal `family` under `method`, one of METHODS.
+    """The joint posterior of `family` under `method`, one of METHODS.
 
-    Returns (weights K, mean K x d, sigma K x d): one component for poe and
-    wb, the members with their weights for moe, and for mopoe and mwb one
-    component per subset in ascending bitmask order, the empty subset being
-    the N(0, I) prior. Full-covariance families go to `wb_full`.
+    For a diagonal family, returns (weights K, mean K x d, sigma K x d): one
+    component for poe and wb, the members with their weights for moe, and
+    for mopoe and mwb one component per subset in ascending bitmask order,
+    the empty subset being the N(0, I) prior. A full-covariance family gives
+    `wb_full`'s (ones(1), mean 1 x d, cov 1 x d x d) for `wb` only (ValueError else).
     """
+    if isinstance(family.members[0], FullGaussian):
+        if method != "wb":
+            raise ValueError(
+                f"method {method!r} supports diagonal posteriors only; "
+                "full-covariance inputs support 'wb'"
+            )
+        result = wb_full(family)
+        return np.ones(1), result.mean[None], result.cov[None]
     return _family_joint(family, *mixing(method, family.weights))
 
 
@@ -185,8 +195,8 @@ def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
     alphas = np.ones(family.size) if exponents is None else np.asarray(exponents, np.float64)
     if alphas.shape != (family.size,):
         raise ValueError("exponents length must match family size")
-    if np.any(alphas < 0.0):
-        raise ValueError("exponents must be nonnegative")
+    if not (np.isfinite(alphas).all() and np.all(alphas >= 0.0)):
+        raise ValueError("exponents must be finite and nonnegative")
     if not np.any(alphas > 0.0):
         raise ValueError("at least one exponent must be positive")
     return _gaussian(*_family_joint(family, np.ones(1), np.append(alphas, 0.0)[None], True))
@@ -203,17 +213,17 @@ def wb_diag(family: WeightedFamily) -> DiagGaussian:
     Both the mean and the sigma of the barycenter are the weighted arithmetic
     means of the members' parameters.
     """
-    return _gaussian(*aggregate(family, "wb"))
+    return _gaussian(*_family_joint(family, *mixing("wb", family.weights)))
 
 
 def mopoe(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of unit-exponent subset products."""
-    return _mixture(*aggregate(family, "mopoe"))
+    return _mixture(*_family_joint(family, *mixing("mopoe", family.weights)))
 
 
 def mwb(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of subset Wasserstein barycenters."""
-    return _mixture(*aggregate(family, "mwb"))
+    return _mixture(*_family_joint(family, *mixing("mwb", family.weights)))
 
 
 def wb_full(
@@ -243,19 +253,23 @@ def wb_full(
     the float range and above FullGaussian's eigenvalue floor.
 
     Ill-conditioned members can defeat the iteration in rounding: an iterate
-    that turns indefinite, or a result below FullGaussian's eigenvalue
-    floor, raises NumericError naming the iteration, as do a singular
-    iterate and no convergence within max_iter.
+    that turns indefinite or singular, or a result below FullGaussian's
+    eigenvalue floor, raises NumericError("barycenter iteration i: ...")
+    naming the iteration. No convergence within max_iter, and a mean that
+    overflows, raise NumericError too. A diagonal family raises TypeError:
+    `aggregate` takes either kind.
     """
+    if not isinstance(family.members[0], FullGaussian):
+        raise TypeError("wb_full expects a full-covariance family; aggregate takes diagonal ones")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer of at least 0, got {max_iter!r}")
     covs = [m.cov for m in family.members]
     lams = family.weights
-    mean = np.zeros(family.dim)
-    for lam, member in zip(lams, family.members):
-        mean += lam * member.mean
+    mean = sum(lam * m.mean for lam, m in zip(lams, family.members))
+    if not np.isfinite(mean).all():  # weights may sum to 1 + 1e-12
+        raise NumericError("wb aggregation overflowed: the mean is not finite")
 
     if family.size == 1:  # its own barycenter, without an iteration's rounding
         return FullGaussian(mean, sum(lam * c for lam, c in zip(lams, covs)))
@@ -264,34 +278,27 @@ def wb_full(
     covs = [c / s for c in covs]
     cov = sum(lam * c for lam, c in zip(lams, covs))
     for iteration in range(max_iter + 1):
+        # NotPsdError, LinAlgError and FullGaussian's rejections are ValueErrors
         try:
             root = sqrtm_psd(cov)
             mapped = np.zeros_like(cov)
             for lam, c in zip(lams, covs):
                 a = root @ c @ root
                 mapped += lam * sqrtm_psd((a + a.T) / 2.0)
-        except NotPsdError as err:
+            residual = float(np.linalg.norm(mapped - cov))
+            norm = float(np.linalg.norm(cov))
+            # iterate well past tol so the returned point, not just its
+            # residual, sits within tol of the fixed point
+            if residual <= 0.05 * tol * norm or (
+                iteration == max_iter and residual <= tol * norm
+            ):
+                return FullGaussian(mean, s * cov)
+            # S^{-1/2} T(S)^2 S^{-1/2} = X X^T with X = S^{-1/2} T(S)
+            half = np.linalg.solve(root, mapped)
+        except ValueError as err:
             raise NumericError(
                 f"barycenter iteration {iteration}: {err}", iterations=iteration
             ) from err
-        residual = float(np.linalg.norm(mapped - cov))
-        norm = float(np.linalg.norm(cov))
-        # iterate well past tol so the returned point, not just its residual,
-        # sits within tol of the fixed point
-        if residual <= 0.05 * tol * norm or (
-            iteration == max_iter and residual <= tol * norm
-        ):
-            try:
-                return FullGaussian(mean, s * cov)
-            except ValueError as err:
-                raise NumericError(
-                    f"barycenter at iteration {iteration}: {err}", iterations=iteration
-                ) from err
-        # S^{-1/2} T(S)^2 S^{-1/2} = X X^T with X = S^{-1/2} T(S)
-        try:
-            half = np.linalg.solve(root, mapped)
-        except np.linalg.LinAlgError as err:
-            raise NumericError(f"barycenter iterate became singular: {err}") from err
         cov = half @ half.T
     residual *= s
     raise NumericError(

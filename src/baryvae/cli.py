@@ -314,7 +314,7 @@ def _parameter(entry: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_checkpoint(path: str):
-    """Returns (RunConfig document, MultimodalVae). Raises CheckpointFormatError."""
+    """Returns (config document, MultimodalVae). Raises CheckpointFormatError."""
     try:
         doc = _load_json(path)
     except (OSError, ValueError) as err:
@@ -322,9 +322,9 @@ def load_checkpoint(path: str):
     try:
         _section(doc, _CHECKPOINT_FIELDS, "checkpoint", required=_CHECKPOINT_FIELDS)
         try:  # train derives the model's sizes, so its checkpoint must state them
-            model, split_spec, eval_spec = _check_document(
+            model = _check_document(
                 doc["config"], model_required=("num_modalities", "input_dims")
-            )
+            )[0]
         except ConfigError as err:
             raise ConfigError(f"config: {err}") from err
         model_cfg = mmvae.ModelConfig(**model)
@@ -341,7 +341,7 @@ def load_checkpoint(path: str):
             )
     except (MemoryError, ValueError) as err:  # a model too large to allocate is its fault
         raise CheckpointFormatError(f"corrupt checkpoint {path}: {err}") from err
-    return RunConfig(model_cfg, doc["config"]["data"], split_spec, eval_spec), vae
+    return doc["config"], vae
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +402,6 @@ def _parse_posteriors(doc):
             posteriors.append(_POSTERIOR_KINDS[key](mean, spread))
         except ValueError as err:
             raise ConfigError(f"posteriors[{i}]: {err}") from err
-    if len(set(map(type, posteriors))) != 1:
-        raise ConfigError("posteriors must be all diagonal or all full-covariance")
     weights = doc.get("weights")
     return posteriors, None if weights is None else _finite_array(weights, "weights")
 
@@ -426,28 +424,16 @@ def cmd_aggregate(args) -> int:
     if weights is None:
         family = bc.WeightedFamily.uniform(posteriors)
     else:
-        try:
-            family = bc.WeightedFamily(tuple(posteriors), weights)
-        except ValueError as err:
-            raise ConfigError(f"invalid weights: {err}") from err
+        family = bc.WeightedFamily(tuple(posteriors), weights)
 
     method = args.method
-    full = isinstance(posteriors[0], FullGaussian)
-    if full and method != "wb":
-        raise ConfigError(
-            f"method {method!r} supports diagonal posteriors only; "
-            "full-covariance inputs support 'wb'"
-        )
-    if full:
-        result = bc.wb_full(family)
-        doc = {"method": method, "mean": result.mean.tolist(), "cov": result.cov.tolist()}
+    weights, mean, spread = bc.aggregate(family, method)
+    key = "sigma" if spread.ndim == 2 else "cov"  # K x d sigmas or K x d x d covariances
+    parts = [{"mean": m, key: s} for m, s in zip(mean.tolist(), spread.tolist())]
+    if method in ("poe", "wb"):
+        doc = {"method": method, **parts[0]}
     else:
-        weights, mean, sigma = bc.aggregate(family, method)
-        parts = [{"mean": m, "sigma": s} for m, s in zip(mean.tolist(), sigma.tolist())]
-        if method in ("poe", "wb"):
-            doc = {"method": method, **parts[0]}
-        else:
-            doc = {"method": method, "weights": weights.tolist(), "components": parts}
+        doc = {"method": method, "weights": weights.tolist(), "components": parts}
     try:
         _write_json(args.output, doc, allow_nan=False)
     except ValueError as err:
@@ -479,24 +465,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run_config, vae = load_checkpoint(args.checkpoint)
-    if args.config is not None:
-        doc = _load_json(args.config)
-        override, dataset = parse_run_config(doc)
-        # The model is the checkpoint's: an override may restate its fields, not change them.
+    stored, vae = load_checkpoint(args.checkpoint)
+    doc = stored if args.config is None else _load_json(args.config)
+    try:
+        run_config, dataset = parse_run_config(doc)
+        # The model is the checkpoint's: a config may restate its fields, not change them.
         for key in doc.get("model", {}):
-            given, saved = getattr(override.model, key), getattr(run_config.model, key)
+            given, saved = getattr(run_config.model, key), getattr(vae.config, key)
             if given != saved:
                 raise ConfigError(
                     f"field '{key}' in model section is {json.dumps(given)}, "
                     f"but the checkpoint's model has {json.dumps(saved)}"
                 )
-        run_config = RunConfig(
-            run_config.model, override.data_spec, override.split_spec, override.eval_spec
-        )
-    try:
-        if args.config is None:
-            dataset = build_dataset(run_config.data_spec)
         if dataset.dims != list(vae.config.input_dims):
             raise ConfigError(
                 f"dataset input dims {dataset.dims} do not match the checkpoint's model "
@@ -505,7 +485,7 @@ def cmd_eval(args) -> int:
         train_set, test_set = datamod.split(dataset, **run_config.split_spec)
     except ValueError as err:
         # without an override, data and split settings at fault are the checkpoint's
-        if args.config is not None or isinstance(err, IdxFormatError):
+        if doc is not stored or isinstance(err, IdxFormatError):
             raise
         raise CheckpointFormatError(f"corrupt checkpoint {args.checkpoint}: config: {err}") from err
     report = evaluation.evaluate_model(vae, train_set, test_set, **run_config.eval_spec)

@@ -34,8 +34,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 class DiagGaussian:
     """Gaussian with diagonal covariance, stored as (mean, sigma).
 
-    `sigma` holds standard deviations, which must be nonnegative, and is
-    floored at SIGMA_FLOOR on construction to keep precisions finite.
+    Both must be finite. `sigma` holds standard deviations, which must be
+    nonnegative, and is floored at SIGMA_FLOOR to keep precisions finite.
     """
 
     mean: np.ndarray = field()
@@ -52,6 +52,9 @@ class DiagGaussian:
             raise ValueError(f"mean/sigma lengths differ: {len(mean)} vs {len(sigma)}")
         if mean.shape[0] == 0:
             raise ValueError("mean/sigma must have dimension >= 1")
+        for name, values in (("mean", mean), ("sigma", sigma)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got NaN or Infinity")
         if (sigma < SIGMA_FLOOR).any():
             if (sigma < 0.0).any():
                 raise ValueError(f"sigma must be nonnegative, got {float(sigma.min())!r}")
@@ -70,7 +73,8 @@ class FullGaussian:
     COV_EIGENVALUE_FLOOR, and the smallest above d * eps times the largest.
 
     `cov` is stored as the float64 array (cov + cov^T)/2, so its entries
-    satisfy cov[i, j] == cov[j, i] exactly.
+    satisfy cov[i, j] == cov[j, i] exactly. NaN or Inf raises ValueError in
+    the mean and NumericError in cov; a cov breaking these rules, ValueError.
     """
 
     mean: np.ndarray = field()
@@ -82,12 +86,14 @@ class FullGaussian:
             raise ValueError(f"expected a square matrix, got shape {cov.shape}")
         with np.errstate(over="ignore"):  # a finite overflow is rejected below
             sym = (cov + cov.T) / 2.0
-        # NaN or Inf input is left to sym_eigvals, which raises NumericError
+        # NaN or Inf in cov is left to sym_eigvals, which raises NumericError
         if not np.isfinite(sym).all() and np.isfinite(cov).all():
             raise ValueError("cov overflows when symmetrized as (cov + cov^T) / 2")
         mean = np.array(self.mean, dtype=np.float64, copy=None, ndmin=1)
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite, got NaN or Infinity")
         if sym.shape[0] != mean.shape[0]:
             raise ValueError(f"cov dim {sym.shape[0]} != mean dim {mean.shape[0]}")
         w = sym_eigvals(sym)
@@ -112,7 +118,7 @@ class FullGaussian:
 
 @dataclass(frozen=True)
 class WeightedFamily:
-    """A nonempty family of equal-dimension Gaussians with simplex weights.
+    """A nonempty family of equal-dimension Gaussians of one kind with simplex weights.
 
     It is every aggregator's input and, read as a density, the mixture of
     its members: the result of moe, mopoe and mwb.
@@ -125,6 +131,8 @@ class WeightedFamily:
         members = tuple(self.members)
         if not members:
             raise ValueError("family must be nonempty")
+        if len(set(map(type, members))) != 1:
+            raise ValueError("members must be all diagonal or all full-covariance")
         dims = {m.dim for m in members}
         if len(dims) != 1:
             raise ValueError(f"member dims differ: {sorted(dims)}")

@@ -103,6 +103,9 @@ class ModelConfig:
             raise ValueError("input_dims must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must be >= 1")
+        for name in ("beta", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta < 0.0:
             raise ValueError("beta must be >= 0")
         if self.batch_size < 1:

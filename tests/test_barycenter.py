@@ -121,6 +121,10 @@ class TestPoe:
         fam = WeightedFamily.uniform([g1(0, 1), g1(1, 1)])
         with pytest.raises(ValueError):
             poe(fam, np.zeros(2))
+        # nor may an exponent be NaN or infinite
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="exponents must be finite"):
+                poe(fam, [bad, 1.0])
 
     def test_mean_in_convex_hull(self):
         rng = np.random.default_rng(31)
@@ -521,12 +525,22 @@ class TestKernel:
                 assert r.tobytes() == g.data.tobytes()
 
     def test_aggregate_full_family_supports_wb_only(self):
-        # a full-covariance family goes to wb_full; `aggregate` takes diagonal ones
-        fam = WeightedFamily.uniform([FullGaussian([0.0], [[2.0]])])
-        assert wb_full(fam).cov[0, 0] == pytest.approx(2.0)
-        for method in bc.METHODS:
-            with pytest.raises(TypeError, match="wb_full"):
+        # `aggregate` takes a full-covariance family under wb, through
+        # wb_full; wb_full and the typed views each take one kind only
+        a, b = FullGaussian([0.0, 1.0], [[2.0, 0.3], [0.3, 0.7]]), FullGaussian([1.0, 0.0], np.eye(2))
+        fam = WeightedFamily((a, b), [0.3, 0.7])
+        expected = wb_full(fam)
+        weights, mean, cov = bc.aggregate(fam, "wb")
+        assert weights.tobytes() == np.ones(1).tobytes()
+        assert mean.tobytes() == expected.mean[None].tobytes()
+        assert cov.tobytes() == expected.cov[None].tobytes()
+        for method in ("poe", "moe", "mopoe", "mwb"):
+            with pytest.raises(ValueError, match=f"method '{method}' supports diagonal posteriors"):
                 bc.aggregate(fam, method)
+        with pytest.raises(TypeError, match="wb_full"):
+            bc.wb_diag(fam)
+        with pytest.raises(TypeError, match="aggregate"):
+            wb_full(WeightedFamily.uniform([g1(0.0, 1.0), g1(1.0, 2.0)]))
 
     def test_empty_subset_table_gives_the_prior_shaped_like(self):
         for method in ("mopoe", "mwb"):

@@ -240,16 +240,23 @@ class TestAggregateCommand:
         assert not out.exists()
 
     def test_bad_weights_exit_2(self, tmp_path, capsys):
-        inp = self.posterior_file(
-            tmp_path,
-            {"posteriors": [{"mean": [0.0], "sigma": [1.0]}, {"mean": [1.0], "sigma": [1.0]}]},
-        )
-        code = run(
-            "aggregate", "--input", inp, "--output", str(tmp_path / "o.json"),
-            "--method", "wb", "--weights", "0.9,0.9",
-        )
-        assert code == 2
-        assert capsys.readouterr().err.strip()
+        # a fault of the family itself is its own, not the weights', under --weights too
+        two = [{"mean": [0.0], "sigma": [1.0]}, {"mean": [1.0], "sigma": [1.0]}]
+        cases = [
+            (two, "0.9,0.9", "weights sum to 1.8, expected 1"),
+            ([two[0], {"mean": [1.0, 2.0], "sigma": [1.0, 1.0]}], "0.5,0.5",
+             "member dims differ: [1, 2]"),
+            ([two[0], {"mean": [1.0], "cov": [[1.0]]}], "0.5,0.5",
+             "members must be all diagonal or all full-covariance"),
+        ]
+        for posteriors, weights, message in cases:
+            inp = self.posterior_file(tmp_path, {"posteriors": posteriors})
+            code = run(
+                "aggregate", "--input", inp, "--output", str(tmp_path / "o.json"),
+                "--method", "wb", "--weights", weights,
+            )
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("source", ["flag", "document"])
     @pytest.mark.parametrize("method", ["poe", "moe", "wb", "mopoe", "mwb"])
@@ -396,7 +403,7 @@ class TestAggregateCommand:
                         [-5.939083402062917e272, 1.672702544749789e272],
                     ],
                 ],
-                "barycenter at iteration 1: covariance smallest eigenvalue -7.316e+255 "
+                "barycenter iteration 1: covariance smallest eigenvalue -7.316e+255 "
                 "is below the floor 1e-12",
             ),
         ],
@@ -1205,7 +1212,11 @@ class TestEvalCommand:
         [
             ("split", {"train_fraction": 1.5}, "train_fraction must be in (0, 1)"),
             ("split", {"train_fraction": 0.99}, "leaves the test split empty"),
-            ("data", {"toy": {"resolution": 4}}, "do not match the checkpoint's model"),
+            (
+                "data",
+                {"toy": {"resolution": 4}},
+                "model.input_dims [64, 64] does not match dataset [16, 16]",
+            ),
         ],
         ids=["fraction_beyond_one", "empty_test_split", "data_not_fitting_the_model"],
     )
@@ -1359,6 +1370,23 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"error: field '{field}' in model section is {json.dumps(value)}, "
             f"but the checkpoint's model has {saved}\n"
+        )
+        assert not out.exists()
+
+    def test_override_data_not_fitting_the_model_exits_2(self, trained, tmp_path, capsys):
+        # the override's data is at fault, not the checkpoint: exit 2, not 4
+        doc = json.loads(json.dumps(TOY_CONFIG))
+        doc["data"]["toy"]["resolution"] = 4
+        cfg = tmp_path / "override.json"
+        write_json(cfg, doc)
+        out = tmp_path / "eval"
+        code = run(
+            "eval", "--checkpoint", str(trained / "checkpoint.json"),
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dataset input dims [16, 16] do not match the checkpoint's model [64, 64]\n"
         )
         assert not out.exists()
 

@@ -58,8 +58,9 @@ class TestTypes:
     @pytest.mark.parametrize(
         "mean,sigma,message",
         [([1.0], [-2.0], "nonnegative"), ([0.0, 1.0], [1.0, -1e-300], "nonnegative"),
-         ([], [], "dimension")],
-        ids=["negative", "tiny_negative", "empty"],
+         ([], [], "dimension"), ([0.0], [math.nan], "sigma must be finite"),
+         ([math.inf], [1.0], "mean must be finite")],
+        ids=["negative", "tiny_negative", "empty", "nan_sigma", "inf_mean"],
     )
     def test_negative_sigma_and_empty_rejected(self, mean, sigma, message):
         with pytest.raises(ValueError, match=message):
@@ -106,6 +107,8 @@ class TestTypes:
     def test_full_gaussian_rejects_matrix_mean(self):
         with pytest.raises(ValueError, match="mean must be a vector"):
             FullGaussian([[0.0], [1.0]], np.eye(2))
+        with pytest.raises(ValueError, match="mean must be finite"):
+            FullGaussian([math.nan], [[1.0]])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_full_gaussian_finite_cov_overflowing_when_symmetrized(self):
@@ -120,6 +123,9 @@ class TestTypes:
             WeightedFamily(comps, [-0.5, 1.5])
         with pytest.raises(ValueError):
             WeightedFamily(comps, [math.nan, math.nan])
+        # members are all of one kind
+        with pytest.raises(ValueError, match="all diagonal or all full-covariance"):
+            WeightedFamily.uniform([g1(0, 1), FullGaussian([1.0], [[1.0]])])
 
 
 class TestKl:

@@ -68,6 +68,10 @@ class TestConfig:
             mm.ModelConfig(num_modalities=2, input_dims=(3,))
         with pytest.raises(ValueError):
             small_config(beta=-0.1)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            small_config(beta=math.nan)
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            small_config(learning_rate=math.inf)
         with pytest.raises(ValueError):
             small_config(aggregation="gan")
         with pytest.raises(ValueError):
