@@ -18,9 +18,10 @@ is the table's last column. `joint` is the one place that appends the prior
 and applies a table, with one diffgraph primitive, so training graphs,
 batched evaluation arrays and `aggregate` share one implementation.
 `aggregate`, the one call for every family, returns the components as
-arrays, from `wb_full` for a full-covariance family under `wb`; `wb_diag`,
-`mopoe` and `mwb` are typed views of the table on diagonal families, and
-`poe` applies the `poe` row with any nonnegative exponents.
+finite arrays, from `wb_full` for a full-covariance family under `wb`;
+`wb_diag`, `mopoe` and `mwb` are typed views of the table on diagonal
+families, and `poe` applies the `poe` row with any nonnegative exponents.
+All fail on overflow with NumericError("<method> aggregation overflowed: ...").
 
 `barycenter_objective` states the claim itself on arrays: the weighted
 forward KL, reverse KL or squared 2-Wasserstein distance from M stacked
@@ -147,12 +148,15 @@ def joint(rows, natural: bool, mus, sigmas, like):
     return dg.mul(var, weighted), dg.sqrt(var)
 
 
-def _family_joint(family: WeightedFamily, weights, rows, natural: bool):
-    """(weights K, mean K x d, sigma K x d) of a table over one diagonal family."""
+def _family_joint(family: WeightedFamily, method: str, table=None):
+    """(weights K, mean K x d, sigma K x d) of `method`'s table, or of `table`."""
+    weights, rows, natural = mixing(method, family.weights) if table is None else table
     if not isinstance(family.members[0], DiagGaussian):
         raise TypeError("expected a diagonal family; wb_full aggregates full covariances")
     means = [g.mean[None] for g in family.members]
     mean, sigma = joint(rows, natural, means, [g.sigma[None] for g in family.members], means[0])
+    if not (np.isfinite(mean).all() and np.isfinite(sigma).all()):
+        raise NumericError(f"{method} aggregation overflowed: the result is not finite")
     # floored here once, as a DiagGaussian would floor it
     return weights, mean, np.maximum(sigma, SIGMA_FLOOR)
 
@@ -174,7 +178,7 @@ def aggregate(family: WeightedFamily, method: str):
             )
         result = wb_full(family)
         return np.ones(1), result.mean[None], result.cov[None]
-    return _family_joint(family, *mixing(method, family.weights))
+    return _family_joint(family, method)
 
 
 def _gaussian(weights, mean, sigma) -> DiagGaussian:
@@ -199,7 +203,8 @@ def poe(family: WeightedFamily, exponents=None) -> DiagGaussian:
         raise ValueError("exponents must be finite and nonnegative")
     if not np.any(alphas > 0.0):
         raise ValueError("at least one exponent must be positive")
-    return _gaussian(*_family_joint(family, np.ones(1), np.append(alphas, 0.0)[None], True))
+    table = (np.ones(1), np.append(alphas, 0.0)[None], True)
+    return _gaussian(*_family_joint(family, "poe", table))
 
 
 def moe(family: WeightedFamily) -> WeightedFamily:
@@ -213,17 +218,17 @@ def wb_diag(family: WeightedFamily) -> DiagGaussian:
     Both the mean and the sigma of the barycenter are the weighted arithmetic
     means of the members' parameters.
     """
-    return _gaussian(*_family_joint(family, *mixing("wb", family.weights)))
+    return _gaussian(*_family_joint(family, "wb"))
 
 
 def mopoe(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of unit-exponent subset products."""
-    return _mixture(*_family_joint(family, *mixing("mopoe", family.weights)))
+    return _mixture(*_family_joint(family, "mopoe"))
 
 
 def mwb(family: WeightedFamily) -> WeightedFamily:
     """Mixture over the modality powerset of subset Wasserstein barycenters."""
-    return _mixture(*_family_joint(family, *mixing("mwb", family.weights)))
+    return _mixture(*_family_joint(family, "mwb"))
 
 
 def wb_full(
@@ -269,7 +274,7 @@ def wb_full(
     lams = family.weights
     mean = sum(lam * m.mean for lam, m in zip(lams, family.members))
     if not np.isfinite(mean).all():  # weights may sum to 1 + 1e-12
-        raise NumericError("wb aggregation overflowed: the mean is not finite")
+        raise NumericError("wb aggregation overflowed: the result is not finite")
 
     if family.size == 1:  # its own barycenter, without an iteration's rounding
         return FullGaussian(mean, sum(lam * c for lam, c in zip(lams, covs)))

@@ -6,8 +6,8 @@ File formats:
   * floats are serialized in shortest round-trip form, so reruns with the
     same seed produce byte-identical outputs.
 
-Exit codes: 0 success, 2 input/config error, 3 numeric failure, 4 checkpoint
-format/version error.
+Exit codes: 0 success, 2 input/config error, 3 numeric failure (NumericError,
+an overflowing aggregation among them), 4 checkpoint format/version error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .gaussian import DiagGaussian, FullGaussian
 
 CHECKPOINT_VERSION = 1
 OUT_ENV_VAR = "BARYVAE_OUT"
+_encode = json.JSONEncoder().encode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -245,30 +246,29 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _json_text(obj, encode, indent: str = "\n") -> str:
-    """`obj` as json.dumps(obj, indent=2) writes it, built over `encode`, a
+def _json_text(obj, indent: str = "\n") -> str:
+    """`obj` as json.dumps(obj, indent=2) writes it, built over `_encode`, json's
     compact C encoder, so that a list of numbers takes one call."""
     if not (isinstance(obj, (list, tuple, dict)) and obj):
-        return encode(obj)
+        return _encode(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         # a non-string key is converted as json converts it
-        keys = (encode(k) if isinstance(k, str) else encode({k: 0})[1:-4] for k in obj)
-        items = (k + ": " + _json_text(v, encode, inner) for k, v in zip(keys, obj.values()))
+        keys = (_encode(k) if isinstance(k, str) else _encode({k: 0})[1:-4] for k in obj)
+        items = (k + ": " + _json_text(v, inner) for k, v in zip(keys, obj.values()))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if not isinstance(obj[0], (str, list, tuple, dict)):
         # numbers hold no '"', '[' or '{', nor the ", " between items
-        text = encode(obj)[1:-1]
+        text = _encode(obj)[1:-1]
         if not ('"' in text or "[" in text or "{" in text):
             return "[" + inner + text.replace(", ", "," + inner) + indent + "]"
-    items = (_json_text(x, encode, inner) for x in obj)
+    items = (_json_text(x, inner) for x in obj)
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _write_json(path: str, obj, allow_nan: bool = True) -> None:
-    """Write `obj` as json.dumps(obj, indent=2) does; with allow_nan=False,
-    NaN or Infinity raises ValueError before the file is opened."""
-    text = _json_text(obj, json.JSONEncoder(allow_nan=allow_nan).encode)
+def _write_json(path: str, obj) -> None:
+    """Write `obj` as json.dumps(obj, indent=2) does, plus a newline."""
+    text = _json_text(obj)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
 
@@ -426,20 +426,14 @@ def cmd_aggregate(args) -> int:
     else:
         family = bc.WeightedFamily(tuple(posteriors), weights)
 
-    method = args.method
-    weights, mean, spread = bc.aggregate(family, method)
+    weights, mean, spread = bc.aggregate(family, args.method)
     key = "sigma" if spread.ndim == 2 else "cov"  # K x d sigmas or K x d x d covariances
     parts = [{"mean": m, key: s} for m, s in zip(mean.tolist(), spread.tolist())]
-    if method in ("poe", "wb"):
-        doc = {"method": method, **parts[0]}
+    if args.method in ("poe", "wb"):
+        doc = {"method": args.method, **parts[0]}
     else:
-        doc = {"method": method, "weights": weights.tolist(), "components": parts}
-    try:
-        _write_json(args.output, doc, allow_nan=False)
-    except ValueError as err:
-        raise NumericError(
-            f"{method} aggregation overflowed: the result is not finite; nothing written"
-        ) from err
+        doc = {"method": args.method, "weights": weights.tolist(), "components": parts}
+    _write_json(args.output, doc)
     return EXIT_OK
 
 

@@ -557,3 +557,34 @@ class TestKernel:
         weights, mean, sigma = bc.aggregate(fam, method)
         assert weights.shape == (len(mean),) and mean.shape == sigma.shape == (len(mean), 1)
         assert sigma.min() == bc.SIGMA_FLOOR
+
+    @pytest.mark.parametrize(
+        "family,method,view",
+        [
+            ("poe_pair", "poe", poe),
+            ("poe_pair", "mopoe", mopoe),
+            ("wb_pair", "poe", poe),
+            ("wb_pair", "wb", wb_diag),
+            ("wb_pair", "mopoe", mopoe),
+            ("eleven_maxima", "mwb", mwb),
+            ("full_wb_pair", "wb", wb_full),
+        ],
+    )
+    def test_overflow_raises_numeric_error_naming_the_method(self, family, method, view):
+        top = np.finfo(np.float64).max
+        fam = {
+            # the sigma floor makes each precision 1e12; precision * 1e300 overflows
+            "poe_pair": WeightedFamily.uniform([g1(0.0, 1e-300), g1(1e300, 1e-300)]),
+            # the weights sum to 1 + 5e-13, so two of the largest means sum past the range
+            "wb_pair": WeightedFamily((g1(top, 1.0), g1(top, 2.0)), [0.5000000000005, 0.5]),
+            # mwb ignores the weights; eleven rounded 1/11 terms sum past the range
+            "eleven_maxima": WeightedFamily.uniform([g1(top, 1.0)] * 11),
+            "full_wb_pair": WeightedFamily(
+                (FullGaussian([top], [[1.0]]), FullGaussian([top], [[2.0]])),
+                [0.5000000000005, 0.5],
+            ),
+        }[family]
+        for call in (lambda: bc.aggregate(fam, method), lambda: view(fam)):
+            with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+                call()
+            assert str(err.value) == f"{method} aggregation overflowed: the result is not finite"
